@@ -1,4 +1,4 @@
-// Engine-facing run cancellation: the token type plus signal plumbing.
+// Engine-facing run cancellation: signal plumbing for the token.
 //
 // The token itself lives in util/cancellation.hpp (the io layer polls it
 // from the read queue and prefetch loader); this header adds the pieces
@@ -17,8 +17,6 @@
 #include "util/cancellation.hpp"
 
 namespace graphsd::core {
-
-using graphsd::CancellationToken;
 
 /// Routes SIGINT/SIGTERM to `token->Cancel(...)` for the scope's lifetime;
 /// restores the previous handlers on destruction.  At most one scope may

@@ -77,6 +77,7 @@ class Reader {
 
   Status ReadBytes(void* out, std::size_t size) {
     GRAPHSD_RETURN_IF_ERROR(Need(size));
+    if (size == 0) return Status::Ok();  // `out` may be null for 0 bytes
     std::memcpy(out, data_.data() + pos_, size);
     pos_ += size;
     return Status::Ok();

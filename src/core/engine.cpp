@@ -6,7 +6,6 @@
 #include "core/fciu_executor.hpp"
 #include "core/scheduler.hpp"
 #include "core/sciu_executor.hpp"
-#include "core/semi_executor.hpp"
 #include "core/skip_summary.hpp"
 #include "core/sub_block_buffer.hpp"
 #include "obs/metrics.hpp"
@@ -17,265 +16,465 @@
 #include "util/thread_pool.hpp"
 
 namespace graphsd::core {
-namespace {
 
-/// Per-round accounting: snapshots the device counters at construction and
-/// folds the deltas into the stat and report at Commit().
-class RoundAccounting {
+/// One engine run's lifecycle, shared by push and gather runs: the worker
+/// pool, the buffer, prefetch pipeline and skip summaries (private, or the
+/// caller's shared tier — DESIGN.md §13), the executors' ExecContext, the
+/// run token with its deadline, checkpoint store and async writer, resume
+/// and restore, periodic and final checkpoints (DESIGN.md §12), and the
+/// end-of-run folding of buffer/decode counters and metrics into the
+/// report. RunPush and RunGather keep only their round loops.
+class GraphSDEngine::RunScope {
  public:
-  /// `overlap` selects the pipelined per-round charge max(compute, io);
-  /// otherwise the serial sum is charged (baselines, ablations).
-  RoundAccounting(io::Device& device, RoundStat& stat, ExecutionReport& report,
-                  bool overlap)
-      : device_(device),
-        stat_(stat),
-        report_(report),
-        overlap_(overlap),
-        io_before_(device.stats().Snapshot()),
-        clock_before_(device.clock().Seconds()) {}
+  /// `active`/`preact` are the push frontiers a checkpoint persists and a
+  /// resume restores (both null for gather runs).
+  RunScope(const GraphSDEngine& engine, const Program& program,
+           Frontier* active, Frontier* preact)
+      : dataset_(*engine.dataset_),
+        options_(engine.options_),
+        program_(program),
+        gather_(program.kind() == ProgramKind::kGather),
+        state_(*engine.state_),
+        active_(active),
+        preact_(preact),
+        values_path_(engine.ValuesPath(program)),
+        pool_(options_.num_threads),
+        store_(options_.checkpoint_dir),
+        writer_(&store_) {
+    const auto& manifest = dataset_.manifest();
+    const std::uint64_t default_budget =
+        std::max<std::uint64_t>(1, manifest.TotalEdgeBytes() / 20);
+    // Resource sharing (DESIGN.md §13): a caller-provided buffer/pipeline
+    // (the `graphsd serve` shared tier) replaces the private per-run ones.
+    // Counter reporting switches to deltas against the entry snapshot so
+    // the report still describes this run, not the buffer's whole life.
+    buffer_ = options_.shared_buffer;
+    if (buffer_ == nullptr) {
+      local_buffer_ = std::make_unique<SubBlockBuffer>(
+          options_.enable_buffering ? (options_.buffer_capacity_bytes != 0
+                                           ? options_.buffer_capacity_bytes
+                                           : default_budget)
+                                    : 0);
+      buffer_ = local_buffer_.get();
+    }
+    buf_before_ = buffer_->counters();
+    prefetch_ = options_.shared_prefetch;
+    if (prefetch_ == nullptr) {
+      local_prefetch_ =
+          std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
+      prefetch_ = local_prefetch_.get();
+    }
+    // Skip summaries (DESIGN.md §14): shared store when the caller provides
+    // one (the serve registry's per-dataset tier), private for a solo
+    // semi-external push run, absent otherwise (zero overhead on classic
+    // runs). Gather runs never choose the semi model but still record into
+    // a shared store.
+    SkipSummaryStore* summaries = options_.shared_summaries;
+    if (summaries == nullptr && options_.semi_external && !gather_) {
+      local_summaries_ = std::make_unique<SkipSummaryStore>(manifest);
+      summaries = local_summaries_.get();
+    }
+    // Run-local cancellation: chains the caller's token (signal handlers
+    // trip that one) and arms the optional deadline. Executors poll it at
+    // fetch boundaries; the prefetch loader drains queued reads when it
+    // trips.
+    token_.set_parent(options_.cancel);
+    if (options_.deadline_seconds > 0) {
+      token_.SetDeadline(options_.deadline_seconds);
+    }
+    // A shared pipeline's token belongs to its owner: pointing it at this
+    // run's token would dangle (and clobber concurrent runs).
+    if (local_prefetch_ != nullptr) local_prefetch_->set_cancellation(&token_);
 
-  void Commit(bool record) {
-    const auto io_delta = device_.stats().Snapshot() - io_before_;
-    stat_.io_seconds = device_.clock().Seconds() - clock_before_;
-    stat_.compute_seconds = wall_.Seconds();
-    stat_.overlapped_seconds =
-        overlap_ ? io::IoCostModel::OverlapSeconds(stat_.io_seconds,
-                                                   stat_.compute_seconds)
-                 : stat_.io_seconds + stat_.compute_seconds;
-    stat_.read_bytes = io_delta.TotalReadBytes();
-    stat_.write_bytes = io_delta.TotalWriteBytes();
+    ctx_.dataset = &dataset_;
+    ctx_.pool = &pool_;
+    ctx_.buffer = buffer_;
+    ctx_.prefetch = prefetch_;
+    ctx_.trace = options_.trace;
+    ctx_.memory_budget_bytes = options_.memory_budget_bytes != 0
+                                   ? options_.memory_budget_bytes
+                                   : default_budget;
+    // Destination-range compute sharding (core/sharded_apply.hpp): 0
+    // follows the pool size, 1 is the bit-exact serial reference. Results
+    // are bit-identical either way; only wall time changes.
+    ctx_.compute_shards = options_.compute_threads == 0
+                              ? pool_.size()
+                              : options_.compute_threads;
+    // Critical-path measurement for the sharded applies, folded into the
+    // report at the end. Passive: never read during the run.
+    ctx_.apply_excess = &apply_excess_;
+    ctx_.cancel = &token_;
+    ctx_.summaries = summaries;
+    ctx_.cache_compressed = options_.cache_compressed && dataset_.compressed();
 
+    if (checkpointing()) fingerprint_ = DatasetFingerprint(manifest);
+    report_.engine = options_.engine_name;
+    report_.algorithm = program.name();
+    report_.dataset = manifest.name;
+    // Overlap charging is only honest when the pipeline actually overlaps.
+    report_.overlap_io = options_.overlap_io && prefetch_->enabled();
+    report_.compute_shards = ctx_.compute_shards;
+    decode_before_ = dataset_.decode_stats();
+  }
+
+  // The pool, token and checkpoint writer are referenced by address from
+  // threads and from `ctx_`.
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  const ExecContext& ctx() const noexcept { return ctx_; }
+  ExecutionReport& report() noexcept { return report_; }
+
+  /// Reloads the committed values file (accounted state I/O).
+  Status LoadState(std::uint32_t iteration) const {
+    obs::TraceSpan span(options_.trace, "state-load", iteration);
+    return state_.Load(dataset_.device(), values_path_);
+  }
+  /// Writes the values back to the values file (accounted state I/O).
+  Status PersistState(std::uint32_t iteration) const {
+    obs::TraceSpan span(options_.trace, "write-back", iteration);
+    return state_.Persist(dataset_.device(), values_path_);
+  }
+  /// Lumos's propagation materialization (EngineOptions::
+  /// model_lumos_propagation): one |V|·N write + read of the values.
+  Status PropagateLumos() const {
+    const std::string path = values_path_ + ".prop";
+    GRAPHSD_RETURN_IF_ERROR(state_.Persist(dataset_.device(), path));
+    return state_.Load(dataset_.device(), path);
+  }
+
+  /// Opens a round's accounting window: device counters, modeled clock and
+  /// wall time from here to CommitRound().
+  void BeginRound() {
+    round_io_ = dataset_.device().stats().Snapshot();
+    round_clock_ = dataset_.device().clock().Seconds();
+    round_wall_.Restart();
+  }
+
+  /// Closes the window, folding its deltas into `stat` and the report. The
+  /// pipelined charge max(compute, io) applies under overlap, otherwise the
+  /// serial sum (baselines, ablations).
+  void CommitRound(RoundStat& stat) {
+    const io::Device& device = dataset_.device();
+    const auto io_delta = device.stats().Snapshot() - round_io_;
+    stat.io_seconds = device.clock().Seconds() - round_clock_;
+    stat.compute_seconds = round_wall_.Seconds();
+    stat.overlapped_seconds =
+        report_.overlap_io
+            ? io::IoCostModel::OverlapSeconds(stat.io_seconds,
+                                              stat.compute_seconds)
+            : stat.io_seconds + stat.compute_seconds;
+    stat.read_bytes = io_delta.TotalReadBytes();
+    stat.write_bytes = io_delta.TotalWriteBytes();
     report_.io += io_delta;
-    report_.io_seconds += stat_.io_seconds;
-    report_.compute_seconds += stat_.compute_seconds;
-    report_.overlapped_seconds += stat_.overlapped_seconds;
-    report_.scheduler_seconds += stat_.scheduler_seconds;
+    report_.io_seconds += stat.io_seconds;
+    report_.compute_seconds += stat.compute_seconds;
+    report_.overlapped_seconds += stat.overlapped_seconds;
+    report_.scheduler_seconds += stat.scheduler_seconds;
     ++report_.rounds;
-    if (record) report_.per_round.push_back(stat_);
+    if (options_.record_per_round) report_.per_round.push_back(stat);
+  }
+
+  /// Restores the newest valid checkpoint when resuming, then persists the
+  /// starting values. Returns the iteration the run starts from.
+  Result<std::uint32_t> Start() {
+    std::uint32_t iteration = 0;
+    if (checkpointing() && options_.resume) {
+      obs::TraceSpan span(options_.trace, "resume", 0);
+      auto loaded = store_.LoadLatest();
+      if (loaded.ok()) {
+        GRAPHSD_RETURN_IF_ERROR(Restore(loaded.value()));
+        iteration = loaded.value().iteration;
+        last_checkpoint_ = iteration;
+        // Keep only the cumulative totals: buffer/decode report fields are
+        // this run's deltas added on top of them.
+        base_ = std::move(loaded).value();
+        base_.arrays.clear();
+        base_.active.clear();
+        base_.preact.clear();
+      } else if (loaded.status().code() != StatusCode::kNotFound) {
+        // Slots exist but none is valid (all torn/corrupt) — surface it
+        // rather than silently recomputing from scratch.
+        return loaded.status();
+      }
+    }
+    GRAPHSD_RETURN_IF_ERROR(state_.Persist(dataset_.device(), values_path_));
+    return iteration;
+  }
+
+  /// Loop-top poll: everything is committed there, so a tripped token
+  /// just marks the report cancelled and stops before the next round.
+  bool StopRequested() {
+    if (!token_.cancelled()) return false;
+    MarkCancelled();
+    return true;
+  }
+
+  void MarkCancelled() {
+    report_.cancelled = true;
+    report_.cancel_reason = token_.reason();
+  }
+
+  /// Checkpoints the committed boundary `iterations` when one is due.
+  Status AfterRound(std::uint32_t iterations) {
+    if (checkpointing() &&
+        iterations - last_checkpoint_ >=
+            std::max<std::uint32_t>(1, options_.checkpoint_every)) {
+      return WriteCheckpoint(iterations);
+    }
+    return Status::Ok();
+  }
+
+  /// Final checkpoint (on cancellation this is what `--resume` picks up;
+  /// on completion it makes a later resume a no-op re-run), then the
+  /// end-of-run folding into the report and metrics.
+  Result<ExecutionReport> Finish(std::uint32_t iterations) {
+    if (report_.cancelled) {
+      GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",
+                       iterations, report_.cancel_reason.c_str());
+    }
+    if (checkpointing() && iterations != last_checkpoint_) {
+      GRAPHSD_RETURN_IF_ERROR(WriteCheckpoint(iterations));
+    }
+    if (checkpointing()) {
+      // Join the background writer: the final boundary must be durable
+      // before the report (cancelled or complete) is returned. Bytes are
+      // accounted here because superseded frames never reach disk.
+      WallTimer flush_timer;
+      GRAPHSD_RETURN_IF_ERROR(writer_.Flush());
+      report_.checkpoint_seconds += flush_timer.Seconds();
+      report_.checkpoint_bytes += writer_.bytes_written();
+    }
+
+    report_.iterations = iterations;
+    report_.apply_serialization_seconds = apply_excess_;
+    report_.codec = dataset_.codec_name();
+    const SubBlockBuffer::Counters buf_now = FoldRunCounters(report_);
+    report_.buffer_frame_hits = buf_now.frame_hits - buf_before_.frame_hits;
+    report_.buffer_frame_puts = buf_now.frame_puts - buf_before_.frame_puts;
+    if (options_.metrics != nullptr) PublishMetrics(*options_.metrics);
+    return std::move(report_);
   }
 
  private:
-  io::Device& device_;
-  RoundStat& stat_;
-  ExecutionReport& report_;
-  bool overlap_;
-  io::IoStatsSnapshot io_before_;
-  double clock_before_;
-  WallTimer wall_;
-};
-
-/// End-of-run metrics publication. Engine totals accumulate as counters
-/// (one Add per run); the I/O-stack components publish gauge snapshots.
-/// Strictly passive: reads counters, performs no I/O, feeds nothing back.
-void PublishRunMetrics(obs::MetricsRegistry* metrics,
-                       const ExecutionReport& report, const io::Device& device,
-                       const SubBlockBuffer& buffer,
-                       const io::PrefetchPipeline& prefetch) {
-  if (metrics == nullptr) return;
-  metrics->GetCounter("engine.runs").Add(1);
-  metrics->GetCounter("engine.iterations").Add(report.iterations);
-  metrics->GetCounter("engine.rounds").Add(report.rounds);
-  metrics->GetCounter("engine.degraded_rounds").Add(report.degraded_rounds);
-  metrics->GetCounter("engine.frames_decoded").Add(report.frames_decoded);
-  metrics->GetCounter("engine.compressed_bytes_read")
-      .Add(report.compressed_bytes_read);
-  metrics->GetCounter("engine.decoded_bytes").Add(report.decoded_bytes);
-  obs::Histogram& reads = metrics->GetHistogram("engine.round_read_bytes");
-  obs::Histogram& writes = metrics->GetHistogram("engine.round_write_bytes");
-  for (const RoundStat& stat : report.per_round) {
-    switch (stat.model) {
-      case RoundModel::kSciu:
-        metrics->GetCounter("engine.rounds_sciu").Add(1);
-        break;
-      case RoundModel::kFciu:
-        metrics->GetCounter("engine.rounds_fciu").Add(1);
-        break;
-      case RoundModel::kPlainFull:
-        metrics->GetCounter("engine.rounds_plain_full").Add(1);
-        break;
-      case RoundModel::kSemi:
-        metrics->GetCounter("engine.rounds_semi").Add(1);
-        break;
-      case RoundModel::kSkipped:
-        metrics->GetCounter("engine.rounds_skipped").Add(1);
-        break;
+  /// End-of-run metrics publication. Engine totals accumulate as counters
+  /// (one Add per run); lifecycle counters are deltas vs the resumed base so
+  /// they reflect this process's work only; the I/O-stack components
+  /// publish gauge snapshots. Strictly passive: reads counters, performs no
+  /// I/O, feeds nothing back.
+  void PublishMetrics(obs::MetricsRegistry& metrics) const {
+    const ExecutionReport& report = report_;
+    metrics.GetCounter("engine.runs").Add(1);
+    metrics.GetCounter("engine.iterations").Add(report.iterations);
+    metrics.GetCounter("engine.rounds").Add(report.rounds);
+    metrics.GetCounter("engine.degraded_rounds").Add(report.degraded_rounds);
+    metrics.GetCounter("engine.frames_decoded").Add(report.frames_decoded);
+    metrics.GetCounter("engine.compressed_bytes_read")
+        .Add(report.compressed_bytes_read);
+    metrics.GetCounter("engine.decoded_bytes").Add(report.decoded_bytes);
+    obs::Histogram& reads = metrics.GetHistogram("engine.round_read_bytes");
+    obs::Histogram& writes = metrics.GetHistogram("engine.round_write_bytes");
+    for (const RoundStat& stat : report.per_round) {
+      switch (stat.model) {
+        case RoundModel::kSciu:
+          metrics.GetCounter("engine.rounds_sciu").Add(1);
+          break;
+        case RoundModel::kFciu:
+          metrics.GetCounter("engine.rounds_fciu").Add(1);
+          break;
+        case RoundModel::kPlainFull:
+          metrics.GetCounter("engine.rounds_plain_full").Add(1);
+          break;
+        case RoundModel::kSemi:
+          metrics.GetCounter("engine.rounds_semi").Add(1);
+          break;
+        case RoundModel::kSkipped:
+          metrics.GetCounter("engine.rounds_skipped").Add(1);
+          break;
+      }
+      reads.Record(stat.read_bytes);
+      writes.Record(stat.write_bytes);
     }
-    reads.Record(stat.read_bytes);
-    writes.Record(stat.write_bytes);
+    if (report.blocks_skipped != 0) {
+      metrics.GetCounter("engine.blocks_skipped").Add(report.blocks_skipped);
+      metrics.GetCounter("engine.blocks_skipped_bytes")
+          .Add(report.blocks_skipped_bytes);
+    }
+    if (report.cancelled) metrics.GetCounter("engine.cancelled_runs").Add(1);
+    if (report.resumed) metrics.GetCounter("checkpoint.resumes").Add(1);
+    if (report.checkpoints_written > base_.checkpoints_written) {
+      metrics.GetCounter("checkpoint.written")
+          .Add(report.checkpoints_written - base_.checkpoints_written);
+      metrics.GetCounter("checkpoint.bytes")
+          .Add(report.checkpoint_bytes - base_.checkpoint_bytes);
+    }
+    dataset_.device().PublishMetrics(metrics);
+    buffer_->PublishMetrics(metrics);
+    prefetch_->PublishMetrics(metrics);
   }
-  if (report.blocks_skipped != 0) {
-    metrics->GetCounter("engine.blocks_skipped").Add(report.blocks_skipped);
-    metrics->GetCounter("engine.blocks_skipped_bytes")
-        .Add(report.blocks_skipped_bytes);
-  }
-  device.PublishMetrics(*metrics);
-  buffer.PublishMetrics(*metrics);
-  prefetch.PublishMetrics(*metrics);
-}
 
-/// Folds this run's decode-side deltas (the dataset's counters are
-/// cumulative across runs) and the buffer's on-disk byte view into the
-/// report. Buffer counters are deltas against `buf_before` for the same
-/// reason: a shared buffer outlives and spans runs.
-void FinishCompressionReport(const partition::GridDataset& dataset,
-                             const partition::DecodeStats& before,
-                             const SubBlockBuffer& buffer,
-                             const SubBlockBuffer::Counters& buf_before,
-                             ExecutionReport& report) {
-  report.codec = dataset.codec_name();
-  const partition::DecodeStats after = dataset.decode_stats();
-  report.frames_decoded = after.frames_decoded - before.frames_decoded;
-  report.compressed_bytes_read =
-      after.compressed_bytes - before.compressed_bytes;
-  report.decoded_bytes = after.decoded_bytes - before.decoded_bytes;
-  report.decode_seconds = after.decode_seconds - before.decode_seconds;
-  report.buffer_disk_bytes_saved =
-      buffer.counters().disk_bytes_saved - buf_before.disk_bytes_saved;
-}
+  bool checkpointing() const noexcept {
+    return !options_.checkpoint_dir.empty();
+  }
 
-/// Snapshots the run's committed boundary into a Checkpoint. `base` carries
-/// the cumulative totals of the checkpoint this run resumed from (all-zero
-/// on a fresh run) so persisted counters always cover the whole logical
-/// run; buffer/decode counters are this run's deltas added on top of it.
-Checkpoint MakeCheckpoint(std::uint32_t fingerprint, const Program& program,
-                          bool gather, std::uint32_t iteration,
-                          const VertexState& state, const Frontier* active,
-                          const Frontier* preact,
-                          const ExecutionReport& report,
-                          const Checkpoint& base, const SubBlockBuffer& buffer,
-                          const SubBlockBuffer::Counters& buf_before,
-                          const partition::GridDataset& dataset,
-                          const partition::DecodeStats& decode_before) {
-  Checkpoint cp;
-  cp.fingerprint = fingerprint;
-  cp.algorithm = program.name();
-  cp.gather = gather;
-  cp.iteration = iteration;
-  cp.num_vertices = state.num_vertices();
-  cp.arrays.resize(state.num_program_arrays());
-  for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
-    const auto src = state.array(a);
-    cp.arrays[a].assign(src.begin(), src.end());
+  /// Validates the resume preconditions and restores `cp` into the run:
+  /// vertex arrays, frontiers (push only) and the report's cumulative
+  /// baseline. kFailedPrecondition on any shape/identity mismatch —
+  /// resuming a checkpoint against a different dataset build or program
+  /// would silently corrupt results.
+  Status Restore(const Checkpoint& cp) {
+    if (cp.fingerprint != fingerprint_) {
+      return FailedPreconditionError(StrPrintf(
+          "checkpoint fingerprint %08x does not match dataset fingerprint "
+          "%08x — refusing to resume on a different or rebuilt dataset",
+          cp.fingerprint, fingerprint_));
+    }
+    if (cp.algorithm != program_.name()) {
+      return FailedPreconditionError(StrPrintf(
+          "checkpoint was written by algorithm '%s', not '%s'",
+          cp.algorithm.c_str(), program_.name().c_str()));
+    }
+    if (cp.gather != gather_) {
+      return FailedPreconditionError(
+          "checkpoint program kind (push/gather) does not match");
+    }
+    if (cp.num_vertices != state_.num_vertices() ||
+        cp.arrays.size() != state_.num_program_arrays()) {
+      return FailedPreconditionError(StrPrintf(
+          "checkpoint shape (%u vertices, %zu arrays) does not match the run "
+          "(%u vertices, %u arrays)",
+          cp.num_vertices, cp.arrays.size(), state_.num_vertices(),
+          state_.num_program_arrays()));
+    }
+    for (std::uint32_t a = 0; a < state_.num_program_arrays(); ++a) {
+      const auto dst = state_.array(a);
+      std::copy(cp.arrays[a].begin(), cp.arrays[a].end(), dst.begin());
+    }
+    if (active_ != nullptr) {
+      active_->Clear();
+      for (const VertexId v : cp.active) active_->Activate(v);
+      preact_->Clear();
+      for (const VertexId v : cp.preact) preact_->Activate(v);
+    }
+    report_.rounds = cp.rounds;
+    report_.degraded_rounds = cp.degraded_rounds;
+    report_.compute_seconds = cp.compute_seconds;
+    report_.update_seconds = cp.update_seconds;
+    report_.io_seconds = cp.io_seconds;
+    report_.scheduler_seconds = cp.scheduler_seconds;
+    report_.overlapped_seconds = cp.overlapped_seconds;
+    report_.io = cp.io;
+    report_.checkpoints_written = cp.checkpoints_written;
+    report_.checkpoint_bytes = cp.checkpoint_bytes;
+    report_.checkpoint_seconds = cp.checkpoint_seconds;
+    report_.resumed = true;
+    report_.resume_iteration = cp.iteration;
+    return Status::Ok();
   }
-  if (active != nullptr) {
-    active->ForEachActive([&](std::size_t v) {
-      cp.active.push_back(static_cast<VertexId>(v));
-    });
-  }
-  if (preact != nullptr) {
-    preact->ForEachActive([&](std::size_t v) {
-      cp.preact.push_back(static_cast<VertexId>(v));
-    });
-  }
-  cp.rounds = report.rounds;
-  cp.degraded_rounds = report.degraded_rounds;
-  cp.compute_seconds = report.compute_seconds;
-  cp.update_seconds = report.update_seconds;
-  cp.io_seconds = report.io_seconds;
-  cp.scheduler_seconds = report.scheduler_seconds;
-  cp.overlapped_seconds = report.overlapped_seconds;
-  cp.io = report.io;
-  const SubBlockBuffer::Counters buf_now = buffer.counters();
-  cp.buffer_hits = base.buffer_hits + (buf_now.hits - buf_before.hits);
-  cp.buffer_misses = base.buffer_misses + (buf_now.misses - buf_before.misses);
-  cp.buffer_bytes_saved =
-      base.buffer_bytes_saved + (buf_now.bytes_saved - buf_before.bytes_saved);
-  cp.buffer_disk_bytes_saved =
-      base.buffer_disk_bytes_saved +
-      (buf_now.disk_bytes_saved - buf_before.disk_bytes_saved);
-  const partition::DecodeStats now = dataset.decode_stats();
-  cp.frames_decoded =
-      base.frames_decoded + (now.frames_decoded - decode_before.frames_decoded);
-  cp.compressed_bytes_read =
-      base.compressed_bytes_read +
-      (now.compressed_bytes - decode_before.compressed_bytes);
-  cp.decoded_bytes =
-      base.decoded_bytes + (now.decoded_bytes - decode_before.decoded_bytes);
-  cp.decode_seconds =
-      base.decode_seconds + (now.decode_seconds - decode_before.decode_seconds);
-  cp.checkpoints_written = report.checkpoints_written;
-  cp.checkpoint_bytes = report.checkpoint_bytes;
-  cp.checkpoint_seconds = report.checkpoint_seconds;
-  return cp;
-}
 
-/// Validates the resume preconditions and restores `cp` into the run:
-/// vertex arrays, frontiers (push only) and the report's cumulative
-/// baseline. kFailedPrecondition on any shape/identity mismatch — resuming
-/// a checkpoint against a different dataset build or program would silently
-/// corrupt results.
-Status RestoreCheckpoint(const Checkpoint& cp, std::uint32_t fingerprint,
-                         const Program& program, bool gather,
-                         VertexState& state, Frontier* active,
-                         Frontier* preact, ExecutionReport& report) {
-  if (cp.fingerprint != fingerprint) {
-    return FailedPreconditionError(StrPrintf(
-        "checkpoint fingerprint %08x does not match dataset fingerprint "
-        "%08x — refusing to resume on a different or rebuilt dataset",
-        cp.fingerprint, fingerprint));
+  /// Writes the cumulative buffer and decode counters — the resumed
+  /// base's totals plus this run's deltas (the dataset's decode counters
+  /// and a shared buffer's counters span runs) — into `out`, a Checkpoint
+  /// or the report. Returns the buffer counters it read.
+  template <typename Totals>
+  SubBlockBuffer::Counters FoldRunCounters(Totals& out) const {
+    const SubBlockBuffer::Counters buf = buffer_->counters();
+    out.buffer_hits = base_.buffer_hits + (buf.hits - buf_before_.hits);
+    out.buffer_misses = base_.buffer_misses + (buf.misses - buf_before_.misses);
+    out.buffer_bytes_saved =
+        base_.buffer_bytes_saved + (buf.bytes_saved - buf_before_.bytes_saved);
+    out.buffer_disk_bytes_saved =
+        base_.buffer_disk_bytes_saved +
+        (buf.disk_bytes_saved - buf_before_.disk_bytes_saved);
+    const partition::DecodeStats now = dataset_.decode_stats();
+    out.frames_decoded = base_.frames_decoded +
+                         (now.frames_decoded - decode_before_.frames_decoded);
+    out.compressed_bytes_read =
+        base_.compressed_bytes_read +
+        (now.compressed_bytes - decode_before_.compressed_bytes);
+    out.decoded_bytes = base_.decoded_bytes +
+                        (now.decoded_bytes - decode_before_.decoded_bytes);
+    out.decode_seconds = base_.decode_seconds +
+                         (now.decode_seconds - decode_before_.decode_seconds);
+    return buf;
   }
-  if (cp.algorithm != program.name()) {
-    return FailedPreconditionError(StrPrintf(
-        "checkpoint was written by algorithm '%s', not '%s'",
-        cp.algorithm.c_str(), program.name().c_str()));
-  }
-  if (cp.gather != gather) {
-    return FailedPreconditionError(
-        "checkpoint program kind (push/gather) does not match");
-  }
-  if (cp.num_vertices != state.num_vertices() ||
-      cp.arrays.size() != state.num_program_arrays()) {
-    return FailedPreconditionError(StrPrintf(
-        "checkpoint shape (%u vertices, %zu arrays) does not match the run "
-        "(%u vertices, %u arrays)",
-        cp.num_vertices, cp.arrays.size(), state.num_vertices(),
-        state.num_program_arrays()));
-  }
-  for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
-    const auto dst = state.array(a);
-    std::copy(cp.arrays[a].begin(), cp.arrays[a].end(), dst.begin());
-  }
-  if (active != nullptr) {
-    active->Clear();
-    for (const VertexId v : cp.active) active->Activate(v);
-  }
-  if (preact != nullptr) {
-    preact->Clear();
-    for (const VertexId v : cp.preact) preact->Activate(v);
-  }
-  report.rounds = cp.rounds;
-  report.degraded_rounds = cp.degraded_rounds;
-  report.compute_seconds = cp.compute_seconds;
-  report.update_seconds = cp.update_seconds;
-  report.io_seconds = cp.io_seconds;
-  report.scheduler_seconds = cp.scheduler_seconds;
-  report.overlapped_seconds = cp.overlapped_seconds;
-  report.io = cp.io;
-  report.checkpoints_written = cp.checkpoints_written;
-  report.checkpoint_bytes = cp.checkpoint_bytes;
-  report.checkpoint_seconds = cp.checkpoint_seconds;
-  report.resumed = true;
-  report.resume_iteration = cp.iteration;
-  return Status::Ok();
-}
 
-/// Lifecycle counters (`checkpoint.*`, `engine.cancelled_runs`). Deltas vs
-/// the resumed baseline so counters reflect this process's work only.
-void PublishLifecycleMetrics(obs::MetricsRegistry* metrics,
-                             const ExecutionReport& report,
-                             const Checkpoint& base) {
-  if (metrics == nullptr) return;
-  if (report.cancelled) metrics->GetCounter("engine.cancelled_runs").Add(1);
-  if (report.resumed) metrics->GetCounter("checkpoint.resumes").Add(1);
-  if (report.checkpoints_written > base.checkpoints_written) {
-    metrics->GetCounter("checkpoint.written")
-        .Add(report.checkpoints_written - base.checkpoints_written);
-    metrics->GetCounter("checkpoint.bytes")
-        .Add(report.checkpoint_bytes - base.checkpoint_bytes);
+  /// Snapshots the committed boundary (in-memory arrays and frontiers are
+  /// in sync with the persisted values file whenever this is called) and
+  /// hands it to the async writer: slot writes are fdatasync-bound, so
+  /// they stay off the round critical path.
+  Status WriteCheckpoint(std::uint32_t boundary) {
+    obs::TraceSpan span(options_.trace, "checkpoint", boundary);
+    WallTimer timer;
+    Checkpoint cp;
+    cp.fingerprint = fingerprint_;
+    cp.algorithm = program_.name();
+    cp.gather = gather_;
+    cp.iteration = boundary;
+    cp.num_vertices = state_.num_vertices();
+    cp.arrays.resize(state_.num_program_arrays());
+    for (std::uint32_t a = 0; a < state_.num_program_arrays(); ++a) {
+      const auto src = state_.array(a);
+      cp.arrays[a].assign(src.begin(), src.end());
+    }
+    if (active_ != nullptr) {
+      active_->ForEachActive([&](std::size_t v) {
+        cp.active.push_back(static_cast<VertexId>(v));
+      });
+      preact_->ForEachActive([&](std::size_t v) {
+        cp.preact.push_back(static_cast<VertexId>(v));
+      });
+    }
+    cp.rounds = report_.rounds;
+    cp.degraded_rounds = report_.degraded_rounds;
+    cp.compute_seconds = report_.compute_seconds;
+    cp.update_seconds = report_.update_seconds;
+    cp.io_seconds = report_.io_seconds;
+    cp.scheduler_seconds = report_.scheduler_seconds;
+    cp.overlapped_seconds = report_.overlapped_seconds;
+    cp.io = report_.io;
+    FoldRunCounters(cp);
+    cp.checkpoints_written = report_.checkpoints_written;
+    cp.checkpoint_bytes = report_.checkpoint_bytes;
+    cp.checkpoint_seconds = report_.checkpoint_seconds;
+    GRAPHSD_RETURN_IF_ERROR(writer_.Submit(cp).status());
+    ++report_.checkpoints_written;
+    report_.checkpoint_seconds += timer.Seconds();
+    last_checkpoint_ = boundary;
+    return Status::Ok();
   }
-}
 
-}  // namespace
+  const partition::GridDataset& dataset_;
+  const EngineOptions& options_;
+  const Program& program_;
+  const bool gather_;
+  VertexState& state_;
+  Frontier* active_;
+  Frontier* preact_;
+  const std::string values_path_;
+  ThreadPool pool_;
+  std::unique_ptr<SubBlockBuffer> local_buffer_;
+  SubBlockBuffer* buffer_ = nullptr;
+  SubBlockBuffer::Counters buf_before_;
+  CancellationToken token_;
+  std::unique_ptr<io::PrefetchPipeline> local_prefetch_;
+  io::PrefetchPipeline* prefetch_ = nullptr;
+  std::unique_ptr<SkipSummaryStore> local_summaries_;
+  double apply_excess_ = 0;
+  ExecContext ctx_;
+  CheckpointStore store_;
+  AsyncCheckpointWriter writer_;
+  std::uint32_t fingerprint_ = 0;
+  ExecutionReport report_;
+  partition::DecodeStats decode_before_;
+  /// Cumulative totals of the checkpoint this run resumed from (all-zero
+  /// on a fresh run).
+  Checkpoint base_;
+  std::uint32_t last_checkpoint_ = 0;
+  io::IoStatsSnapshot round_io_;
+  double round_clock_ = 0;
+  WallTimer round_wall_;
+};
 
 GraphSDEngine::GraphSDEngine(const partition::GridDataset& dataset,
                              EngineOptions options)
@@ -304,139 +503,25 @@ Result<ExecutionReport> GraphSDEngine::Run(Program& program) {
 Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   const auto& manifest = dataset_->manifest();
   io::Device& device = dataset_->device();
-  const VertexId n = manifest.num_vertices;
-  const std::uint64_t default_budget =
-      std::max<std::uint64_t>(1, manifest.TotalEdgeBytes() / 20);
-
-  ThreadPool pool(options_.num_threads);
-  // Resource sharing (DESIGN.md §13): a caller-provided buffer/pipeline
-  // (the `graphsd serve` shared tier) replaces the private per-run ones.
-  // Counter reporting switches to deltas against the entry snapshot so
-  // the report still describes this run, not the buffer's whole life.
-  std::unique_ptr<SubBlockBuffer> local_buffer;
-  SubBlockBuffer* buffer = options_.shared_buffer;
-  if (buffer == nullptr) {
-    local_buffer = std::make_unique<SubBlockBuffer>(
-        options_.enable_buffering ? (options_.buffer_capacity_bytes != 0
-                                         ? options_.buffer_capacity_bytes
-                                         : default_budget)
-                                  : 0);
-    buffer = local_buffer.get();
-  }
-  const SubBlockBuffer::Counters buf_before = buffer->counters();
-  ExecContext ctx;
-  ctx.dataset = dataset_;
-  ctx.pool = &pool;
-  ctx.buffer = buffer;
-  ctx.memory_budget_bytes = options_.memory_budget_bytes != 0
-                                ? options_.memory_budget_bytes
-                                : default_budget;
-  std::unique_ptr<io::PrefetchPipeline> local_prefetch;
-  io::PrefetchPipeline* prefetch = options_.shared_prefetch;
-  if (prefetch == nullptr) {
-    local_prefetch =
-        std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
-    prefetch = local_prefetch.get();
-  }
-  ctx.prefetch = prefetch;
-  ctx.trace = options_.trace;
-  // Skip summaries (DESIGN.md §14): shared store when the caller provides
-  // one (the serve registry's per-dataset tier), private when running
-  // semi-external solo, absent otherwise (zero overhead on classic runs).
-  std::unique_ptr<SkipSummaryStore> local_summaries;
-  SkipSummaryStore* summaries = options_.shared_summaries;
-  if (summaries == nullptr && options_.semi_external) {
-    local_summaries = std::make_unique<SkipSummaryStore>(manifest);
-    summaries = local_summaries.get();
-  }
-  ctx.summaries = summaries;
-  ctx.cache_compressed = options_.cache_compressed && dataset_->compressed();
-  // Destination-range compute sharding (core/sharded_apply.hpp): 0 follows
-  // the pool size, 1 is the bit-exact serial reference. Results are
-  // bit-identical either way; only wall time changes.
-  ctx.compute_shards = options_.compute_threads == 0 ? pool.size()
-                                                     : options_.compute_threads;
-  // Critical-path measurement for the sharded applies (the executors copy
-  // ctx, so the accumulator must outlive them; folded into the report at
-  // the end). Passive: never read during the run.
-  double apply_excess = 0;
-  ctx.apply_excess = &apply_excess;
-  // Run-local cancellation: chains the caller's token (signal handlers trip
-  // that one) and arms the optional deadline. Executors poll it at fetch
-  // boundaries; the prefetch loader drains queued reads when it trips.
-  CancellationToken run_token;
-  run_token.set_parent(options_.cancel);
-  if (options_.deadline_seconds > 0) {
-    run_token.SetDeadline(options_.deadline_seconds);
-  }
-  ctx.cancel = &run_token;
-  // A shared pipeline's token belongs to its owner: pointing it at this
-  // stack-local token would dangle (and clobber concurrent runs).
-  if (local_prefetch != nullptr) local_prefetch->set_cancellation(&run_token);
-  SciuExecutor sciu(ctx);
-  FciuExecutor fciu(ctx);
-  SemiExecutor semi(ctx);
-  StateAwareScheduler scheduler(*dataset_, device.options().cost_model);
-  const bool semi_mode = options_.semi_external;
-  const SemiCostInputs semi_inputs{summaries, buffer};
-
-  const bool checkpointing = !options_.checkpoint_dir.empty();
-  CheckpointStore store(options_.checkpoint_dir);
-  // Slot writes are fdatasync-bound; the async writer keeps them off the
-  // round critical path (its thread starts lazily on the first submit).
-  AsyncCheckpointWriter checkpoint_writer(&store);
-  const std::uint32_t checkpoint_every =
-      std::max<std::uint32_t>(1, options_.checkpoint_every);
-  const std::uint32_t fingerprint =
-      checkpointing ? DatasetFingerprint(manifest) : 0;
-
-  // Overlap charging is only honest when the pipeline actually overlaps.
-  const bool overlap = options_.overlap_io && prefetch->enabled();
-
-  ExecutionReport report;
-  report.engine = options_.engine_name;
-  report.algorithm = program.name();
-  report.dataset = manifest.name;
-  report.overlap_io = overlap;
-  report.compute_shards = ctx.compute_shards;
-  const partition::DecodeStats decode_before = dataset_->decode_stats();
-
   VertexState& state = *state_;
+  const VertexId n = manifest.num_vertices;
   Frontier active(n);
   Frontier out(n);
   Frontier out_ni(n);
   Frontier preact(n);
+
+  RunScope scope(*this, program, &active, &preact);
+  ExecutionReport& report = scope.report();
+  const bool overlap = report.overlap_io;
+  SciuExecutor sciu(scope.ctx());
+  FciuExecutor fciu(scope.ctx());
+  StateAwareScheduler scheduler(*dataset_, device.options().cost_model);
+  const bool semi_mode = options_.semi_external;
+  const SemiCostInputs semi_inputs{scope.ctx().summaries, scope.ctx().buffer};
+
   program.Init(state, active);
-
-  std::uint32_t iterations = 0;
-  std::uint32_t last_checkpoint_iteration = 0;
-  // Cumulative totals of the checkpoint this run resumed from (all-zero on
-  // a fresh run); buffer/decode report fields are this run's deltas added
-  // on top of it.
-  Checkpoint base;
-  if (checkpointing && options_.resume) {
-    obs::TraceSpan span(options_.trace, "resume", 0);
-    auto loaded = store.LoadLatest();
-    if (loaded.ok()) {
-      GRAPHSD_RETURN_IF_ERROR(RestoreCheckpoint(
-          loaded.value(), fingerprint, program, /*gather=*/false, state,
-          &active, &preact, report));
-      iterations = loaded.value().iteration;
-      last_checkpoint_iteration = iterations;
-      base = std::move(loaded).value();
-      base.arrays.clear();
-      base.active.clear();
-      base.preact.clear();
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      // Slots exist but none is valid (all torn/corrupt) — surface it
-      // rather than silently recomputing from scratch.
-      return loaded.status();
-    }
-  }
+  GRAPHSD_ASSIGN_OR_RETURN(std::uint32_t iterations, scope.Start());
   if (options_.frontier_probe) options_.frontier_probe(iterations, active);
-
-  const std::string values_path = ValuesPath(program);
-  GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
 
   const std::uint32_t max_iterations =
       std::min(program.max_iterations(), options_.max_iterations);
@@ -445,29 +530,8 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   // nor ranged reads, so the run degrades instead of failing.
   bool selective_healthy = true;
 
-  // Writes the committed boundary (in-memory arrays + frontiers are in sync
-  // with the persisted values file whenever this is called).
-  auto write_checkpoint = [&](std::uint32_t boundary) -> Status {
-    obs::TraceSpan span(options_.trace, "checkpoint", boundary);
-    WallTimer timer;
-    const Checkpoint cp = MakeCheckpoint(
-        fingerprint, program, /*gather=*/false, boundary, state, &active,
-        &preact, report, base, *buffer, buf_before, *dataset_, decode_before);
-    GRAPHSD_RETURN_IF_ERROR(checkpoint_writer.Submit(cp).status());
-    ++report.checkpoints_written;
-    report.checkpoint_seconds += timer.Seconds();
-    last_checkpoint_iteration = boundary;
-    return Status::Ok();
-  };
-
   while (iterations < max_iterations) {
-    // Loop-top poll: everything here is committed (values file persisted,
-    // frontiers current), so cancellation just stops before the next round.
-    if (run_token.cancelled()) {
-      report.cancelled = true;
-      report.cancel_reason = run_token.reason();
-      break;
-    }
+    if (scope.StopRequested()) break;
     if (active.Empty()) {
       if (preact.Empty()) break;
       // Iteration t has no regularly-active vertices; the pre-activated set
@@ -532,25 +596,29 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       const bool sciu_usable =
           selective_healthy &&
           (options_.force_on_demand || options_.enable_selective);
-      on_demand =
-          sciu_usable && (options_.force_on_demand || decision.on_demand);
       semi_round = !options_.force_on_demand && decision.semi;
+      // With semi chosen, `decision.on_demand` only records the two-way
+      // winner semi beat.
+      on_demand = !semi_round && sciu_usable &&
+                  (options_.force_on_demand || decision.on_demand);
     } else {
       stat.active_vertices = active.Count();
     }
 
-    RoundAccounting accounting(device, stat, report, overlap);
+    scope.BeginRound();
     // Semi-external: the state is RAM-resident — no per-round reload.
     // Instead the program arrays are snapshotted in memory so the rollback
     // paths below (mid-round cancel, on-demand degradation) can restore the
     // committed boundary without touching the stale values file.
     std::vector<std::vector<Slot>> state_snapshot;
-    auto restore_state = [&] {
+    auto restore_state = [&]() -> Status {
+      if (!semi_mode) return scope.LoadState(iterations);
       for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
         const auto dst = state.array(a);
         std::copy(state_snapshot[a].begin(), state_snapshot[a].end(),
                   dst.begin());
       }
+      return Status::Ok();
     };
     if (semi_mode) {
       state_snapshot.resize(state.num_program_arrays());
@@ -559,8 +627,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
         state_snapshot[a].assign(src.begin(), src.end());
       }
     } else {
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
+      GRAPHSD_RETURN_IF_ERROR(restore_state());
     }
     // `preact` is kept intact until the round commits: if the on-demand
     // attempt fails it reseeds the full-streaming redo of the same round.
@@ -568,18 +635,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     out_ni.Clear();
 
     bool cancelled_mid_round = false;
-    if (semi_round) {
-      Status status = semi.RunIteration(program, state, active, out, stat,
-                                        &report.update_seconds);
-      if (status.code() == StatusCode::kCancelled) {
-        cancelled_mid_round = true;
-      } else {
-        GRAPHSD_RETURN_IF_ERROR(status);
-        iterations += stat.iterations_covered;
-        preact.Clear();
-        active.Swap(out);
-      }
-    } else if (on_demand) {
+    if (on_demand) {
       Status status = sciu.RunIteration(program, state, active, out, out_ni,
                                         options_.enable_cross_iteration, stat,
                                         &report.update_seconds);
@@ -594,14 +650,8 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
         selective_healthy = false;
         ++report.degraded_rounds;
         // Discard the partial iteration and redo it under the full model:
-        // restore committed values (in-memory snapshot in semi mode, the
-        // persisted file otherwise) and reseed the output frontiers.
-        if (semi_mode) {
-          restore_state();
-        } else {
-          obs::TraceSpan span(options_.trace, "state-load", iterations);
-          GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-        }
+        // restore committed values and reseed the output frontiers.
+        GRAPHSD_RETURN_IF_ERROR(restore_state());
         out.CopyFrom(preact);
         out_ni.Clear();
         on_demand = false;
@@ -619,11 +669,16 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
         preact.Swap(out_ni);
       }
     }
-    if (!semi_round && !on_demand && !cancelled_mid_round) {
-      const bool two = options_.enable_cross_iteration &&
-                       iterations + 2 <= max_iterations;
+    if (!on_demand && !cancelled_mid_round) {
+      RoundModel kind = RoundModel::kPlainFull;
+      if (semi_round) {
+        kind = RoundModel::kSemi;
+      } else if (options_.enable_cross_iteration &&
+                 iterations + 2 <= max_iterations) {
+        kind = RoundModel::kFciu;
+      }
       Status status = fciu.RunPushRound(program, state, active, out, out_ni,
-                                        two, stat, &report.update_seconds);
+                                        kind, stat, &report.update_seconds);
       if (status.code() == StatusCode::kCancelled) {
         cancelled_mid_round = true;
       } else {
@@ -633,10 +688,7 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
         if (stat.iterations_covered == 2) {
           active.Swap(out_ni);  // `out` was fully consumed inside the round
           if (options_.model_lumos_propagation) {
-            GRAPHSD_RETURN_IF_ERROR(
-                state.Persist(device, values_path + ".prop"));
-            GRAPHSD_RETURN_IF_ERROR(
-                state.Load(device, values_path + ".prop"));
+            GRAPHSD_RETURN_IF_ERROR(scope.PropagateLumos());
           }
         } else {
           active.Swap(out);
@@ -648,15 +700,9 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       // The round never committed: frontier swaps only happen after
       // executor success, so `active`/`preact` still describe the last
       // committed boundary — restore its values and stop there. The partial
-      // round's accounting is deliberately dropped (never Commit()ed).
-      if (semi_mode) {
-        restore_state();
-      } else {
-        obs::TraceSpan span(options_.trace, "state-load", iterations);
-        GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-      }
-      report.cancelled = true;
-      report.cancel_reason = run_token.reason();
+      // round's accounting is deliberately dropped (never committed).
+      GRAPHSD_RETURN_IF_ERROR(restore_state());
+      scope.MarkCancelled();
       break;
     }
 
@@ -666,197 +712,50 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       report.blocks_skipped_bytes += stat.blocks_skipped_bytes;
     }
     if (!semi_mode) {
-      obs::TraceSpan span(options_.trace, "write-back", stat.first_iteration);
-      GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
+      GRAPHSD_RETURN_IF_ERROR(scope.PersistState(stat.first_iteration));
     }
-    accounting.Commit(options_.record_per_round);
+    scope.CommitRound(stat);
     if (options_.frontier_probe) options_.frontier_probe(iterations, active);
-    if (checkpointing &&
-        iterations - last_checkpoint_iteration >= checkpoint_every) {
-      GRAPHSD_RETURN_IF_ERROR(write_checkpoint(iterations));
-    }
+    GRAPHSD_RETURN_IF_ERROR(scope.AfterRound(iterations));
   }
 
   if (semi_mode) {
     // Semi mode's replacement for the per-round write-back: one |V|·N
     // accounted write for the whole run. Folded into the report manually —
     // it commits outside any round's accounting window.
-    obs::TraceSpan span(options_.trace, "write-back", iterations);
     const auto io_before = device.stats().Snapshot();
     const double clock_before = device.clock().Seconds();
-    GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
+    GRAPHSD_RETURN_IF_ERROR(scope.PersistState(iterations));
     report.io += device.stats().Snapshot() - io_before;
     report.io_seconds += device.clock().Seconds() - clock_before;
   }
-  if (report.cancelled) {
-    GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",
-                     iterations, report.cancel_reason.c_str());
-  }
-  // Final checkpoint: on cancellation this is what `--resume` picks up; on
-  // natural completion it makes a later resume a no-op re-run.
-  if (checkpointing && iterations != last_checkpoint_iteration) {
-    GRAPHSD_RETURN_IF_ERROR(write_checkpoint(iterations));
-  }
-  if (checkpointing) {
-    // Join the background writer: the final boundary must be durable
-    // before the report (cancelled or complete) is returned. Bytes are
-    // accounted here because superseded frames never reach disk.
-    WallTimer flush_timer;
-    GRAPHSD_RETURN_IF_ERROR(checkpoint_writer.Flush());
-    report.checkpoint_seconds += flush_timer.Seconds();
-    report.checkpoint_bytes += checkpoint_writer.bytes_written();
-  }
-
-  report.iterations = iterations;
-  report.apply_serialization_seconds = apply_excess;
-  const SubBlockBuffer::Counters buf_now = buffer->counters();
-  report.buffer_hits = base.buffer_hits + (buf_now.hits - buf_before.hits);
-  report.buffer_misses =
-      base.buffer_misses + (buf_now.misses - buf_before.misses);
-  report.buffer_bytes_saved =
-      base.buffer_bytes_saved + (buf_now.bytes_saved - buf_before.bytes_saved);
-  report.buffer_frame_hits = buf_now.frame_hits - buf_before.frame_hits;
-  report.buffer_frame_puts = buf_now.frame_puts - buf_before.frame_puts;
-  FinishCompressionReport(*dataset_, decode_before, *buffer, buf_before,
-                          report);
-  report.frames_decoded += base.frames_decoded;
-  report.compressed_bytes_read += base.compressed_bytes_read;
-  report.decoded_bytes += base.decoded_bytes;
-  report.decode_seconds += base.decode_seconds;
-  report.buffer_disk_bytes_saved += base.buffer_disk_bytes_saved;
-  PublishRunMetrics(options_.metrics, report, device, *buffer, *prefetch);
-  PublishLifecycleMetrics(options_.metrics, report, base);
-  return report;
+  return scope.Finish(iterations);
 }
 
 Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
   const auto& manifest = dataset_->manifest();
-  io::Device& device = dataset_->device();
-  const std::uint64_t default_budget =
-      std::max<std::uint64_t>(1, manifest.TotalEdgeBytes() / 20);
-
-  ThreadPool pool(options_.num_threads);
-  std::unique_ptr<SubBlockBuffer> local_buffer;
-  SubBlockBuffer* buffer = options_.shared_buffer;
-  if (buffer == nullptr) {
-    local_buffer = std::make_unique<SubBlockBuffer>(
-        options_.enable_buffering ? (options_.buffer_capacity_bytes != 0
-                                         ? options_.buffer_capacity_bytes
-                                         : default_budget)
-                                  : 0);
-    buffer = local_buffer.get();
-  }
-  const SubBlockBuffer::Counters buf_before = buffer->counters();
-  ExecContext ctx;
-  ctx.dataset = dataset_;
-  ctx.pool = &pool;
-  ctx.buffer = buffer;
-  // Gather runs never choose the semi model (push-only), but they still
-  // record summaries into a shared store and honor frame caching.
-  ctx.summaries = options_.shared_summaries;
-  ctx.cache_compressed = options_.cache_compressed && dataset_->compressed();
-  ctx.compute_shards = options_.compute_threads == 0 ? pool.size()
-                                                     : options_.compute_threads;
-  // See RunPush: passive critical-path accumulator for the sharded applies.
-  double apply_excess = 0;
-  ctx.apply_excess = &apply_excess;
-  std::unique_ptr<io::PrefetchPipeline> local_prefetch;
-  io::PrefetchPipeline* prefetch = options_.shared_prefetch;
-  if (prefetch == nullptr) {
-    local_prefetch =
-        std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
-    prefetch = local_prefetch.get();
-  }
-  ctx.prefetch = prefetch;
-  ctx.trace = options_.trace;
-  CancellationToken run_token;
-  run_token.set_parent(options_.cancel);
-  if (options_.deadline_seconds > 0) {
-    run_token.SetDeadline(options_.deadline_seconds);
-  }
-  ctx.cancel = &run_token;
-  if (local_prefetch != nullptr) local_prefetch->set_cancellation(&run_token);
-  FciuExecutor fciu(ctx);
-
-  const bool checkpointing = !options_.checkpoint_dir.empty();
-  CheckpointStore store(options_.checkpoint_dir);
-  // Slot writes are fdatasync-bound; the async writer keeps them off the
-  // round critical path (its thread starts lazily on the first submit).
-  AsyncCheckpointWriter checkpoint_writer(&store);
-  const std::uint32_t checkpoint_every =
-      std::max<std::uint32_t>(1, options_.checkpoint_every);
-  const std::uint32_t fingerprint =
-      checkpointing ? DatasetFingerprint(manifest) : 0;
-
-  const bool overlap = options_.overlap_io && prefetch->enabled();
-
-  ExecutionReport report;
-  report.engine = options_.engine_name;
-  report.algorithm = program.name();
-  report.dataset = manifest.name;
-  report.overlap_io = overlap;
-  report.compute_shards = ctx.compute_shards;
-  const partition::DecodeStats decode_before = dataset_->decode_stats();
-
   VertexState& state = *state_;
+
+  RunScope scope(*this, program, /*active=*/nullptr, /*preact=*/nullptr);
+  ExecutionReport& report = scope.report();
+  FciuExecutor fciu(scope.ctx());
+
   Frontier unused(manifest.num_vertices);
   program.Init(state, unused);
-
-  std::uint32_t iterations = 0;
-  std::uint32_t last_checkpoint_iteration = 0;
-  Checkpoint base;
-  if (checkpointing && options_.resume) {
-    obs::TraceSpan span(options_.trace, "resume", 0);
-    auto loaded = store.LoadLatest();
-    if (loaded.ok()) {
-      GRAPHSD_RETURN_IF_ERROR(RestoreCheckpoint(
-          loaded.value(), fingerprint, program, /*gather=*/true, state,
-          /*active=*/nullptr, /*preact=*/nullptr, report));
-      iterations = loaded.value().iteration;
-      last_checkpoint_iteration = iterations;
-      base = std::move(loaded).value();
-      base.arrays.clear();
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  }
-
-  const std::string values_path = ValuesPath(program);
-  GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
+  GRAPHSD_ASSIGN_OR_RETURN(std::uint32_t iterations, scope.Start());
 
   const std::uint32_t max_iterations =
       std::min(program.max_iterations(), options_.max_iterations);
 
-  auto write_checkpoint = [&](std::uint32_t boundary) -> Status {
-    obs::TraceSpan span(options_.trace, "checkpoint", boundary);
-    WallTimer timer;
-    const Checkpoint cp = MakeCheckpoint(
-        fingerprint, program, /*gather=*/true, boundary, state,
-        /*active=*/nullptr, /*preact=*/nullptr, report, base, *buffer,
-        buf_before, *dataset_, decode_before);
-    GRAPHSD_RETURN_IF_ERROR(checkpoint_writer.Submit(cp).status());
-    ++report.checkpoints_written;
-    report.checkpoint_seconds += timer.Seconds();
-    last_checkpoint_iteration = boundary;
-    return Status::Ok();
-  };
-
   while (iterations < max_iterations) {
-    if (run_token.cancelled()) {
-      report.cancelled = true;
-      report.cancel_reason = run_token.reason();
-      break;
-    }
+    if (scope.StopRequested()) break;
     RoundStat stat;
     stat.first_iteration = iterations;
     stat.active_vertices = manifest.num_vertices;
     stat.active_edges = manifest.num_edges;
 
-    RoundAccounting accounting(device, stat, report, overlap);
-    {
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-    }
+    scope.BeginRound();
+    GRAPHSD_RETURN_IF_ERROR(scope.LoadState(iterations));
     const bool two = options_.enable_cross_iteration &&
                      iterations + 2 <= max_iterations;
     Status status = fciu.RunGatherRound(program, state, two, stat,
@@ -865,66 +764,20 @@ Result<ExecutionReport> GraphSDEngine::RunGather(GatherProgram& program) {
       // The round never committed: gather rounds mutate only the in-memory
       // arrays, which the next state.Load would overwrite anyway — reload
       // the committed values and stop there.
-      obs::TraceSpan span(options_.trace, "state-load", iterations);
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path));
-      report.cancelled = true;
-      report.cancel_reason = run_token.reason();
+      GRAPHSD_RETURN_IF_ERROR(scope.LoadState(iterations));
+      scope.MarkCancelled();
       break;
     }
     GRAPHSD_RETURN_IF_ERROR(status);
     iterations += stat.iterations_covered;
     if (two && options_.model_lumos_propagation) {
-      GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path + ".prop"));
-      GRAPHSD_RETURN_IF_ERROR(state.Load(device, values_path + ".prop"));
+      GRAPHSD_RETURN_IF_ERROR(scope.PropagateLumos());
     }
-    {
-      obs::TraceSpan span(options_.trace, "write-back", stat.first_iteration);
-      GRAPHSD_RETURN_IF_ERROR(state.Persist(device, values_path));
-    }
-    accounting.Commit(options_.record_per_round);
-    if (checkpointing &&
-        iterations - last_checkpoint_iteration >= checkpoint_every) {
-      GRAPHSD_RETURN_IF_ERROR(write_checkpoint(iterations));
-    }
+    GRAPHSD_RETURN_IF_ERROR(scope.PersistState(stat.first_iteration));
+    scope.CommitRound(stat);
+    GRAPHSD_RETURN_IF_ERROR(scope.AfterRound(iterations));
   }
-
-  if (report.cancelled) {
-    GRAPHSD_LOG_INFO("run cancelled at iteration %u (%s); partial report",
-                     iterations, report.cancel_reason.c_str());
-  }
-  if (checkpointing && iterations != last_checkpoint_iteration) {
-    GRAPHSD_RETURN_IF_ERROR(write_checkpoint(iterations));
-  }
-  if (checkpointing) {
-    // Join the background writer: the final boundary must be durable
-    // before the report (cancelled or complete) is returned. Bytes are
-    // accounted here because superseded frames never reach disk.
-    WallTimer flush_timer;
-    GRAPHSD_RETURN_IF_ERROR(checkpoint_writer.Flush());
-    report.checkpoint_seconds += flush_timer.Seconds();
-    report.checkpoint_bytes += checkpoint_writer.bytes_written();
-  }
-
-  report.iterations = iterations;
-  report.apply_serialization_seconds = apply_excess;
-  const SubBlockBuffer::Counters buf_now = buffer->counters();
-  report.buffer_hits = base.buffer_hits + (buf_now.hits - buf_before.hits);
-  report.buffer_misses =
-      base.buffer_misses + (buf_now.misses - buf_before.misses);
-  report.buffer_bytes_saved =
-      base.buffer_bytes_saved + (buf_now.bytes_saved - buf_before.bytes_saved);
-  report.buffer_frame_hits = buf_now.frame_hits - buf_before.frame_hits;
-  report.buffer_frame_puts = buf_now.frame_puts - buf_before.frame_puts;
-  FinishCompressionReport(*dataset_, decode_before, *buffer, buf_before,
-                          report);
-  report.frames_decoded += base.frames_decoded;
-  report.compressed_bytes_read += base.compressed_bytes_read;
-  report.decoded_bytes += base.decoded_bytes;
-  report.decode_seconds += base.decode_seconds;
-  report.buffer_disk_bytes_saved += base.buffer_disk_bytes_saved;
-  PublishRunMetrics(options_.metrics, report, device, *buffer, *prefetch);
-  PublishLifecycleMetrics(options_.metrics, report, base);
-  return report;
+  return scope.Finish(iterations);
 }
 
 }  // namespace graphsd::core

@@ -2,7 +2,10 @@
 //
 // Per iteration it consults the state-aware scheduler (§4.1) and dispatches
 // to SCIU (on-demand I/O) or FCIU (full I/O); FCIU rounds execute two BSP
-// iterations per load and use the priority sub-block buffer (§4.3).
+// iterations per load and use the priority sub-block buffer (§4.3). In semi
+// mode it may also pick a semi round: a plain full round over a
+// skip-filtered plan (DESIGN.md §14). One RunScope owns the run lifecycle
+// for both the push and the gather round loop.
 //
 // The option switches correspond exactly to the paper's ablations (§5.4):
 //   enable_cross_iteration=false  -> GraphSD-b1
@@ -202,6 +205,8 @@ class GraphSDEngine {
   const EngineOptions& options() const noexcept { return options_; }
 
  private:
+  class RunScope;
+
   Result<ExecutionReport> RunPush(PushProgram& program);
   Result<ExecutionReport> RunGather(GatherProgram& program);
   std::string ValuesPath(const Program& program) const;

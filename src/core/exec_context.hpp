@@ -1,4 +1,6 @@
-// Shared execution context handed to the update-model executors.
+// Shared execution context handed to the update-model executors: built once
+// per run by GraphSDEngine::RunScope; every edge-block acquisition goes
+// through a BlockSource over it (core/block_source.hpp).
 #pragma once
 
 #include <cstddef>
@@ -29,8 +31,6 @@ struct ExecContext {
   /// Memory budget for SCIU's in-memory retention of loaded active edges
   /// (the precondition for its cross-iteration step).
   std::uint64_t memory_budget_bytes = 0;
-  /// Edges per parallel task.
-  std::size_t parallel_grain = 16384;
   /// Destination-range shards per compute pass (core/sharded_apply.hpp).
   /// <= 1 runs every apply loop serially — the bit-exact reference path.
   /// Results are bit-identical at any value; this only trades the S-fold
@@ -49,9 +49,9 @@ struct ExecContext {
   /// boundary.
   const CancellationToken* cancel = nullptr;
   /// Active-source skip summaries (DESIGN.md §14). Null disables both
-  /// recording and skipping. Executors record a sub-block's summary
-  /// whenever its decoded edges are in hand; the semi-external executor
-  /// additionally consults it to skip sub-blocks before any edge I/O.
+  /// recording and skipping. BlockSource records a sub-block's summary
+  /// whenever its decoded edges are in hand; semi rounds additionally
+  /// consult it to skip sub-blocks before any edge I/O.
   SkipSummaryStore* summaries = nullptr;
   /// Cache compressed GSDF frames in the sub-block buffer instead of
   /// decoded edges (decode-on-hit): ~codec-ratio more sub-blocks fit the

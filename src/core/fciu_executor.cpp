@@ -1,137 +1,153 @@
 #include "core/fciu_executor.hpp"
 
+#include <atomic>
+#include <vector>
+
+#include "core/block_source.hpp"
 #include "core/sharded_apply.hpp"
 #include "util/clock.hpp"
 
 namespace graphsd::core {
+namespace {
 
-FciuExecutor::SubBlockStream::Unit FciuExecutor::FetchUnit(
-    std::uint32_t i, std::uint32_t j, bool need_weights) const {
-  const partition::GridDataset* dataset = ctx_.dataset;
-  SubBlockBuffer* buffer = ctx_.buffer;
-  // With parallel compute enabled, frame decode moves into the fetch
-  // closure: it then runs on the prefetch loader thread (or inline in sync
-  // mode), off the consumer's critical path. Cache-compressed mode keeps
-  // the consumer-side decode — the consumer needs the undecoded frame for
-  // its buffer offer.
-  const bool decode_in_fetch =
-      ctx_.compute_shards > 1 && dataset->compressed() && !ctx_.cache_compressed;
-  SubBlockStream::Unit unit;
-  unit.skip = [buffer, i, j] { return buffer->Contains(i, j); };
-  unit.fetch = [dataset, i, j, need_weights, decode_in_fetch,
-                trace = ctx_.trace,
-                iteration = trace_iteration_](partition::SubBlockPayload& out) {
-    {
-      obs::TraceSpan span(trace, "edge-read", iteration);
-      GRAPHSD_ASSIGN_OR_RETURN(out, dataset->FetchSubBlock(i, j, need_weights));
+using Plan = BlockSource::Plan;
+
+/// Column-major (j, i) sweep over every non-empty sub-block.
+Plan FullSweep(const partition::GridManifest& manifest) {
+  Plan plan;
+  for (std::uint32_t j = 0; j < manifest.p; ++j) {
+    for (std::uint32_t i = 0; i < manifest.p; ++i) {
+      if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
     }
-    if (decode_in_fetch) {
-      obs::TraceSpan span(trace, "decode", iteration);
-      GRAPHSD_RETURN_IF_ERROR(dataset->DecodeSubBlock(i, j, out));
-    }
-    return Status::Ok();
-  };
-  return unit;
+  }
+  return plan;
 }
 
-FciuExecutor::SubBlockStream FciuExecutor::MakeStream(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan,
-    bool need_weights) const {
-  std::vector<SubBlockStream::Unit> units;
-  units.reserve(plan.size());
-  for (const auto& [i, j] : plan) units.push_back(FetchUnit(i, j, need_weights));
-  return SubBlockStream(ctx_.prefetch, std::move(units));
+/// Row-major sweep over the non-empty secondary sub-blocks (i > j) of the
+/// rows `keep_row(i)` accepts.
+template <typename KeepRow>
+Plan SecondarySweep(const partition::GridManifest& manifest, KeepRow&& keep_row) {
+  Plan plan;
+  for (std::uint32_t i = 1; i < manifest.p; ++i) {
+    if (!keep_row(i)) continue;
+    for (std::uint32_t j = 0; j < i; ++j) {
+      if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
+    }
+  }
+  return plan;
 }
 
-Result<FciuExecutor::FetchedBlock> FciuExecutor::Fetch(
-    SubBlockStream& stream, std::uint32_t i, std::uint32_t j,
-    bool need_weights, partition::SubBlock& local) {
-  // Cooperative-cancellation poll point: every sub-block fetch (both round
-  // halves, push and gather) funnels through here, so a tripped token stops
-  // the round within one sub-block's worth of work. The stream destructor
-  // drains any tickets already in flight.
-  if (ctx_.cancel != nullptr) {
-    GRAPHSD_RETURN_IF_ERROR(ctx_.cancel->Check());
+/// The semi round's plan: the column-major sweep minus every sub-block
+/// elided before any edge I/O, which is one that
+///   1. has no active vertex in its whole source row;
+///   2. has a recorded summary proving no active source has edges in it;
+///   3. had an unknown summary, which one accounted index probe recorded
+///      (RecordFromOffsets), and the fresh summary proves the same.
+/// Elided blocks are counted in `stat`. Survivors get their summaries
+/// recorded from their decoded edges on acquisition, so later rounds skip
+/// them without the probe.
+Plan SkipFilteredSweep(const ExecContext& ctx, const Frontier& active,
+                       bool need_weights, std::uint32_t iteration,
+                       RoundStat& stat) {
+  const auto& dataset = *ctx.dataset;
+  const auto& manifest = dataset.manifest();
+  SkipSummaryStore* summaries = ctx.summaries;
+  // Active source vertices of each interval, as ascending local ids — the
+  // per-row input to every skip test.
+  std::vector<std::vector<VertexId>> row_actives(manifest.p);
+  for (std::uint32_t i = 0; i < manifest.p; ++i) {
+    const VertexId first = manifest.boundaries[i];
+    active.ForEachActiveInRange(first, manifest.boundaries[i + 1],
+                                [&](std::size_t v) {
+                                  row_actives[i].push_back(
+                                      static_cast<VertexId>(v) - first);
+                                });
   }
-  SubBlockStream::Item item = stream.Take();
-  if (SubBlockBuffer::Pin cached = ctx_.buffer->Get(i, j, need_weights);
-      cached) {
-    // With a private per-run buffer, blocks only ever enter it when they
-    // themselves are consumed, so a block absent at issue time cannot be
-    // resident at consume time — a fetched payload never shadows a cached
-    // copy (no double read). Under a shared buffer another run may have
-    // inserted the block between issue and consume; the fetched payload is
-    // then simply dropped and the cached copy (pinned, so stable) wins.
-    if (cached.compressed()) {
-      // Compressed entry: copy the frame (and raw weights) out of the
-      // pinned entry, then decode on this thread — decode-on-hit lands on
-      // the compute floor exactly like a fresh fetch's decode would.
-      partition::SubBlockPayload payload;
-      payload.frame = cached.frame();
-      payload.block.weights = cached->weights;
-      payload.block.disk_bytes = cached->disk_bytes;
-      cached.Release();
-      obs::TraceSpan span(ctx_.trace, "decode", trace_iteration_);
-      GRAPHSD_RETURN_IF_ERROR(ctx_.dataset->DecodeSubBlock(i, j, payload));
-      local = std::move(payload.block);
-      RecordSummary(i, j, local);
-      FetchedBlock fetched;
-      fetched.block = &local;
-      fetched.resident = true;
-      return fetched;
-    }
-    RecordSummary(i, j, *cached);
-    FetchedBlock fetched;
-    fetched.block = cached.get();
-    fetched.pin = std::move(cached);
-    return fetched;
-  }
-  if (item.fetched) {
-    GRAPHSD_RETURN_IF_ERROR(item.status);
-    FetchedBlock fetched;
-    // Decode on the consuming thread — unless the fetch closure already
-    // decoded it (parallel compute offloads decode to the loader stage; the
-    // frame is then gone).
-    if (ctx_.dataset->compressed() && !item.payload.frame.empty()) {
-      // Secondary sub-blocks may be offered back as undecoded frames
-      // (cache-compressed mode); keep a copy before decode releases it.
-      if (ctx_.cache_compressed && i > j && !item.payload.frame.empty()) {
-        fetched.frame_copy = item.payload.frame;
+  Plan plan;
+  for (std::uint32_t j = 0; j < manifest.p; ++j) {
+    for (std::uint32_t i = 0; i < manifest.p; ++i) {
+      if (manifest.EdgesIn(i, j) == 0) continue;
+      const std::vector<VertexId>& actives = row_actives[i];
+      if (!actives.empty() && summaries != nullptr &&
+          !summaries->Known(i, j) && manifest.has_index) {
+        obs::TraceSpan span(ctx.trace, "index-load", iteration);
+        auto offsets = dataset.LoadIndex(i, j);
+        if (offsets.ok()) summaries->RecordFromOffsets(i, j, *offsets);
       }
-      obs::TraceSpan span(ctx_.trace, "decode", trace_iteration_);
-      GRAPHSD_RETURN_IF_ERROR(ctx_.dataset->DecodeSubBlock(i, j, item.payload));
+      if (actives.empty() ||
+          (summaries != nullptr && summaries->CanSkip(i, j, actives))) {
+        ++stat.blocks_skipped;
+        stat.blocks_skipped_bytes +=
+            dataset.SubBlockDiskBytes(i, j, need_weights);
+        continue;
+      }
+      plan.emplace_back(i, j);
     }
-    local = std::move(item.payload.block);
-    RecordSummary(i, j, local);
-    fetched.block = &local;
-    return fetched;
   }
-  // Resident at issue time but evicted before consumption: fall back to a
-  // synchronous load, exactly what the synchronous path would have done.
-  obs::TraceSpan span(ctx_.trace, "edge-read", trace_iteration_);
-  GRAPHSD_ASSIGN_OR_RETURN(local,
-                           ctx_.dataset->LoadSubBlock(i, j, need_weights));
-  RecordSummary(i, j, local);
-  return FetchedBlock{&local, SubBlockBuffer::Pin()};
+  return plan;
 }
 
-void FciuExecutor::RecordSummary(std::uint32_t i, std::uint32_t j,
-                                 const partition::SubBlock& block) const {
-  if (ctx_.summaries == nullptr) return;
-  ctx_.summaries->RecordFromEdges(i, j, block.edges,
-                                  ctx_.dataset->manifest().boundaries[i]);
+/// The column-major first half shared by push and gather rounds. Each
+/// planned block is acquired and handed to `apply(i, j, block)`, which
+/// returns the block's buffer priority. In a two-iteration round the
+/// diagonal (j, j) is held until its column seals; otherwise a block is
+/// offered back when `offer_all` is set or it is secondary (i > j). After
+/// each column, `seal(j, diagonal)` runs with the held diagonal or null.
+template <typename Apply, typename Seal>
+Status SweepColumns(const ExecContext& ctx, BlockSource& source,
+                    const Plan& plan, bool two_iterations, bool offer_all,
+                    Apply&& apply, Seal&& seal) {
+  BlockSource::Stream stream = source.Open(plan);
+  std::size_t next = 0;
+  for (std::uint32_t j = 0; j < ctx.dataset->manifest().p; ++j) {
+    partition::SubBlock diagonal;
+    bool have_diagonal = false;
+    for (; next < plan.size() && plan[next].second == j; ++next) {
+      const std::uint32_t i = plan[next].first;
+      const bool offer = offer_all || i > j;
+      GRAPHSD_ASSIGN_OR_RETURN(
+          BlockSource::Block block,
+          source.Acquire(stream, i, j, offer && ctx.cache_compressed));
+      const std::uint64_t priority = apply(i, j, *block);
+      if (two_iterations && i == j) {
+        // Copy a buffered diagonal; the buffer retains its entry.
+        diagonal = block.from_buffer() ? *block : std::move(block.local);
+        have_diagonal = true;
+      } else if (offer) {
+        source.Offer(i, j, std::move(block), priority);
+      }
+    }
+    seal(j, have_diagonal ? &diagonal : nullptr);
+  }
+  return Status::Ok();
 }
+
+/// Acquires every block of `plan` in order and hands it to
+/// `apply(j, block)` — the second half of a two-iteration round.
+template <typename Apply>
+Status SweepBlocks(BlockSource& source, const Plan& plan, Apply&& apply) {
+  BlockSource::Stream stream = source.Open(plan);
+  for (const auto& [i, j] : plan) {
+    GRAPHSD_ASSIGN_OR_RETURN(BlockSource::Block block,
+                             source.Acquire(stream, i, j, false));
+    apply(j, *block);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status FciuExecutor::RunPushRound(const PushProgram& program,
                                   VertexState& state, const Frontier& active,
                                   Frontier& out, Frontier& out_ni,
-                                  bool two_iterations, RoundStat& stat,
+                                  RoundModel kind, RoundStat& stat,
                                   double* update_seconds) {
-  const auto& dataset = *ctx_.dataset;
-  const auto& manifest = dataset.manifest();
-  trace_iteration_ = stat.first_iteration;
+  const auto& manifest = ctx_.dataset->manifest();
+  const std::uint32_t iteration = stat.first_iteration;
   const bool need_weights = program.needs_weights() && manifest.weighted;
-  const std::uint32_t p = manifest.p;
+  const bool two_iterations = kind == RoundModel::kFciu;
+  const bool semi = kind == RoundModel::kSemi;
+  BlockSource source(ctx_, need_weights, iteration);
 
   // Iteration-t contributions of the active frontier.
   {
@@ -141,92 +157,60 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
                                ContribSlot::kPrimary);
     });
   }
+  // Iteration-t+1 pushes from sealed sources (`out`) into `out_ni`.
+  const auto push_secondary = [&](std::uint32_t j,
+                                  const partition::SubBlock& block) {
+    ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
+                    manifest.boundaries[j + 1],
+                    [&](const Edge& edge, Weight w) {
+                      if (!out.IsActive(edge.src)) return;
+                      if (program.Apply(state, edge.src, edge.dst, w,
+                                        ContribSlot::kSecondary)) {
+                        out_ni.Activate(edge.dst);
+                      }
+                    });
+  };
 
-  // --- first half: iteration t over all sub-blocks, column-major ----------
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;
-  for (std::uint32_t j = 0; j < p; ++j) {
-    for (std::uint32_t i = 0; i < p; ++i) {
-      if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
-    }
-  }
-  SubBlockStream stream = MakeStream(plan, need_weights);
-  for (std::uint32_t j = 0; j < p; ++j) {
-    partition::SubBlock diagonal;  // (j, j) held until the column seals
-    bool have_diagonal = false;
-
-    for (std::uint32_t i = 0; i < p; ++i) {
-      if (manifest.EdgesIn(i, j) == 0) continue;
-      partition::SubBlock local;
-      GRAPHSD_ASSIGN_OR_RETURN(FetchedBlock fetched,
-                               Fetch(stream, i, j, need_weights, local));
-      const partition::SubBlock* block = fetched.block;
-      const bool from_buffer = fetched.from_buffer();
-
-      // UserFunction pass (iteration t), guarded by the active frontier.
-      std::atomic<std::uint64_t> provisional_priority{0};
-      {
-        obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
-        ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!active.IsActive(edge.src)) return;
-                          provisional_priority.fetch_add(
-                              1, std::memory_order_relaxed);
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kPrimary)) {
-                            out.Activate(edge.dst);
-                          }
-                        });
-      }
-
-      if (two_iterations && i < j) {
-        // CrossIterUpdate: interval i sealed when column i completed, so
-        // these edges produce iteration t+1 values from the same copy.
-        obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
-        ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
-      }
-
-      if (i == j && two_iterations) {
-        if (from_buffer) {
-          diagonal = *block;  // copy; buffer retains its entry
-        } else {
-          diagonal = std::move(local);
+  // --- first half: iteration t, column-major ------------------------------
+  // Secondary sub-blocks go back to the priority buffer for the second half
+  // of the round (and future rounds); in a semi round every block is a
+  // re-read candidate, scored by the active edges it just served.
+  const Plan plan =
+      semi ? SkipFilteredSweep(ctx_, active, need_weights, iteration, stat)
+           : FullSweep(manifest);
+  GRAPHSD_RETURN_IF_ERROR(SweepColumns(
+      ctx_, source, plan, two_iterations, /*offer_all=*/semi,
+      [&](std::uint32_t i, std::uint32_t j, const partition::SubBlock& block) {
+        // UserFunction pass (iteration t), guarded by the active frontier.
+        std::atomic<std::uint64_t> provisional_priority{0};
+        {
+          obs::TraceSpan span(ctx_.trace, "compute", iteration);
+          ScopedWallAccumulator acc(update_seconds);
+          ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
+                          manifest.boundaries[j + 1],
+                          [&](const Edge& edge, Weight w) {
+                            if (!active.IsActive(edge.src)) return;
+                            provisional_priority.fetch_add(
+                                1, std::memory_order_relaxed);
+                            if (program.Apply(state, edge.src, edge.dst, w,
+                                              ContribSlot::kPrimary)) {
+                              out.Activate(edge.dst);
+                            }
+                          });
         }
-        have_diagonal = true;
-      } else if (i > j && !from_buffer && !fetched.resident) {
-        // Secondary sub-block: offer it to the priority buffer for the
-        // second half of the round (and future rounds). In cache-compressed
-        // mode the undecoded frame is offered instead of the decoded edges
-        // — the same budget then holds ~codec-ratio more sub-blocks.
-        const std::uint64_t priority =
-            provisional_priority.load(std::memory_order_relaxed);
-        if (!fetched.frame_copy.empty()) {
-          const std::uint64_t served = local.SizeBytes();
-          partition::SubBlockPayload entry;
-          entry.frame = std::move(fetched.frame_copy);
-          entry.block.weights = std::move(local.weights);
-          entry.block.disk_bytes = local.disk_bytes;
-          ctx_.buffer->PutFrame(i, j, std::move(entry), served, priority);
-        } else {
-          ctx_.buffer->Put(i, j, std::move(local), priority);
+        if (two_iterations && i < j) {
+          // CrossIterUpdate: interval i sealed when column i completed, so
+          // these edges produce iteration t+1 values from the same copy.
+          obs::TraceSpan span(ctx_.trace, "cross-iter-update", iteration);
+          ScopedWallAccumulator acc(update_seconds);
+          push_secondary(j, block);
         }
-      }
-    }
-
-    // Column j complete: interval j sealed for iteration t.
-    if (two_iterations) {
-      obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
-      {
+        return provisional_priority.load(std::memory_order_relaxed);
+      },
+      [&](std::uint32_t j, const partition::SubBlock* diagonal) {
+        // Column j complete: interval j sealed for iteration t.
+        if (!two_iterations) return;
+        obs::TraceSpan span(ctx_.trace, "cross-iter-update", iteration);
         ScopedWallAccumulator acc(update_seconds);
         out.ForEachActiveInRange(
             manifest.boundaries[j], manifest.boundaries[j + 1],
@@ -234,24 +218,11 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
               program.MakeContribution(state, static_cast<VertexId>(v),
                                        ContribSlot::kSecondary);
             });
-      }
-      if (have_diagonal) {
-        ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, diagonal, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
-      }
-    }
-  }
+        if (diagonal != nullptr) push_secondary(j, *diagonal);
+      }));
 
+  stat.model = kind;
   if (!two_iterations) {
-    stat.model = RoundModel::kPlainFull;
     stat.iterations_covered = 1;
     return Status::Ok();
   }
@@ -269,47 +240,20 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
   });
 
   // --- second half: iteration t+1 over the secondary sub-blocks (i > j) ---
-  if (!out.Empty()) {
-    // `out` is final, so the second-half sweep (and its row skips) is fully
-    // known up front and can stream ahead of the applies.
-    plan.clear();
-    for (std::uint32_t i = 1; i < p; ++i) {
-      if (out.CountInRange(manifest.boundaries[i],
-                           manifest.boundaries[i + 1]) == 0) {
-        continue;
-      }
-      for (std::uint32_t j = 0; j < i; ++j) {
-        if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
-      }
-    }
-    SubBlockStream second(MakeStream(plan, need_weights));
-    for (std::uint32_t i = 1; i < p; ++i) {
-      if (out.CountInRange(manifest.boundaries[i], manifest.boundaries[i + 1]) ==
-          0) {
-        continue;  // no sealed sources in this row — nothing to push
-      }
-      for (std::uint32_t j = 0; j < i; ++j) {
-        if (manifest.EdgesIn(i, j) == 0) continue;
-        partition::SubBlock local;
-        GRAPHSD_ASSIGN_OR_RETURN(FetchedBlock fetched,
-                                 Fetch(second, i, j, need_weights, local));
-        const partition::SubBlock* block = fetched.block;
-        obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
+  // `out` is final, so the sweep — rows with sealed sources only — is fully
+  // known up front and streams ahead of the applies.
+  const Plan second = SecondarySweep(manifest, [&](std::uint32_t i) {
+    return out.CountInRange(manifest.boundaries[i],
+                            manifest.boundaries[i + 1]) != 0;
+  });
+  GRAPHSD_RETURN_IF_ERROR(SweepBlocks(
+      source, second,
+      [&](std::uint32_t j, const partition::SubBlock& block) {
+        obs::TraceSpan span(ctx_.trace, "cross-iter-update", iteration);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          if (!out.IsActive(edge.src)) return;
-                          if (program.Apply(state, edge.src, edge.dst, w,
-                                            ContribSlot::kSecondary)) {
-                            out_ni.Activate(edge.dst);
-                          }
-                        });
-      }
-    }
-  }
+        push_secondary(j, block);
+      }));
 
-  stat.model = RoundModel::kFciu;
   // The round only spans two BSP iterations when iteration t actually
   // produced a t+1 frontier; with `out` empty the second half was vacuous
   // and the round degenerates to a single iteration.
@@ -320,12 +264,11 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
 Status FciuExecutor::RunGatherRound(const GatherProgram& program,
                                     VertexState& state, bool two_iterations,
                                     RoundStat& stat, double* update_seconds) {
-  const auto& dataset = *ctx_.dataset;
-  const auto& manifest = dataset.manifest();
-  trace_iteration_ = stat.first_iteration;
+  const auto& manifest = ctx_.dataset->manifest();
+  const std::uint32_t iteration = stat.first_iteration;
   const bool need_weights = program.needs_weights() && manifest.weighted;
-  const std::uint32_t p = manifest.p;
   const VertexId n = manifest.num_vertices;
+  BlockSource source(ctx_, need_weights, iteration);
 
   {
     ScopedWallAccumulator acc(update_seconds);
@@ -335,91 +278,42 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
     program.ResetAccum(state, AccumSlot::kA);
     if (two_iterations) program.ResetAccum(state, AccumSlot::kB);
   }
+  // Accumulates every edge of `block` from `contrib` into `accum`.
+  const auto accumulate = [&](std::uint32_t j, const partition::SubBlock& block,
+                              ContribSlot contrib, AccumSlot accum) {
+    ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
+                    manifest.boundaries[j + 1],
+                    [&](const Edge& edge, Weight w) {
+                      program.Accumulate(state, edge.src, edge.dst, w, contrib,
+                                         accum);
+                    });
+  };
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;
-  for (std::uint32_t j = 0; j < p; ++j) {
-    for (std::uint32_t i = 0; i < p; ++i) {
-      if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
-    }
-  }
-  SubBlockStream stream = MakeStream(plan, need_weights);
-  for (std::uint32_t j = 0; j < p; ++j) {
-    partition::SubBlock diagonal;
-    bool have_diagonal = false;
-
-    for (std::uint32_t i = 0; i < p; ++i) {
-      if (manifest.EdgesIn(i, j) == 0) continue;
-      partition::SubBlock local;
-      GRAPHSD_ASSIGN_OR_RETURN(FetchedBlock fetched,
-                               Fetch(stream, i, j, need_weights, local));
-      const partition::SubBlock* block = fetched.block;
-      const bool from_buffer = fetched.from_buffer();
-
-      {
-        obs::TraceSpan span(ctx_.trace, "compute", trace_iteration_);
+  GRAPHSD_RETURN_IF_ERROR(SweepColumns(
+      ctx_, source, FullSweep(manifest), two_iterations, /*offer_all=*/false,
+      [&](std::uint32_t i, std::uint32_t j, const partition::SubBlock& block) {
+        obs::TraceSpan span(ctx_.trace, "compute", iteration);
         ScopedWallAccumulator acc(update_seconds);
-        ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                        manifest.boundaries[j + 1],
-                        [&](const Edge& edge, Weight w) {
-                          program.Accumulate(state, edge.src, edge.dst, w,
-                                             ContribSlot::kPrimary,
-                                             AccumSlot::kA);
-                        });
+        accumulate(j, block, ContribSlot::kPrimary, AccumSlot::kA);
         if (two_iterations && i < j) {
-          ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                          manifest.boundaries[j + 1],
-                          [&](const Edge& edge, Weight w) {
-                            program.Accumulate(state, edge.src, edge.dst, w,
-                                               ContribSlot::kSecondary,
-                                               AccumSlot::kB);
-                          });
+          accumulate(j, block, ContribSlot::kSecondary, AccumSlot::kB);
         }
-      }
-
-      if (i == j && two_iterations) {
-        if (from_buffer) {
-          diagonal = *block;
-        } else {
-          diagonal = std::move(local);
-        }
-        have_diagonal = true;
-      } else if (i > j && !from_buffer && !fetched.resident) {
         // All edges are live in gather mode: priority = edge count.
-        const std::uint64_t priority = local.edges.size();
-        if (!fetched.frame_copy.empty()) {
-          const std::uint64_t served = local.SizeBytes();
-          partition::SubBlockPayload entry;
-          entry.frame = std::move(fetched.frame_copy);
-          entry.block.weights = std::move(local.weights);
-          entry.block.disk_bytes = local.disk_bytes;
-          ctx_.buffer->PutFrame(i, j, std::move(entry), served, priority);
-        } else {
-          ctx_.buffer->Put(i, j, std::move(local), priority);
-        }
-      }
-    }
-
-    {
-      ScopedWallAccumulator acc(update_seconds);
-      program.Finalize(state, manifest.boundaries[j], manifest.boundaries[j + 1],
-                       AccumSlot::kA);
-      if (two_iterations) {
-        for (VertexId v = manifest.boundaries[j]; v < manifest.boundaries[j + 1];
-             ++v) {
+        return static_cast<std::uint64_t>(block.edges.size());
+      },
+      [&](std::uint32_t j, const partition::SubBlock* diagonal) {
+        const VertexId begin = manifest.boundaries[j];
+        const VertexId end = manifest.boundaries[j + 1];
+        ScopedWallAccumulator acc(update_seconds);
+        program.Finalize(state, begin, end, AccumSlot::kA);
+        if (!two_iterations) return;
+        for (VertexId v = begin; v < end; ++v) {
           program.MakeContribution(state, v, ContribSlot::kSecondary);
         }
-        if (have_diagonal) {
-          ShardedDstApply(ctx_, diagonal, need_weights, manifest.boundaries[j],
-                          manifest.boundaries[j + 1],
-                          [&](const Edge& edge, Weight w) {
-                            program.Accumulate(state, edge.src, edge.dst, w,
-                                               ContribSlot::kSecondary,
-                                               AccumSlot::kB);
-                          });
+        if (diagonal != nullptr) {
+          accumulate(j, *diagonal, ContribSlot::kSecondary, AccumSlot::kB);
         }
-      }
-    }
-  }
+      }));
 
   if (!two_iterations) {
     stat.model = RoundModel::kPlainFull;
@@ -427,31 +321,13 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
     return Status::Ok();
   }
 
-  plan.clear();
-  for (std::uint32_t i = 1; i < p; ++i) {
-    for (std::uint32_t j = 0; j < i; ++j) {
-      if (manifest.EdgesIn(i, j) != 0) plan.emplace_back(i, j);
-    }
-  }
-  SubBlockStream second(MakeStream(plan, need_weights));
-  for (std::uint32_t i = 1; i < p; ++i) {
-    for (std::uint32_t j = 0; j < i; ++j) {
-      if (manifest.EdgesIn(i, j) == 0) continue;
-      partition::SubBlock local;
-      GRAPHSD_ASSIGN_OR_RETURN(FetchedBlock fetched,
-                               Fetch(second, i, j, need_weights, local));
-      const partition::SubBlock* block = fetched.block;
-      obs::TraceSpan span(ctx_.trace, "cross-iter-update", trace_iteration_);
-      ScopedWallAccumulator acc(update_seconds);
-      ShardedDstApply(ctx_, *block, need_weights, manifest.boundaries[j],
-                      manifest.boundaries[j + 1],
-                      [&](const Edge& edge, Weight w) {
-                        program.Accumulate(state, edge.src, edge.dst, w,
-                                           ContribSlot::kSecondary,
-                                           AccumSlot::kB);
-                      });
-    }
-  }
+  GRAPHSD_RETURN_IF_ERROR(SweepBlocks(
+      source, SecondarySweep(manifest, [](std::uint32_t) { return true; }),
+      [&](std::uint32_t j, const partition::SubBlock& block) {
+        obs::TraceSpan span(ctx_.trace, "cross-iter-update", iteration);
+        ScopedWallAccumulator acc(update_seconds);
+        accumulate(j, block, ContribSlot::kSecondary, AccumSlot::kB);
+      }));
   {
     ScopedWallAccumulator acc(update_seconds);
     program.Finalize(state, 0, n, AccumSlot::kB);

@@ -1,4 +1,5 @@
-// Full cross-iteration update — FCIU (paper §4.2, Algorithm 3).
+// Full cross-iteration update — FCIU (paper §4.2, Algorithm 3) — and the
+// other full-sweep rounds built on the same core.
 //
 // One loading round under the full I/O model executes up to TWO BSP
 // iterations. Sub-blocks are swept column-major (for j, for i): after
@@ -11,26 +12,32 @@
 // touched again in the second half of the round; those are the blocks the
 // priority buffer (§4.3) caches.
 //
-// The push variant guards every apply by frontier membership (GraphSD's
+// A push round comes in three kinds (the scheduler's choice, recorded as
+// the round's RoundModel):
+//   * kFciu — the two-iteration round above;
+//   * kPlainFull — only the first half: one plain BSP iteration (the
+//     GraphSD-b1 / baseline behaviour, and the last round of a budget);
+//   * kSemi — a plain round over a skip-filtered plan (DESIGN.md §14):
+//     sub-blocks provably idle under the active frontier are dropped
+//     before any edge I/O, and every consumed block is offered to the
+//     buffer, not only i > j.
+// Every push apply is guarded by frontier membership (GraphSD's
 // state-awareness); the gather variant accumulates every edge (PageRank).
 //
-// The (j, i) sweep order of each half-round is known before any byte is
-// read, so both halves run off a PrefetchStream: sub-blocks load on the
+// The sweep order of each half-round is known before any byte is read, so
+// both halves run off a BlockSource stream: sub-blocks load on the
 // pipeline's loader thread while the previous block's edges are applied.
-// Blocks the priority buffer already holds are skipped at issue time
-// (SubBlockBuffer::Contains) and consumed via Get() as before, keeping
-// byte counts and hit/miss accounting identical to the synchronous path.
+// Blocks the priority buffer already holds are skipped at issue time and
+// consumed through the buffer, keeping byte counts and hit/miss accounting
+// identical to the synchronous path.
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/exec_context.hpp"
 #include "core/frontier.hpp"
 #include "core/program.hpp"
 #include "core/report.hpp"
-#include "io/prefetch.hpp"
 #include "util/status.hpp"
 
 namespace graphsd::core {
@@ -39,15 +46,15 @@ class FciuExecutor {
  public:
   explicit FciuExecutor(const ExecContext& ctx) : ctx_(ctx) {}
 
-  /// Push round. Entering: `active` is the iteration-t frontier, `out` is
-  /// pre-seeded with cross-activated vertices from the previous round.
-  /// With `two_iterations`: executes t and t+1; `out` is fully consumed and
-  /// the next frontier is `out_ni`. Without: executes only t (plain full
-  /// iteration, the GraphSD-b1 / baseline behaviour); next frontier is
-  /// `out`.
+  /// Push round of `kind` (kFciu, kPlainFull or kSemi). Entering: `active`
+  /// is the iteration-t frontier, `out` is pre-seeded with cross-activated
+  /// vertices from the previous round. A kFciu round executes t and t+1:
+  /// `out` is fully consumed and the next frontier is `out_ni` (unless `out`
+  /// came out empty, see iterations_covered). The single-iteration kinds
+  /// execute only t; the next frontier is `out`.
   Status RunPushRound(const PushProgram& program, VertexState& state,
                       const Frontier& active, Frontier& out, Frontier& out_ni,
-                      bool two_iterations, RoundStat& stat,
+                      RoundModel kind, RoundStat& stat,
                       double* update_seconds);
 
   /// Gather round (all vertices implicitly active). With `two_iterations`
@@ -57,55 +64,7 @@ class FciuExecutor {
                         double* update_seconds);
 
  private:
-  // The stream carries fetched-but-undecoded payloads: the loader thread
-  // only does I/O (FetchSubBlock); compressed frames decode on the
-  // consuming thread in Fetch(), charging decode to compute.
-  using SubBlockStream = io::PrefetchStream<partition::SubBlockPayload>;
-
-  /// One planned fetch of sub-block (i, j): skip probe = buffer residency,
-  /// fetch = FetchSubBlock. Runs inline when the pipeline is disabled.
-  SubBlockStream::Unit FetchUnit(std::uint32_t i, std::uint32_t j,
-                                 bool need_weights) const;
-
-  /// Opens a stream over an ordered (i, j) plan.
-  SubBlockStream MakeStream(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan,
-      bool need_weights) const;
-
-  /// A consumed sub-block: `block` points either into the shared buffer
-  /// (then `pin` keeps the entry alive for the lifetime of this struct,
-  /// even under concurrent Puts from other runs) or at the caller's local
-  /// copy.
-  struct FetchedBlock {
-    const partition::SubBlock* block = nullptr;
-    SubBlockBuffer::Pin pin;
-    /// The buffer already holds this sub-block even though `block` points
-    /// at the caller's local copy (a compressed entry decoded on hit) —
-    /// the caller must not offer the block back.
-    bool resident = false;
-    /// Undecoded frame retained for a PutFrame offer after processing
-    /// (cache-compressed mode, secondary sub-blocks only).
-    std::vector<std::uint8_t> frame_copy;
-    bool from_buffer() const noexcept { return static_cast<bool>(pin); }
-  };
-
-  /// Consumes the next planned sub-block — which must be (i, j) — through
-  /// the buffer; `local` receives the block when it was not buffered (and
-  /// may then be donated to the buffer).
-  Result<FetchedBlock> Fetch(SubBlockStream& stream, std::uint32_t i,
-                             std::uint32_t j, bool need_weights,
-                             partition::SubBlock& local);
-
-  /// Publishes (i, j)'s active-source skip summary from its decoded edges
-  /// (no-op without a summary store, or once recorded).
-  void RecordSummary(std::uint32_t i, std::uint32_t j,
-                     const partition::SubBlock& block) const;
-
   ExecContext ctx_;
-  /// Iteration label for trace spans recorded by fetch closures. Set at
-  /// round start, before any stream is planned, and stable until the round
-  /// returns, so the loader thread reads it race-free.
-  std::uint32_t trace_iteration_ = 0;
 };
 
 }  // namespace graphsd::core

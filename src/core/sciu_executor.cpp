@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/block_source.hpp"
 #include "core/sharded_apply.hpp"
 #include "partition/dataset_verify.hpp"
 #include "util/clock.hpp"
@@ -22,9 +23,6 @@ Status SciuExecutor::EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
   const auto& dataset = *ctx_.dataset;
   const auto& manifest = dataset.manifest();
   if (!manifest.has_checksums) return Status::Ok();
-  if (verified_.empty()) {
-    verified_.assign(static_cast<std::size_t>(manifest.p) * manifest.p, 0);
-  }
   const std::size_t slot = manifest.SubBlockSlot(i, j);
   if (verified_[slot]) return Status::Ok();
 
@@ -62,11 +60,6 @@ Status SciuExecutor::PreverifySubBlocks(
     bool need_weights) {
   const auto& manifest = ctx_.dataset->manifest();
   if (!manifest.has_checksums || coords.empty()) return Status::Ok();
-  if (verified_.empty()) {
-    // Size up front: the lazy assign inside EnsureSubBlockVerified must not
-    // race across pool workers.
-    verified_.assign(static_cast<std::size_t>(manifest.p) * manifest.p, 0);
-  }
   std::vector<Status> results(coords.size());
   ctx_.pool->ParallelFor(0, coords.size(), 1,
                          [&](std::size_t b, std::size_t e) {
@@ -173,9 +166,7 @@ Status SciuExecutor::FetchPass(std::uint32_t i, std::uint32_t j,
       // consumer thread so the loader stays an I/O-only stage.
       obs::TraceSpan span(ctx_.trace, "edge-read", trace_iteration_);
       GRAPHSD_ASSIGN_OR_RETURN(
-          partition::SubBlockPayload fetched,
-          dataset.FetchSubBlock(i, j, /*load_weights=*/false));
-      out.frame = std::move(fetched.frame);
+          out.fetched, dataset.FetchSubBlock(i, j, /*load_weights=*/false));
     }
     return Status::Ok();
   }
@@ -188,86 +179,6 @@ Status SciuExecutor::FetchPass(std::uint32_t i, std::uint32_t j,
     }
     GRAPHSD_RETURN_IF_ERROR(reader.ReadRuns(
         block_runs, out.edges, need_weights ? &out.weights : nullptr));
-  }
-  return Status::Ok();
-}
-
-Status SciuExecutor::MaterializeCompressedPass(std::uint32_t i, std::uint32_t j,
-                                               SciuPassPayload& payload) {
-  const auto& dataset = *ctx_.dataset;
-  std::uint64_t active_edges = 0;
-  for (const auto& [run_begin, run_end] : payload.runs) {
-    active_edges += run_end - run_begin;
-  }
-
-  SubBlockBuffer::Pin cached;
-  partition::SubBlockPayload decoded;
-  bool resident = false;  // the buffer already holds this sub-block
-  if (payload.frame.empty()) {
-    // Resident at issue time: consume through the buffer. A miss means the
-    // entry was evicted between issue and consume — fall back to the same
-    // accounted frame read the loader would have performed. The pin keeps
-    // the entry stable while the runs are copied out below.
-    cached = ctx_.buffer->Get(i, j);
-    if (!cached) {
-      obs::TraceSpan span(ctx_.trace, "edge-read", trace_iteration_);
-      GRAPHSD_ASSIGN_OR_RETURN(decoded,
-                               dataset.FetchSubBlock(i, j, /*load_weights=*/false));
-    } else {
-      ctx_.buffer->UpdatePriority(i, j, active_edges);
-      resident = true;
-      if (cached.compressed()) {
-        // Compressed entry: copy the frame out and decode on this thread
-        // (decode-on-hit). The entry stays cached, so nothing is re-Put.
-        decoded.frame = cached.frame();
-        decoded.block.disk_bytes = cached->disk_bytes;
-        cached.Release();
-      }
-    }
-  } else {
-    decoded.frame = std::move(payload.frame);
-    decoded.block.disk_bytes = decoded.frame.size();
-  }
-  std::vector<std::uint8_t> frame_copy;
-  if (!cached) {
-    // In cache-compressed mode a freshly fetched frame is offered back
-    // undecoded below; keep a copy before decode releases it.
-    if (ctx_.cache_compressed && !resident && !decoded.frame.empty()) {
-      frame_copy = decoded.frame;
-    }
-    obs::TraceSpan span(ctx_.trace, "decode", trace_iteration_);
-    GRAPHSD_RETURN_IF_ERROR(dataset.DecodeSubBlock(i, j, decoded));
-  }
-
-  if (ctx_.summaries != nullptr) {
-    ctx_.summaries->RecordFromEdges(i, j,
-                                    cached ? cached->edges : decoded.block.edges,
-                                    dataset.manifest().boundaries[i]);
-  }
-
-  // Copy the active runs out of the decoded block, rebasing `runs` into
-  // payload-local coordinates. The weights were read run-aligned by the
-  // loader, so edges[k] and weights[k] line up as in the raw path.
-  const std::vector<Edge>& source =
-      cached ? cached->edges : decoded.block.edges;
-  payload.edges.reserve(active_edges);
-  for (auto& run : payload.runs) {
-    const std::size_t base = payload.edges.size();
-    payload.edges.insert(payload.edges.end(),
-                         source.begin() + static_cast<std::ptrdiff_t>(run.first),
-                         source.begin() + static_cast<std::ptrdiff_t>(run.second));
-    run = {base, payload.edges.size()};
-  }
-  if (!cached && !resident) {
-    if (!frame_copy.empty()) {
-      const std::uint64_t served = decoded.block.SizeBytes();
-      partition::SubBlockPayload entry;
-      entry.frame = std::move(frame_copy);
-      entry.block.disk_bytes = decoded.block.disk_bytes;
-      ctx_.buffer->PutFrame(i, j, std::move(entry), served, active_edges);
-    } else {
-      ctx_.buffer->Put(i, j, std::move(decoded.block), active_edges);
-    }
   }
   return Status::Ok();
 }
@@ -314,8 +225,7 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
   const bool compressed = dataset.compressed();
   std::vector<IntervalActives> intervals(manifest.p);
   std::vector<io::PrefetchStream<SciuPassPayload>::Unit> units;
-  // (i, j) of each planned pass, for the consumer-side decode of
-  // compressed frames.
+  // (i, j) of each planned pass, for the consumer side.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> plan_coords;
   for (std::uint32_t i = 0; i < manifest.p; ++i) {
     const VertexId interval_begin = manifest.boundaries[i];
@@ -341,31 +251,25 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
 
     for (std::uint32_t j = 0; j < manifest.p; ++j) {
       if (manifest.EdgesIn(i, j) == 0) continue;
+      // Compressed passes always run (index offsets and raw weight ranges
+      // are read regardless of frame residency), so their "skip" probe only
+      // records whether the decoded block is buffered at issue time; the
+      // fetch closure then elides the frame read. The probe runs on the
+      // consumer thread and the flag is published to the loader through the
+      // read queue's submission, so no race. `intervals` is fully sized up
+      // front, so the `actives` pointer stays valid.
+      auto resident = std::make_shared<bool>(false);
       io::PrefetchStream<SciuPassPayload>::Unit unit;
       if (compressed) {
-        // The pass must always run (index offsets and raw weight ranges are
-        // read regardless of frame residency), so the "skip" probe only
-        // records whether the decoded block is buffered at issue time; the
-        // fetch closure then elides the frame read. The probe runs on the
-        // consumer thread and the flag is published to the loader through
-        // the read queue's submission, so no race.
-        auto resident = std::make_shared<bool>(false);
-        unit.skip = [this, i, j, resident]() {
+        unit.skip = [this, i, j, resident] {
           *resident = ctx_.buffer->Contains(i, j);
           return false;
         };
-        unit.fetch = [this, i, j, actives = &ia, need_weights,
-                      resident](SciuPassPayload& out) {
-          return FetchPass(i, j, *actives, need_weights, *resident, out);
-        };
-      } else {
-        // `intervals` is fully sized up front, so the pointer stays valid.
-        unit.fetch = [this, i, j, actives = &ia,
-                      need_weights](SciuPassPayload& out) {
-          return FetchPass(i, j, *actives, need_weights, /*resident=*/false,
-                           out);
-        };
       }
+      unit.fetch = [this, i, j, actives = &ia, need_weights,
+                    resident](SciuPassPayload& out) {
+        return FetchPass(i, j, *actives, need_weights, *resident, out);
+      };
       units.push_back(std::move(unit));
       plan_coords.emplace_back(i, j);
     }
@@ -380,6 +284,10 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     GRAPHSD_RETURN_IF_ERROR(PreverifySubBlocks(plan_coords, need_weights));
   }
 
+  // Compressed passes acquire their decoded blocks through the shared
+  // BlockSource; block weights are never needed (weight ranges are read
+  // raw by FetchPass).
+  BlockSource blocks(ctx_, /*need_weights=*/false, trace_iteration_);
   io::PrefetchStream<SciuPassPayload> stream(ctx_.prefetch, std::move(units));
   for (std::size_t pass = 0; pass < stream.planned(); ++pass) {
     if (ctx_.cancel != nullptr) {
@@ -388,17 +296,42 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     auto item = stream.Take();
     GRAPHSD_RETURN_IF_ERROR(item.status);
     SciuPassPayload& payload = item.payload;
+    const auto [i, j] = plan_coords[pass];
     if (compressed && !payload.runs.empty()) {
-      GRAPHSD_RETURN_IF_ERROR(MaterializeCompressedPass(
-          plan_coords[pass].first, plan_coords[pass].second, payload));
+      std::uint64_t active_edges = 0;
+      for (const auto& [run_begin, run_end] : payload.runs) {
+        active_edges += run_end - run_begin;
+      }
+      // The decoded block: the pass's frame, else (resident at issue) the
+      // buffer, else a reload. A block offered back is scored — and a hit
+      // re-scored — by this pass's active edge count.
+      GRAPHSD_ASSIGN_OR_RETURN(
+          BlockSource::Block block,
+          blocks.Acquire(i, j, std::move(payload.fetched),
+                         ctx_.cache_compressed));
+      if (!block.offerable()) {
+        ctx_.buffer->UpdatePriority(i, j, active_edges);
+      }
+      // Copy the active runs out of the decoded block, rebasing `runs` into
+      // payload-local coordinates. The weights were read run-aligned by the
+      // loader, so edges[k] and weights[k] line up as in the raw path.
+      payload.edges.reserve(active_edges);
+      for (auto& run : payload.runs) {
+        const std::size_t base = payload.edges.size();
+        payload.edges.insert(
+            payload.edges.end(),
+            block->edges.begin() + static_cast<std::ptrdiff_t>(run.first),
+            block->edges.begin() + static_cast<std::ptrdiff_t>(run.second));
+        run = {base, payload.edges.size()};
+      }
+      blocks.Offer(i, j, std::move(block), active_edges);
     }
     obs::TraceSpan compute_span(ctx_.trace, "compute", trace_iteration_);
     {
       // The runs tile [0, edges.size()) in read order (raw reads append;
-      // the compressed materialize rebases), so one destination-sharded
-      // apply over the whole payload visits every edge in exactly the
-      // serial per-run order.
-      const std::uint32_t j = plan_coords[pass].second;
+      // compressed passes rebase above), so one destination-sharded apply
+      // over the whole payload visits every edge in exactly the serial
+      // per-run order.
       ScopedWallAccumulator acc(update_seconds);
       ShardedDstApplyRange(
           ctx_, payload.edges.data(), payload.weights.data(), 0,

@@ -44,19 +44,23 @@ namespace graphsd::core {
 /// addresses decoded offsets, the file holds a GSDF frame), so the loader
 /// leaves `edges` empty, keeps `runs` in decoded-block coordinates, reads
 /// the weight ranges as usual (the weight file stays raw), and ships the
-/// whole frame — unless the decoded block was buffer-resident at issue
-/// time, in which case `frame` stays empty too. The consumer decodes,
-/// copies the active runs into `edges`, and rebases `runs` in place.
+/// whole frame in `fetched` — unless the decoded block was buffer-resident
+/// at issue time, in which case `fetched` stays empty too. The consumer
+/// acquires the decoded block through its BlockSource, copies the active
+/// runs into `edges`, and rebases `runs` in place.
 struct SciuPassPayload {
   std::vector<Edge> edges;
   std::vector<Weight> weights;
   std::vector<std::pair<std::size_t, std::size_t>> runs;
-  std::vector<std::uint8_t> frame;
+  partition::SubBlockPayload fetched;
 };
 
 class SciuExecutor {
  public:
-  explicit SciuExecutor(const ExecContext& ctx) : ctx_(ctx) {}
+  explicit SciuExecutor(const ExecContext& ctx)
+      : ctx_(ctx),
+        verified_(static_cast<std::size_t>(ctx.dataset->manifest().p) *
+                  ctx.dataset->manifest().p) {}
 
   /// Runs one iteration. `cross_iteration=false` degrades to pure selective
   /// processing (the GraphSD-b1 / HUS-Graph behaviour).
@@ -107,17 +111,8 @@ class SciuExecutor {
                    const IntervalActives& actives, bool need_weights,
                    bool resident, SciuPassPayload& out);
 
-  /// Compressed-pass compute half, on the consumer thread: obtains the
-  /// decoded block (decoding `payload.frame`, or through the buffer when
-  /// the frame was elided — with a synchronous re-read if the entry was
-  /// evicted between issue and consume), copies the active runs into
-  /// `payload.edges` rebasing `runs`, and offers the decoded block to the
-  /// buffer with priority = this pass's active edge count.
-  Status MaterializeCompressedPass(std::uint32_t i, std::uint32_t j,
-                                   SciuPassPayload& payload);
-
   ExecContext ctx_;
-  std::vector<std::uint8_t> verified_;  // per sub-block, lazily sized p*p
+  std::vector<std::uint8_t> verified_;  // per sub-block slot
   /// Iteration label for trace spans recorded by FetchPass. Set before the
   /// sweep's fetch units are planned and stable until the stream drains, so
   /// the loader thread reads it race-free.

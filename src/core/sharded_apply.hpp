@@ -21,9 +21,9 @@
 // array — cheap sequential traffic against the random-access apply work it
 // spreads across cores.
 //
-// `shards <= 1`, a single-worker pool or a span below `grain` all fall back
-// to the plain serial loop, which is byte-for-byte the pre-parallel code
-// path.
+// `shards <= 1`, a single-worker pool or a span of at most kParallelGrain
+// edges all fall back to the plain serial loop, which is byte-for-byte the
+// pre-parallel code path.
 #pragma once
 
 #include <algorithm>
@@ -40,12 +40,16 @@
 
 namespace graphsd::core {
 
+/// Edges below which a pass runs serially: smaller spans cannot amortize
+/// the pool dispatch.
+inline constexpr std::size_t kParallelGrain = 16384;
+
 /// Applies `fn(edge, weight)` to edges[begin, end) (weights aligned when
 /// `need_weights`), restricted per task to destinations in
-/// [dst_begin, dst_end). Bit-identical to the serial loop for any shard
-/// count.
+/// [dst_begin, dst_end), with the pool and shard count from `ctx`.
+/// Bit-identical to the serial loop for any shard count.
 ///
-/// `serialization_excess`, when non-null, accumulates (measured elapsed −
+/// `ctx.apply_excess`, when non-null, accumulates (measured elapsed −
 /// longest shard task) per parallel pass: the wall time lost to running
 /// more shards than the machine has cores. Task cost is the task's *thread
 /// CPU time*, not its wall time — on an oversubscribed host the tasks
@@ -57,12 +61,10 @@ namespace graphsd::core {
 /// passive — never read by the executors, never affects results or
 /// decisions.
 template <typename Fn>
-void ShardedDstApplyRange(ThreadPool& pool, std::size_t shards,
-                          std::size_t grain, const Edge* edges,
+void ShardedDstApplyRange(const ExecContext& ctx, const Edge* edges,
                           const Weight* weights, std::size_t begin,
                           std::size_t end, bool need_weights,
-                          VertexId dst_begin, VertexId dst_end, Fn&& fn,
-                          double* serialization_excess = nullptr) {
+                          VertexId dst_begin, VertexId dst_end, Fn&& fn) {
   const auto serial = [&] {
     for (std::size_t k = begin; k < end; ++k) {
       const Weight w = need_weights ? weights[k] : Weight{1};
@@ -70,12 +72,14 @@ void ShardedDstApplyRange(ThreadPool& pool, std::size_t shards,
     }
   };
   if (begin >= end) return;
+  ThreadPool& pool = *ctx.pool;
+  double* serialization_excess = ctx.apply_excess;
   const std::uint64_t span =
       dst_end > dst_begin ? static_cast<std::uint64_t>(dst_end - dst_begin) : 0;
   const std::size_t effective = static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::max<std::size_t>(shards, 1), std::max<std::uint64_t>(span, 1)));
-  if (effective <= 1 || pool.size() <= 1 ||
-      end - begin <= std::max<std::size_t>(grain, 1)) {
+      std::max<std::size_t>(ctx.compute_shards, 1),
+      std::max<std::uint64_t>(span, 1)));
+  if (effective <= 1 || pool.size() <= 1 || end - begin <= kParallelGrain) {
     serial();
     return;
   }
@@ -124,37 +128,12 @@ void ShardedDstApplyRange(ThreadPool& pool, std::size_t shards,
 /// SubBlock convenience wrapper: applies over the whole block, destinations
 /// restricted to [dst_begin, dst_end) — the block's destination interval.
 template <typename Fn>
-void ShardedDstApply(ThreadPool& pool, std::size_t shards, std::size_t grain,
-                     const partition::SubBlock& block, bool need_weights,
-                     VertexId dst_begin, VertexId dst_end, Fn&& fn,
-                     double* serialization_excess = nullptr) {
-  ShardedDstApplyRange(pool, shards, grain, block.edges.data(),
-                       block.weights.data(), 0, block.edges.size(),
-                       need_weights, dst_begin, dst_end,
-                       static_cast<Fn&&>(fn), serialization_excess);
-}
-
-/// ExecContext conveniences: pool / shard count / grain and the
-/// serialization-excess accumulator all come from the context, which is
-/// what every executor call site wants.
-template <typename Fn>
-void ShardedDstApplyRange(const ExecContext& ctx, const Edge* edges,
-                          const Weight* weights, std::size_t begin,
-                          std::size_t end, bool need_weights,
-                          VertexId dst_begin, VertexId dst_end, Fn&& fn) {
-  ShardedDstApplyRange(*ctx.pool, ctx.compute_shards, ctx.parallel_grain,
-                       edges, weights, begin, end, need_weights, dst_begin,
-                       dst_end, static_cast<Fn&&>(fn), ctx.apply_excess);
-}
-
-template <typename Fn>
 void ShardedDstApply(const ExecContext& ctx, const partition::SubBlock& block,
                      bool need_weights, VertexId dst_begin, VertexId dst_end,
                      Fn&& fn) {
-  ShardedDstApplyRange(*ctx.pool, ctx.compute_shards, ctx.parallel_grain,
-                       block.edges.data(), block.weights.data(), 0,
+  ShardedDstApplyRange(ctx, block.edges.data(), block.weights.data(), 0,
                        block.edges.size(), need_weights, dst_begin, dst_end,
-                       static_cast<Fn&&>(fn), ctx.apply_excess);
+                       static_cast<Fn&&>(fn));
 }
 
 }  // namespace graphsd::core

@@ -2,7 +2,7 @@
 //
 // One exact bitset per sub-block (i, j) over interval i's local source
 // vertices: bit v is set iff local vertex v has at least one edge in the
-// sub-block. The semi-external executor consults the summary *before any
+// sub-block. A semi round consults the summary *before any
 // edge I/O*: a sub-block none of whose edge-bearing sources are active can
 // be skipped outright — its edges cannot change a single destination this
 // iteration. Summaries are exact (built from decoded edges or the CSR

@@ -9,9 +9,9 @@
 // iteration boundary.
 //
 // The token lives in util — below the io layer — because `ReadQueue` and
-// `PrefetchPipeline` poll it to drain in-flight I/O promptly.  The
-// engine-facing surface (signal installation, deadline plumbing) is
-// re-exported from core/cancellation.hpp.
+// `PrefetchPipeline` poll it to drain in-flight I/O promptly.  Every layer
+// spells it `graphsd::CancellationToken`; the engine-facing signal
+// installation lives in core/cancellation.hpp.
 //
 // Every mutation is a relaxed/release atomic store on purpose: `Cancel`
 // must be callable from a POSIX signal handler, so it may not allocate,

@@ -158,9 +158,22 @@ TEST_F(EngineLifecycleTest, ResumeFallsBackWhenNewestSlotIsDamaged) {
   core::EngineOptions killed_options = Opts();
   killed_options.checkpoint_dir = CheckpointDir();
   killed_options.cancel = &token;
-  killed_options.frontier_probe = [&token](std::uint32_t next_iteration,
-                                           const core::Frontier&) {
-    if (next_iteration >= 3) token.Cancel("test kill");
+  // The async writer keeps only the newest queued frame, so under load every
+  // earlier boundary could be superseded and only one slot would exist.
+  // Before killing, wait (bounded) until an earlier boundary is on disk: the
+  // final checkpoint then lands in the other slot.
+  core::CheckpointStore probe_store(CheckpointDir());
+  killed_options.frontier_probe = [&token, &probe_store](
+                                      std::uint32_t next_iteration,
+                                      const core::Frontier&) {
+    if (next_iteration < 3) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!probe_store.LoadLatest().ok() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel("test kill");
   };
   core::GraphSDEngine killed(*t_.dataset, killed_options);
   algos::Sssp sssp_killed(0);

@@ -7,6 +7,7 @@
 // value encoding makes "bit-identical" literal string equality.
 #include "service/server.hpp"
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/cancellation.hpp"
 #include "core/engine.hpp"
 #include "engine/engine_test_util.hpp"
+#include "io/file.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
@@ -259,6 +261,7 @@ TEST(ServiceTest, BatchingCoalescesQueuedQueries) {
   ServerOptions options = fx.Options("s.sock");
   options.workers = 1;
   options.batch_linger_ms = 500;
+  options.scratch_dir = fx.tmp.Sub("scratch");
   QueryServer server(options);
   ASSERT_OK(server.Start());
 
@@ -272,6 +275,19 @@ TEST(ServiceTest, BatchingCoalescesQueuedQueries) {
     auto response = client.RecvLine(kRecvTimeout);
     EXPECT_TRUE(response.ok()) << response.status().ToString();
   });
+  // Send the BFS queries only once the worker runs the PageRank (its run
+  // directory exists, bounded at 10 s): a BFS leader dequeued first would
+  // batch only with whatever follows it, so the duplicate roots could
+  // land in different runs.
+  {
+    const std::string pr_run_dir = options.scratch_dir + "/run0";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!io::PathExists(pr_run_dir) && server.stats().run_requests == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
 
   const std::vector<VertexId> roots = {0, 1, 2, n / 2, 0, 1};  // 2 dups
   std::vector<std::thread> threads;
@@ -357,7 +373,7 @@ TEST(ServiceTest, ShutdownDrainsInFlightQueries) {
   ServiceFixture fx(MakeErCase());
   ServerOptions options = fx.Options("s.sock");
   options.workers = 1;
-  core::CancellationToken external;
+  graphsd::CancellationToken external;
   options.external_cancel = &external;
   QueryServer server(options);
   ASSERT_OK(server.Start());

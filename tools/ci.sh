@@ -2,7 +2,10 @@
 # One-shot CI entry point.
 #
 #   1. Tier-1: regular build + the full test suite (the gate every change
-#      must keep green, see ROADMAP.md).
+#      must keep green, see ROADMAP.md), CLI smokes, the perfbench unit
+#      tests, and the byte/round regression gate: a fresh bench_trajectory
+#      snapshot must reproduce the newest BENCH_*.json's deterministic
+#      fields exactly (tools/bench_gate.py).
 #   2. ASan+UBSan build + full suite.
 #   3. TSan build + the concurrency smoke targets (ReadQueue, ThreadPool,
 #      IoStats and the prefetch pipeline end to end). The full suite under
@@ -193,6 +196,24 @@ wait "$SERVE_PID" || RC=$?
 test "$RC" = "0"
 test ! -S "$SOCK"
 echo "service smoke: OK"
+
+echo "== tier 1: perfbench unit tests =="
+(cd "$ROOT" && python3 -m unittest discover -s perfbench -p 'test_*.py')
+
+echo "== tier 1: byte and round regression gate (bench_trajectory) =="
+# Bytes moved, rounds, iterations, semi-external skips, frame-cache traffic
+# and SSD scheduling decisions are deterministic, so a fresh snapshot must
+# match the newest pinned BENCH_*.json exactly. bench_trajectory also exits
+# 1 when one of its wall-time acceptances (checkpoint overhead, parallel
+# speedup, service batching) misses on this host; those are not part of
+# this gate, so only other exit codes (a crash) fail here. Its other exit-1
+# cause, a failed service query, is caught by the gate's failure counts.
+RC=0
+(cd "$OBS_DIR" && "$ROOT/build/tools/bench_trajectory" "$OBS_DIR/bench.json" \
+    > "$OBS_DIR/bench.log" 2>&1) || RC=$?
+test "$RC" -le 1
+python3 "$ROOT/tools/bench_gate.py" "$OBS_DIR/bench.json"
+echo "bench gate: OK"
 
 if [ "$1" = "--tier1-only" ]; then
   exit 0

@@ -365,7 +365,7 @@ int CmdRun(int argc, const char* const* argv) {
   std::unique_ptr<core::GraphSDEngine> gsd;
   std::unique_ptr<baselines::HusGraphEngine> hus;
   std::unique_ptr<baselines::LumosEngine> lumos;
-  core::CancellationToken interrupt_token;
+  graphsd::CancellationToken interrupt_token;
   if (engine_kind == "graphsd") {
     core::EngineOptions options;
     options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
@@ -635,7 +635,7 @@ int CmdServe(int argc, const char* const* argv) {
 
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
-  core::CancellationToken interrupt_token;
+  graphsd::CancellationToken interrupt_token;
   options.external_cancel = &interrupt_token;
 
   service::QueryServer server(std::move(options));
