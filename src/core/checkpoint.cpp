@@ -1,8 +1,11 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <type_traits>
 
 #include "io/file.hpp"
 #include "util/crc32c.hpp"
@@ -14,20 +17,17 @@ namespace {
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding.
 
-void AppendU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Appends `v` little-endian in its own width; a double as its IEEE bits.
+template <typename T>
+void Append(std::vector<std::uint8_t>& out, T v) {
+  static_assert(std::is_unsigned_v<T> || std::is_same_v<T, double>);
+  if constexpr (std::is_same_v<T, double>) {
+    Append(out, std::bit_cast<std::uint64_t>(v));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
-}
-
-void AppendU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendDouble(std::vector<std::uint8_t>& out, double v) {
-  AppendU64(out, std::bit_cast<std::uint64_t>(v));
 }
 
 void AppendBytes(std::vector<std::uint8_t>& out, const void* data,
@@ -42,36 +42,21 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  Status ReadU32(std::uint32_t& out) {
-    GRAPHSD_RETURN_IF_ERROR(Need(4));
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
+  /// Reads a value written by Append.
+  template <typename T>
+  Status Read(T& out) {
+    if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t bits = 0;
+      GRAPHSD_RETURN_IF_ERROR(Read(bits));
+      out = std::bit_cast<double>(bits);
+    } else {
+      GRAPHSD_RETURN_IF_ERROR(Need(sizeof(T)));
+      out = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out |= static_cast<T>(data_[pos_ + i]) << (8 * i);
+      }
+      pos_ += sizeof(T);
     }
-    pos_ += 4;
-    return Status::Ok();
-  }
-
-  Status ReadU64(std::uint64_t& out) {
-    GRAPHSD_RETURN_IF_ERROR(Need(8));
-    out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return Status::Ok();
-  }
-
-  Status ReadDouble(double& out) {
-    std::uint64_t bits = 0;
-    GRAPHSD_RETURN_IF_ERROR(ReadU64(bits));
-    out = std::bit_cast<double>(bits);
-    return Status::Ok();
-  }
-
-  Status ReadU8(std::uint8_t& out) {
-    GRAPHSD_RETURN_IF_ERROR(Need(1));
-    out = data_[pos_++];
     return Status::Ok();
   }
 
@@ -99,7 +84,7 @@ class Reader {
 
 void AppendIdList(std::vector<std::uint8_t>& out,
                   const std::vector<VertexId>& ids) {
-  AppendU64(out, ids.size());
+  Append(out, static_cast<std::uint64_t>(ids.size()));
   static_assert(sizeof(VertexId) == 4);
   AppendBytes(out, ids.data(), ids.size() * sizeof(VertexId));
 }
@@ -107,7 +92,7 @@ void AppendIdList(std::vector<std::uint8_t>& out,
 Status ReadIdList(Reader& reader, VertexId num_vertices,
                   std::vector<VertexId>& out) {
   std::uint64_t count = 0;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(count));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(count));
   if (count > num_vertices) {
     return CorruptDataError("checkpoint frontier larger than vertex count");
   }
@@ -143,15 +128,15 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
              sizeof(VertexId);
   payload.reserve(reserve);
 
-  AppendU32(payload, checkpoint.fingerprint);
-  AppendU32(payload, static_cast<std::uint32_t>(checkpoint.algorithm.size()));
+  Append(payload, checkpoint.fingerprint);
+  Append(payload, static_cast<std::uint32_t>(checkpoint.algorithm.size()));
   AppendBytes(payload, checkpoint.algorithm.data(),
               checkpoint.algorithm.size());
   payload.push_back(checkpoint.gather ? 1 : 0);
-  AppendU32(payload, checkpoint.iteration);
-  AppendU32(payload, checkpoint.num_vertices);
+  Append(payload, checkpoint.iteration);
+  Append(payload, checkpoint.num_vertices);
 
-  AppendU32(payload, static_cast<std::uint32_t>(checkpoint.arrays.size()));
+  Append(payload, static_cast<std::uint32_t>(checkpoint.arrays.size()));
   for (const auto& array : checkpoint.arrays) {
     AppendBytes(payload, array.data(), array.size() * sizeof(Slot));
   }
@@ -159,46 +144,16 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
   AppendIdList(payload, checkpoint.active);
   AppendIdList(payload, checkpoint.preact);
 
-  AppendU32(payload, checkpoint.rounds);
-  AppendU32(payload, checkpoint.degraded_rounds);
-  AppendDouble(payload, checkpoint.compute_seconds);
-  AppendDouble(payload, checkpoint.update_seconds);
-  AppendDouble(payload, checkpoint.io_seconds);
-  AppendDouble(payload, checkpoint.scheduler_seconds);
-  AppendDouble(payload, checkpoint.overlapped_seconds);
-  AppendDouble(payload, checkpoint.decode_seconds);
+  RunTotals::ForEachField(
+      [&payload](const auto& field) { Append(payload, field); },
+      checkpoint.totals);
 
-  const io::IoStatsSnapshot& io = checkpoint.io;
-  AppendU64(payload, io.seq_read_bytes);
-  AppendU64(payload, io.seq_write_bytes);
-  AppendU64(payload, io.rand_read_bytes);
-  AppendU64(payload, io.rand_write_bytes);
-  AppendU64(payload, io.seq_read_ops);
-  AppendU64(payload, io.seq_write_ops);
-  AppendU64(payload, io.rand_read_ops);
-  AppendU64(payload, io.rand_write_ops);
-  AppendU64(payload, io.retries);
-  AppendU64(payload, io.checksum_failures);
-  AppendU64(payload, io.eintr_absorbed);
-
-  AppendU64(payload, checkpoint.buffer_hits);
-  AppendU64(payload, checkpoint.buffer_misses);
-  AppendU64(payload, checkpoint.buffer_bytes_saved);
-  AppendU64(payload, checkpoint.buffer_disk_bytes_saved);
-  AppendU64(payload, checkpoint.frames_decoded);
-  AppendU64(payload, checkpoint.compressed_bytes_read);
-  AppendU64(payload, checkpoint.decoded_bytes);
-
-  AppendU32(payload, checkpoint.checkpoints_written);
-  AppendU64(payload, checkpoint.checkpoint_bytes);
-  AppendDouble(payload, checkpoint.checkpoint_seconds);
-
-  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> frame(std::begin(kCheckpointMagic),
+                                  std::end(kCheckpointMagic));
   frame.reserve(kCheckpointHeaderBytes + payload.size());
-  AppendBytes(frame, kCheckpointMagic, sizeof(kCheckpointMagic));
-  AppendU32(frame, kCheckpointFormatVersion);
-  AppendU64(frame, payload.size());
-  AppendU32(frame, Crc32c(std::span<const std::uint8_t>(payload)));
+  Append(frame, kCheckpointFormatVersion);
+  Append(frame, static_cast<std::uint64_t>(payload.size()));
+  Append(frame, Crc32c(std::span<const std::uint8_t>(payload)));
   while (frame.size() < kCheckpointHeaderBytes) frame.push_back(0);
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
@@ -216,12 +171,12 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
   std::uint32_t version = 0;
   std::uint64_t payload_bytes = 0;
   std::uint32_t payload_crc = 0;
-  GRAPHSD_RETURN_IF_ERROR(header.ReadU32(version));
-  GRAPHSD_RETURN_IF_ERROR(header.ReadU64(payload_bytes));
-  GRAPHSD_RETURN_IF_ERROR(header.ReadU32(payload_crc));
-  if (version != kCheckpointFormatVersion) {
+  GRAPHSD_RETURN_IF_ERROR(header.Read(version));
+  GRAPHSD_RETURN_IF_ERROR(header.Read(payload_bytes));
+  GRAPHSD_RETURN_IF_ERROR(header.Read(payload_crc));
+  if (version != 1 && version != kCheckpointFormatVersion) {
     return UnimplementedError(
-        StrPrintf("checkpoint format version %u (this build reads %u)",
+        StrPrintf("checkpoint format version %u (this build reads 1-%u)",
                   version, kCheckpointFormatVersion));
   }
   if (frame.size() - kCheckpointHeaderBytes != payload_bytes) {
@@ -239,9 +194,9 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
 
   Checkpoint checkpoint;
   Reader reader(payload);
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.fingerprint));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(checkpoint.fingerprint));
   std::uint32_t name_len = 0;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(name_len));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(name_len));
   if (name_len > reader.remaining()) {
     return CorruptDataError("checkpoint algorithm name truncated");
   }
@@ -249,13 +204,13 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
   GRAPHSD_RETURN_IF_ERROR(
       reader.ReadBytes(checkpoint.algorithm.data(), name_len));
   std::uint8_t gather = 0;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU8(gather));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(gather));
   checkpoint.gather = gather != 0;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.iteration));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.num_vertices));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(checkpoint.iteration));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(checkpoint.num_vertices));
 
   std::uint32_t num_arrays = 0;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(num_arrays));
+  GRAPHSD_RETURN_IF_ERROR(reader.Read(num_arrays));
   const std::uint64_t array_bytes =
       static_cast<std::uint64_t>(checkpoint.num_vertices) * sizeof(Slot);
   if (num_arrays > 64 ||
@@ -274,40 +229,20 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
   GRAPHSD_RETURN_IF_ERROR(
       ReadIdList(reader, checkpoint.num_vertices, checkpoint.preact));
 
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.rounds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.degraded_rounds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.compute_seconds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.update_seconds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.io_seconds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.scheduler_seconds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.overlapped_seconds));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.decode_seconds));
-
-  io::IoStatsSnapshot& io = checkpoint.io;
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.seq_read_bytes));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.seq_write_bytes));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.rand_read_bytes));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.rand_write_bytes));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.seq_read_ops));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.seq_write_ops));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.rand_read_ops));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.rand_write_ops));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.retries));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.checksum_failures));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(io.eintr_absorbed));
-
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.buffer_hits));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.buffer_misses));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.buffer_bytes_saved));
-  GRAPHSD_RETURN_IF_ERROR(
-      reader.ReadU64(checkpoint.buffer_disk_bytes_saved));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.frames_decoded));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.compressed_bytes_read));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.decoded_bytes));
-
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU32(checkpoint.checkpoints_written));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadU64(checkpoint.checkpoint_bytes));
-  GRAPHSD_RETURN_IF_ERROR(reader.ReadDouble(checkpoint.checkpoint_seconds));
+  // A v1 payload ends after its kCheckpointV1Fields totals; the fields v2
+  // appended keep their zero defaults.
+  const std::size_t num_fields =
+      version == 1 ? kCheckpointV1Fields : SIZE_MAX;
+  std::size_t fields_read = 0;
+  Status status;
+  RunTotals::ForEachField(
+      [&](auto& field) {
+        if (status.ok() && fields_read++ < num_fields) {
+          status = reader.Read(field);
+        }
+      },
+      checkpoint.totals);
+  GRAPHSD_RETURN_IF_ERROR(status);
 
   if (reader.remaining() != 0) {
     return CorruptDataError("checkpoint payload has trailing bytes");

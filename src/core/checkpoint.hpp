@@ -4,18 +4,23 @@
 // A checkpoint captures everything needed to resume an engine run at a
 // committed iteration boundary: the program-defined vertex arrays, the push
 // frontiers (active + pre-activated), the iteration counter, and the
-// cumulative measurement baseline (report scalars + IoStats) so a resumed
+// cumulative measurement baseline (RunTotals, core/report.hpp) so a resumed
 // run's report continues where the interrupted one stopped.
 //
 // On-disk format (all integers little-endian):
 //
 //   offset  size  field
 //        0     4  magic "GSCK"
-//        4     4  format version (u32, currently 1)
+//        4     4  format version (u32, currently 2)
 //        8     8  payload bytes (u64)
 //       16     4  CRC32C over the payload (u32)
 //       20    12  reserved (zero)
 //       32     -  payload (see EncodeCheckpoint)
+//
+// The payload ends with the RunTotals fields in RunTotals::ForEachField
+// order. Version 2 appends fields to version 1 after `checkpoint_seconds`,
+// so a v1 payload is the v2 prefix of kCheckpointV1Fields fields and
+// decodes with the rest zero; other versions fail with kUnimplemented.
 //
 // The header mirrors the GSDF compressed-frame format (compress/frame.hpp):
 // magic + CRC + declared size make every checkpoint independently
@@ -39,16 +44,19 @@
 #include <thread>
 #include <vector>
 
+#include "core/report.hpp"
 #include "core/slot.hpp"
 #include "graph/types.hpp"
-#include "io/io_stats.hpp"
 #include "partition/manifest.hpp"
 #include "util/status.hpp"
 
 namespace graphsd::core {
 
-/// Checkpoint format version this build reads and writes.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Checkpoint format version this build writes; it also reads version 1.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+
+/// RunTotals fields a version 1 payload carries (a ForEachField prefix).
+inline constexpr std::size_t kCheckpointV1Fields = 29;
 
 /// Checkpoint header size in bytes.
 inline constexpr std::size_t kCheckpointHeaderBytes = 32;
@@ -79,31 +87,11 @@ struct Checkpoint {
   std::vector<VertexId> active;
   std::vector<VertexId> preact;
 
-  // --- Cumulative measurement baseline (ExecutionReport scalars at the
-  // --- checkpoint boundary). A resumed run seeds its report with these so
-  // --- the final report covers the whole logical run. The per-round series
-  // --- is intentionally not persisted; resumed runs restart it.
-  std::uint32_t rounds = 0;
-  std::uint32_t degraded_rounds = 0;
-  double compute_seconds = 0;
-  double update_seconds = 0;
-  double io_seconds = 0;
-  double scheduler_seconds = 0;
-  double overlapped_seconds = 0;
-  double decode_seconds = 0;
-  io::IoStatsSnapshot io;
-  std::uint64_t buffer_hits = 0;
-  std::uint64_t buffer_misses = 0;
-  std::uint64_t buffer_bytes_saved = 0;
-  std::uint64_t buffer_disk_bytes_saved = 0;
-  std::uint64_t frames_decoded = 0;
-  std::uint64_t compressed_bytes_read = 0;
-  std::uint64_t decoded_bytes = 0;
-  // Checkpoint-overhead baseline, so "checkpoint cost so far" also survives
-  // the restart.
-  std::uint32_t checkpoints_written = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  double checkpoint_seconds = 0;
+  /// Cumulative measurement baseline: the report totals at the checkpoint
+  /// boundary. A resumed run seeds its report with these so the final
+  /// report covers the whole logical run. The per-round series is
+  /// intentionally not persisted; resumed runs restart it.
+  RunTotals totals;
 };
 
 /// Fingerprint of a dataset: CRC32C over the serialized manifest text.

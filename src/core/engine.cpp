@@ -57,7 +57,6 @@ class GraphSDEngine::RunScope {
                                     : 0);
       buffer_ = local_buffer_.get();
     }
-    buf_before_ = buffer_->counters();
     prefetch_ = options_.shared_prefetch;
     if (prefetch_ == nullptr) {
       local_prefetch_ =
@@ -100,9 +99,9 @@ class GraphSDEngine::RunScope {
     ctx_.compute_shards = options_.compute_threads == 0
                               ? pool_.size()
                               : options_.compute_threads;
-    // Critical-path measurement for the sharded applies, folded into the
-    // report at the end. Passive: never read during the run.
-    ctx_.apply_excess = &apply_excess_;
+    // Critical-path measurement for the sharded applies, accumulated
+    // straight into the report. Passive: never read during the run.
+    ctx_.apply_excess = &report_.apply_serialization_seconds;
     ctx_.cancel = &token_;
     ctx_.summaries = summaries;
     ctx_.cache_compressed = options_.cache_compressed && dataset_.compressed();
@@ -114,7 +113,7 @@ class GraphSDEngine::RunScope {
     // Overlap charging is only honest when the pipeline actually overlaps.
     report_.overlap_io = options_.overlap_io && prefetch_->enabled();
     report_.compute_shards = ctx_.compute_shards;
-    decode_before_ = dataset_.decode_stats();
+    external_before_ = ExternalCounters();
   }
 
   // The pool, token and checkpoint writer are referenced by address from
@@ -171,6 +170,9 @@ class GraphSDEngine::RunScope {
     report_.compute_seconds += stat.compute_seconds;
     report_.overlapped_seconds += stat.overlapped_seconds;
     report_.scheduler_seconds += stat.scheduler_seconds;
+    report_.blocks_skipped += stat.blocks_skipped;
+    report_.blocks_skipped_bytes += stat.blocks_skipped_bytes;
+    if (stat.model == RoundModel::kSemi) ++report_.semi_rounds;
     ++report_.rounds;
     if (options_.record_per_round) report_.per_round.push_back(stat);
   }
@@ -186,12 +188,6 @@ class GraphSDEngine::RunScope {
         GRAPHSD_RETURN_IF_ERROR(Restore(loaded.value()));
         iteration = loaded.value().iteration;
         last_checkpoint_ = iteration;
-        // Keep only the cumulative totals: buffer/decode report fields are
-        // this run's deltas added on top of them.
-        base_ = std::move(loaded).value();
-        base_.arrays.clear();
-        base_.active.clear();
-        base_.preact.clear();
       } else if (loaded.status().code() != StatusCode::kNotFound) {
         // Slots exist but none is valid (all torn/corrupt) — surface it
         // rather than silently recomputing from scratch.
@@ -243,15 +239,11 @@ class GraphSDEngine::RunScope {
       WallTimer flush_timer;
       GRAPHSD_RETURN_IF_ERROR(writer_.Flush());
       report_.checkpoint_seconds += flush_timer.Seconds();
-      report_.checkpoint_bytes += writer_.bytes_written();
     }
 
     report_.iterations = iterations;
-    report_.apply_serialization_seconds = apply_excess_;
     report_.codec = dataset_.codec_name();
-    const SubBlockBuffer::Counters buf_now = FoldRunCounters(report_);
-    report_.buffer_frame_hits = buf_now.frame_hits - buf_before_.frame_hits;
-    report_.buffer_frame_puts = buf_now.frame_puts - buf_before_.frame_puts;
+    FoldRunCounters(report_);
     if (options_.metrics != nullptr) PublishMetrics(*options_.metrics);
     return std::move(report_);
   }
@@ -319,7 +311,7 @@ class GraphSDEngine::RunScope {
 
   /// Validates the resume preconditions and restores `cp` into the run:
   /// vertex arrays, frontiers (push only) and the report's cumulative
-  /// baseline. kFailedPrecondition on any shape/identity mismatch —
+  /// totals. kFailedPrecondition on any shape/identity mismatch —
   /// resuming a checkpoint against a different dataset build or program
   /// would silently corrupt results.
   Status Restore(const Checkpoint& cp) {
@@ -356,47 +348,43 @@ class GraphSDEngine::RunScope {
       preact_->Clear();
       for (const VertexId v : cp.preact) preact_->Activate(v);
     }
-    report_.rounds = cp.rounds;
-    report_.degraded_rounds = cp.degraded_rounds;
-    report_.compute_seconds = cp.compute_seconds;
-    report_.update_seconds = cp.update_seconds;
-    report_.io_seconds = cp.io_seconds;
-    report_.scheduler_seconds = cp.scheduler_seconds;
-    report_.overlapped_seconds = cp.overlapped_seconds;
-    report_.io = cp.io;
-    report_.checkpoints_written = cp.checkpoints_written;
-    report_.checkpoint_bytes = cp.checkpoint_bytes;
-    report_.checkpoint_seconds = cp.checkpoint_seconds;
+    static_cast<RunTotals&>(report_) = base_ = cp.totals;
     report_.resumed = true;
     report_.resume_iteration = cp.iteration;
     return Status::Ok();
   }
 
-  /// Writes the cumulative buffer and decode counters — the resumed
-  /// base's totals plus this run's deltas (the dataset's decode counters
-  /// and a shared buffer's counters span runs) — into `out`, a Checkpoint
-  /// or the report. Returns the buffer counters it read.
-  template <typename Totals>
-  SubBlockBuffer::Counters FoldRunCounters(Totals& out) const {
+  /// The RunTotals fields whose counters live outside the report: the
+  /// buffer's and the dataset's decode counters (both may span runs) and
+  /// the checkpoint writer's bytes. Every other field is zero.
+  RunTotals ExternalCounters() const {
+    RunTotals t;
     const SubBlockBuffer::Counters buf = buffer_->counters();
-    out.buffer_hits = base_.buffer_hits + (buf.hits - buf_before_.hits);
-    out.buffer_misses = base_.buffer_misses + (buf.misses - buf_before_.misses);
-    out.buffer_bytes_saved =
-        base_.buffer_bytes_saved + (buf.bytes_saved - buf_before_.bytes_saved);
-    out.buffer_disk_bytes_saved =
-        base_.buffer_disk_bytes_saved +
-        (buf.disk_bytes_saved - buf_before_.disk_bytes_saved);
-    const partition::DecodeStats now = dataset_.decode_stats();
-    out.frames_decoded = base_.frames_decoded +
-                         (now.frames_decoded - decode_before_.frames_decoded);
-    out.compressed_bytes_read =
-        base_.compressed_bytes_read +
-        (now.compressed_bytes - decode_before_.compressed_bytes);
-    out.decoded_bytes = base_.decoded_bytes +
-                        (now.decoded_bytes - decode_before_.decoded_bytes);
-    out.decode_seconds = base_.decode_seconds +
-                         (now.decode_seconds - decode_before_.decode_seconds);
-    return buf;
+    t.buffer_hits = buf.hits;
+    t.buffer_misses = buf.misses;
+    t.buffer_bytes_saved = buf.bytes_saved;
+    t.buffer_disk_bytes_saved = buf.disk_bytes_saved;
+    t.buffer_frame_hits = buf.frame_hits;
+    t.buffer_frame_puts = buf.frame_puts;
+    const partition::DecodeStats decode = dataset_.decode_stats();
+    t.frames_decoded = decode.frames_decoded;
+    t.compressed_bytes_read = decode.compressed_bytes;
+    t.decoded_bytes = decode.decoded_bytes;
+    t.decode_seconds = decode.decode_seconds;
+    t.checkpoint_bytes = writer_.bytes_written();
+    return t;
+  }
+
+  /// Adds this run's delta of the external counters to `out`, the report
+  /// or a copy of its totals. Until Finish folds it, the report holds their
+  /// resumed base (zero on a fresh run).
+  void FoldRunCounters(RunTotals& out) const {
+    const RunTotals now = ExternalCounters();
+    RunTotals::ForEachField(
+        [](auto& total, const auto& now_value, const auto& before_value) {
+          total += now_value - before_value;
+        },
+        out, now, external_before_);
   }
 
   /// Snapshots the committed boundary (in-memory arrays and frontiers are
@@ -425,18 +413,8 @@ class GraphSDEngine::RunScope {
         cp.preact.push_back(static_cast<VertexId>(v));
       });
     }
-    cp.rounds = report_.rounds;
-    cp.degraded_rounds = report_.degraded_rounds;
-    cp.compute_seconds = report_.compute_seconds;
-    cp.update_seconds = report_.update_seconds;
-    cp.io_seconds = report_.io_seconds;
-    cp.scheduler_seconds = report_.scheduler_seconds;
-    cp.overlapped_seconds = report_.overlapped_seconds;
-    cp.io = report_.io;
-    FoldRunCounters(cp);
-    cp.checkpoints_written = report_.checkpoints_written;
-    cp.checkpoint_bytes = report_.checkpoint_bytes;
-    cp.checkpoint_seconds = report_.checkpoint_seconds;
+    cp.totals = report_;
+    FoldRunCounters(cp.totals);
     GRAPHSD_RETURN_IF_ERROR(writer_.Submit(cp).status());
     ++report_.checkpoints_written;
     report_.checkpoint_seconds += timer.Seconds();
@@ -455,21 +433,20 @@ class GraphSDEngine::RunScope {
   ThreadPool pool_;
   std::unique_ptr<SubBlockBuffer> local_buffer_;
   SubBlockBuffer* buffer_ = nullptr;
-  SubBlockBuffer::Counters buf_before_;
   CancellationToken token_;
   std::unique_ptr<io::PrefetchPipeline> local_prefetch_;
   io::PrefetchPipeline* prefetch_ = nullptr;
   std::unique_ptr<SkipSummaryStore> local_summaries_;
-  double apply_excess_ = 0;
   ExecContext ctx_;
   CheckpointStore store_;
   AsyncCheckpointWriter writer_;
   std::uint32_t fingerprint_ = 0;
   ExecutionReport report_;
-  partition::DecodeStats decode_before_;
+  /// ExternalCounters() at the start of the run.
+  RunTotals external_before_;
   /// Cumulative totals of the checkpoint this run resumed from (all-zero
   /// on a fresh run).
-  Checkpoint base_;
+  RunTotals base_;
   std::uint32_t last_checkpoint_ = 0;
   io::IoStatsSnapshot round_io_;
   double round_clock_ = 0;
@@ -706,11 +683,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       break;
     }
 
-    if (stat.model == RoundModel::kSemi) {
-      ++report.semi_rounds;
-      report.blocks_skipped += stat.blocks_skipped;
-      report.blocks_skipped_bytes += stat.blocks_skipped_bytes;
-    }
     if (!semi_mode) {
       GRAPHSD_RETURN_IF_ERROR(scope.PersistState(stat.first_iteration));
     }

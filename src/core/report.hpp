@@ -50,18 +50,20 @@ struct RoundStat {
   std::uint64_t write_bytes = 0;
 };
 
-struct ExecutionReport {
-  std::string engine;
-  std::string algorithm;
-  std::string dataset;
-
-  std::uint32_t iterations = 0;  // logical BSP iterations executed
+/// The cumulative part of a run report: the fields a checkpoint carries, so
+/// a killed and resumed run reports the whole logical run (DESIGN.md §12).
+/// The checkpoint codec and the resume merge derive from ForEachField.
+struct RunTotals {
   std::uint32_t rounds = 0;      // loading rounds
+  // Rounds that fell back from the on-demand to the full-streaming model
+  // after an index read failed (missing file or checksum mismatch).
+  std::uint32_t degraded_rounds = 0;
 
   double compute_seconds = 0;    // measured wall (total)
   double update_seconds = 0;     // measured wall inside edge/vertex updates
   double io_seconds = 0;         // modeled I/O time
   double scheduler_seconds = 0;  // total benefit-evaluation overhead (Fig 11)
+  double overlapped_seconds = 0;  // sum of per-round pipelined charges
 
   io::IoStatsSnapshot io;        // traffic (Fig 7)
 
@@ -83,56 +85,111 @@ struct ExecutionReport {
   std::uint64_t blocks_skipped = 0;
   std::uint64_t blocks_skipped_bytes = 0;
 
-  // Edge-payload compression (codec negotiated from the dataset manifest;
-  // "none" = raw layout). The counters are this run's decode-side deltas:
-  // frames decoded on the compute side, on-disk frame bytes in, raw edge
-  // bytes out, and the wall time decode cost (already inside
-  // compute_seconds — decode runs on the consuming thread).
-  std::string codec = "none";
+  // Edge-payload decode counters: frames decoded on the compute side,
+  // on-disk frame bytes in, raw edge bytes out, and the wall time decode
+  // cost (already inside compute_seconds — decode runs on the consuming
+  // thread).
   std::uint64_t frames_decoded = 0;
   std::uint64_t compressed_bytes_read = 0;
   std::uint64_t decoded_bytes = 0;
   double decode_seconds = 0;
-
-  // Rounds that fell back from the on-demand to the full-streaming model
-  // after an index read failed (missing file or checksum mismatch).
-  std::uint32_t degraded_rounds = 0;
-
-  // Overlap-aware accounting: true when the run executed with the prefetch
-  // pipeline and charges each round max(compute, io) instead of the sum.
-  // Byte counts and results are identical either way — only the time
-  // charging differs.
-  bool overlap_io = false;
-  double overlapped_seconds = 0;  // sum of per-round pipelined charges
-
-  // Destination-range compute shards the run executed with
-  // (EngineOptions::compute_threads resolved against the pool size).
-  // Results are bit-identical at any value.
-  std::uint64_t compute_shards = 1;
 
   // Wall time the sharded applies lost to executing more shards than the
   // machine has cores: Σ over parallel passes of (measured elapsed −
   // longest shard task). `compute_seconds − apply_serialization_seconds`
   // is therefore the compute wall a machine with >= compute_shards cores
   // would see; ~0 when the shards genuinely ran concurrently and exactly 0
-  // for serial runs. Covers this execution only (not restored on resume).
+  // for serial runs.
   double apply_serialization_seconds = 0;
+
+  // Checkpoint overhead (wall time; checkpoint I/O bypasses the modeled
+  // device on purpose, so it appears here and nowhere in `io`).
+  std::uint32_t checkpoints_written = 0;
+  std::uint64_t checkpoint_bytes = 0;
+  double checkpoint_seconds = 0;
+
+  bool operator==(const RunTotals&) const = default;
+
+  /// The one list of the fields: calls `f(t.field...)` per field, with the
+  /// same field of every argument, in GSCK payload order. The first
+  /// kCheckpointV1Fields are the v1 payload; new fields go at the end.
+  template <typename F, typename... Totals>
+  static void ForEachField(F&& f, Totals&... t) {
+    f(t.rounds...);
+    f(t.degraded_rounds...);
+    f(t.compute_seconds...);
+    f(t.update_seconds...);
+    f(t.io_seconds...);
+    f(t.scheduler_seconds...);
+    f(t.overlapped_seconds...);
+    f(t.decode_seconds...);
+    f(t.io.seq_read_bytes...);
+    f(t.io.seq_write_bytes...);
+    f(t.io.rand_read_bytes...);
+    f(t.io.rand_write_bytes...);
+    f(t.io.seq_read_ops...);
+    f(t.io.seq_write_ops...);
+    f(t.io.rand_read_ops...);
+    f(t.io.rand_write_ops...);
+    f(t.io.retries...);
+    f(t.io.checksum_failures...);
+    f(t.io.eintr_absorbed...);
+    f(t.buffer_hits...);
+    f(t.buffer_misses...);
+    f(t.buffer_bytes_saved...);
+    f(t.buffer_disk_bytes_saved...);
+    f(t.frames_decoded...);
+    f(t.compressed_bytes_read...);
+    f(t.decoded_bytes...);
+    f(t.checkpoints_written...);
+    f(t.checkpoint_bytes...);
+    f(t.checkpoint_seconds...);
+    // GSCK v2.
+    f(t.semi_rounds...);
+    f(t.blocks_skipped...);
+    f(t.blocks_skipped_bytes...);
+    f(t.buffer_frame_hits...);
+    f(t.buffer_frame_puts...);
+    f(t.io.vectored_reads...);
+    f(t.io.bounce_reads...);
+    f(t.apply_serialization_seconds...);
+  }
+};
+
+/// A run report: the cumulative totals plus this execution's identity,
+/// shape, lifecycle and per-round series.
+struct ExecutionReport : RunTotals {
+  std::string engine;
+  std::string algorithm;
+  std::string dataset;
+
+  std::uint32_t iterations = 0;  // logical BSP iterations executed
+
+  // Edge-payload compression codec negotiated from the dataset manifest
+  // ("none" = raw layout).
+  std::string codec = "none";
+
+  // Overlap-aware accounting: true when the run executed with the prefetch
+  // pipeline and charges each round max(compute, io) instead of the sum.
+  // Byte counts and results are identical either way — only the time
+  // charging differs.
+  bool overlap_io = false;
+
+  // Destination-range compute shards the run executed with
+  // (EngineOptions::compute_threads resolved against the pool size).
+  // Results are bit-identical at any value.
+  std::uint64_t compute_shards = 1;
 
   // --- Run lifecycle (DESIGN.md §12) -------------------------------------
   // A cancelled run (Ctrl-C, deadline, external token) still returns a
   // report: partial results up to the last committed iteration boundary.
   bool cancelled = false;
   std::string cancel_reason;
-  // Resumed from a checkpoint at `resume_iteration`; cumulative fields
-  // (iterations, rounds, seconds, io) cover the whole logical run, while
-  // per_round restarts at the resume point.
+  // Resumed from a checkpoint at `resume_iteration`; the RunTotals fields
+  // (and iterations) cover the whole logical run, while per_round restarts
+  // at the resume point.
   bool resumed = false;
   std::uint32_t resume_iteration = 0;
-  // Checkpoint overhead (wall time; checkpoint I/O bypasses the modeled
-  // device on purpose, so it appears here and nowhere in `io`).
-  std::uint32_t checkpoints_written = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  double checkpoint_seconds = 0;
 
   std::vector<RoundStat> per_round;
 

@@ -6,38 +6,15 @@ namespace graphsd::io {
 
 IoStatsSnapshot IoStatsSnapshot::operator-(
     const IoStatsSnapshot& other) const noexcept {
-  IoStatsSnapshot d;
-  d.seq_read_bytes = seq_read_bytes - other.seq_read_bytes;
-  d.seq_write_bytes = seq_write_bytes - other.seq_write_bytes;
-  d.rand_read_bytes = rand_read_bytes - other.rand_read_bytes;
-  d.rand_write_bytes = rand_write_bytes - other.rand_write_bytes;
-  d.seq_read_ops = seq_read_ops - other.seq_read_ops;
-  d.seq_write_ops = seq_write_ops - other.seq_write_ops;
-  d.rand_read_ops = rand_read_ops - other.rand_read_ops;
-  d.rand_write_ops = rand_write_ops - other.rand_write_ops;
-  d.retries = retries - other.retries;
-  d.checksum_failures = checksum_failures - other.checksum_failures;
-  d.eintr_absorbed = eintr_absorbed - other.eintr_absorbed;
-  d.vectored_reads = vectored_reads - other.vectored_reads;
-  d.bounce_reads = bounce_reads - other.bounce_reads;
+  IoStatsSnapshot d = *this;
+  ForEachCounter([](std::uint64_t& a, std::uint64_t b) { a -= b; }, d, other);
   return d;
 }
 
 IoStatsSnapshot& IoStatsSnapshot::operator+=(
     const IoStatsSnapshot& other) noexcept {
-  seq_read_bytes += other.seq_read_bytes;
-  seq_write_bytes += other.seq_write_bytes;
-  rand_read_bytes += other.rand_read_bytes;
-  rand_write_bytes += other.rand_write_bytes;
-  seq_read_ops += other.seq_read_ops;
-  seq_write_ops += other.seq_write_ops;
-  rand_read_ops += other.rand_read_ops;
-  rand_write_ops += other.rand_write_ops;
-  retries += other.retries;
-  checksum_failures += other.checksum_failures;
-  eintr_absorbed += other.eintr_absorbed;
-  vectored_reads += other.vectored_reads;
-  bounce_reads += other.bounce_reads;
+  ForEachCounter([](std::uint64_t& a, std::uint64_t b) { a += b; }, *this,
+                 other);
   return *this;
 }
 
@@ -60,56 +37,38 @@ std::string IoStatsSnapshot::ToString() const {
 
 void IoStats::RecordRead(AccessPattern pattern, std::uint64_t bytes) noexcept {
   if (pattern == AccessPattern::kSequential) {
-    seq_read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    seq_read_ops_.fetch_add(1, std::memory_order_relaxed);
+    counters_.seq_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.seq_read_ops.fetch_add(1, std::memory_order_relaxed);
   } else {
-    rand_read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    rand_read_ops_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rand_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.rand_read_ops.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void IoStats::RecordWrite(AccessPattern pattern, std::uint64_t bytes) noexcept {
   if (pattern == AccessPattern::kSequential) {
-    seq_write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    seq_write_ops_.fetch_add(1, std::memory_order_relaxed);
+    counters_.seq_write_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.seq_write_ops.fetch_add(1, std::memory_order_relaxed);
   } else {
-    rand_write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    rand_write_ops_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rand_write_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.rand_write_ops.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 IoStatsSnapshot IoStats::Snapshot() const noexcept {
   IoStatsSnapshot s;
-  s.seq_read_bytes = seq_read_bytes_.load(std::memory_order_relaxed);
-  s.seq_write_bytes = seq_write_bytes_.load(std::memory_order_relaxed);
-  s.rand_read_bytes = rand_read_bytes_.load(std::memory_order_relaxed);
-  s.rand_write_bytes = rand_write_bytes_.load(std::memory_order_relaxed);
-  s.seq_read_ops = seq_read_ops_.load(std::memory_order_relaxed);
-  s.seq_write_ops = seq_write_ops_.load(std::memory_order_relaxed);
-  s.rand_read_ops = rand_read_ops_.load(std::memory_order_relaxed);
-  s.rand_write_ops = rand_write_ops_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.checksum_failures = checksum_failures_.load(std::memory_order_relaxed);
-  s.eintr_absorbed = eintr_absorbed_.load(std::memory_order_relaxed);
-  s.vectored_reads = vectored_reads_.load(std::memory_order_relaxed);
-  s.bounce_reads = bounce_reads_.load(std::memory_order_relaxed);
+  IoStatsSnapshot::ForEachCounter(
+      [](std::uint64_t& out, const Counter& counter) {
+        out = counter.load(std::memory_order_relaxed);
+      },
+      s, counters_);
   return s;
 }
 
 void IoStats::Reset() noexcept {
-  seq_read_bytes_.store(0, std::memory_order_relaxed);
-  seq_write_bytes_.store(0, std::memory_order_relaxed);
-  rand_read_bytes_.store(0, std::memory_order_relaxed);
-  rand_write_bytes_.store(0, std::memory_order_relaxed);
-  seq_read_ops_.store(0, std::memory_order_relaxed);
-  seq_write_ops_.store(0, std::memory_order_relaxed);
-  rand_read_ops_.store(0, std::memory_order_relaxed);
-  rand_write_ops_.store(0, std::memory_order_relaxed);
-  retries_.store(0, std::memory_order_relaxed);
-  checksum_failures_.store(0, std::memory_order_relaxed);
-  eintr_absorbed_.store(0, std::memory_order_relaxed);
-  vectored_reads_.store(0, std::memory_order_relaxed);
-  bounce_reads_.store(0, std::memory_order_relaxed);
+  IoStatsSnapshot::ForEachCounter(
+      [](Counter& counter) { counter.store(0, std::memory_order_relaxed); },
+      counters_);
 }
 
 }  // namespace graphsd::io

@@ -53,6 +53,27 @@ struct IoStatsSnapshot {
   /// snapshot of the same counter set.
   IoStatsSnapshot operator-(const IoStatsSnapshot& other) const noexcept;
   IoStatsSnapshot& operator+=(const IoStatsSnapshot& other) noexcept;
+  bool operator==(const IoStatsSnapshot&) const = default;
+
+  /// Calls `f(s.counter...)` once per counter, with the same counter of
+  /// every argument: the one list of I/O counters (IoStats' atomic set
+  /// shares the names).
+  template <typename F, typename... Snapshots>
+  static void ForEachCounter(F&& f, Snapshots&... s) {
+    f(s.seq_read_bytes...);
+    f(s.seq_write_bytes...);
+    f(s.rand_read_bytes...);
+    f(s.rand_write_bytes...);
+    f(s.seq_read_ops...);
+    f(s.seq_write_ops...);
+    f(s.rand_read_ops...);
+    f(s.rand_write_ops...);
+    f(s.retries...);
+    f(s.checksum_failures...);
+    f(s.eintr_absorbed...);
+    f(s.vectored_reads...);
+    f(s.bounce_reads...);
+  }
 
   /// One-line summary for logs.
   std::string ToString() const;
@@ -69,27 +90,27 @@ class IoStats {
 
   /// Records one retry of a transiently-failed request.
   void RecordRetry() noexcept {
-    retries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.retries.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Records one detected checksum mismatch.
   void RecordChecksumFailure() noexcept {
-    checksum_failures_.fetch_add(1, std::memory_order_relaxed);
+    counters_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Records one EINTR absorbed without consuming a retry-budget slot.
   void RecordEintrAbsorbed() noexcept {
-    eintr_absorbed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.eintr_absorbed.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Records one scatter request submitted as a vectored batch.
   void RecordVectoredRead() noexcept {
-    vectored_reads_.fetch_add(1, std::memory_order_relaxed);
+    counters_.vectored_reads.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Records one direct-I/O read served through the aligned bounce buffer.
   void RecordBounceRead() noexcept {
-    bounce_reads_.fetch_add(1, std::memory_order_relaxed);
+    counters_.bounce_reads.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Copies the current counters.
@@ -99,19 +120,25 @@ class IoStats {
   void Reset() noexcept;
 
  private:
-  std::atomic<std::uint64_t> seq_read_bytes_{0};
-  std::atomic<std::uint64_t> seq_write_bytes_{0};
-  std::atomic<std::uint64_t> rand_read_bytes_{0};
-  std::atomic<std::uint64_t> rand_write_bytes_{0};
-  std::atomic<std::uint64_t> seq_read_ops_{0};
-  std::atomic<std::uint64_t> seq_write_ops_{0};
-  std::atomic<std::uint64_t> rand_read_ops_{0};
-  std::atomic<std::uint64_t> rand_write_ops_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> checksum_failures_{0};
-  std::atomic<std::uint64_t> eintr_absorbed_{0};
-  std::atomic<std::uint64_t> vectored_reads_{0};
-  std::atomic<std::uint64_t> bounce_reads_{0};
+  using Counter = std::atomic<std::uint64_t>;
+  // One atomic per IoStatsSnapshot counter, under the same names, so
+  // IoStatsSnapshot::ForEachCounter visits both.
+  struct Counters {
+    Counter seq_read_bytes{0};
+    Counter seq_write_bytes{0};
+    Counter rand_read_bytes{0};
+    Counter rand_write_bytes{0};
+    Counter seq_read_ops{0};
+    Counter seq_write_ops{0};
+    Counter rand_read_ops{0};
+    Counter rand_write_ops{0};
+    Counter retries{0};
+    Counter checksum_failures{0};
+    Counter eintr_absorbed{0};
+    Counter vectored_reads{0};
+    Counter bounce_reads{0};
+  };
+  Counters counters_;
 };
 
 }  // namespace graphsd::io

@@ -755,6 +755,25 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
     return std::optional<Divergence>(d);
   }
 
+  // A forced model replays the uninterrupted run's rounds, so its round
+  // counters must survive the resume. (Auto may choose differently on cold
+  // skip summaries; buffer and traffic counters differ after any restart.)
+  const auto counters = [](const core::ExecutionReport& r) {
+    return "rounds " + std::to_string(r.rounds) + ", degraded " +
+           std::to_string(r.degraded_rounds) + ", semi " +
+           std::to_string(r.semi_rounds) + ", skipped blocks " +
+           std::to_string(r.blocks_skipped) + " (" +
+           std::to_string(r.blocks_skipped_bytes) + " B)";
+  };
+  if (config.model != "auto" &&
+      counters(*resume_report) != counters(*base_report)) {
+    d.invariant = "counters";
+    d.detail = "kill/resume counters differ: resumed " +
+               counters(*resume_report) + ", uninterrupted " +
+               counters(*base_report);
+    return std::optional<Divergence>(d);
+  }
+
   const VertexState* state = resume_engine.state();
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const double resumed_value = (*resume_program)->ValueOf(*state, v);

@@ -65,7 +65,7 @@ struct TrialConfig {
 
 /// First point where engine and oracle disagree.
 struct Divergence {
-  /// "value" | "iterations" | "frontier" | "status".
+  /// "value" | "iterations" | "frontier" | "status" | "counters".
   std::string invariant;
   VertexId vertex = 0;
   std::uint32_t iteration = 0;

@@ -1,9 +1,12 @@
 // Tests for GSCK checkpoint frames and the two-slot store: field-exact
-// round trips, corruption detection (magic, version, truncation, bit flips,
-// trailing garbage), slot alternation, and LoadLatest's fallback semantics.
+// round trips, version 1 compatibility, corruption detection (magic,
+// version, truncation, bit flips, trailing garbage), slot alternation, and
+// LoadLatest's fallback semantics.
 #include "core/checkpoint.hpp"
 
 #include <cstdint>
+#include <iterator>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,34 +33,45 @@ Checkpoint SampleCheckpoint(std::uint32_t iteration = 7) {
   cp.arrays = {{1, 2, 3, 4, 5}, {10, 20, 30, 40, 50}};
   cp.active = {0, 2, 4};
   cp.preact = {1, 3};
-  cp.rounds = 9;
-  cp.degraded_rounds = 1;
-  cp.compute_seconds = 1.5;
-  cp.update_seconds = 0.75;
-  cp.io_seconds = 2.25;
-  cp.scheduler_seconds = 0.125;
-  cp.overlapped_seconds = 2.5;
-  cp.decode_seconds = 0.0625;
-  cp.io.seq_read_bytes = 1000;
-  cp.io.rand_read_bytes = 2000;
-  cp.io.seq_write_bytes = 3000;
-  cp.io.rand_write_bytes = 123;
-  cp.io.seq_read_ops = 11;
-  cp.io.seq_write_ops = 12;
-  cp.io.rand_read_ops = 13;
-  cp.io.rand_write_ops = 14;
-  cp.io.retries = 2;
-  cp.io.checksum_failures = 1;
-  cp.buffer_hits = 42;
-  cp.buffer_misses = 17;
-  cp.buffer_bytes_saved = 4096;
-  cp.buffer_disk_bytes_saved = 2048;
-  cp.frames_decoded = 5;
-  cp.compressed_bytes_read = 555;
-  cp.decoded_bytes = 777;
-  cp.checkpoints_written = 3;
-  cp.checkpoint_bytes = 999;
-  cp.checkpoint_seconds = 0.03125;
+  // The v1 totals below are the ones kGoldenV1Frame was encoded from.
+  RunTotals& t = cp.totals;
+  t.rounds = 9;
+  t.degraded_rounds = 1;
+  t.compute_seconds = 1.5;
+  t.update_seconds = 0.75;
+  t.io_seconds = 2.25;
+  t.scheduler_seconds = 0.125;
+  t.overlapped_seconds = 2.5;
+  t.decode_seconds = 0.0625;
+  t.io.seq_read_bytes = 1000;
+  t.io.rand_read_bytes = 2000;
+  t.io.seq_write_bytes = 3000;
+  t.io.rand_write_bytes = 123;
+  t.io.seq_read_ops = 11;
+  t.io.seq_write_ops = 12;
+  t.io.rand_read_ops = 13;
+  t.io.rand_write_ops = 14;
+  t.io.retries = 2;
+  t.io.checksum_failures = 1;
+  t.buffer_hits = 42;
+  t.buffer_misses = 17;
+  t.buffer_bytes_saved = 4096;
+  t.buffer_disk_bytes_saved = 2048;
+  t.frames_decoded = 5;
+  t.compressed_bytes_read = 555;
+  t.decoded_bytes = 777;
+  t.checkpoints_written = 3;
+  t.checkpoint_bytes = 999;
+  t.checkpoint_seconds = 0.03125;
+  // Appended in GSCK v2.
+  t.semi_rounds = 6;
+  t.blocks_skipped = 31;
+  t.blocks_skipped_bytes = 8192;
+  t.buffer_frame_hits = 4;
+  t.buffer_frame_puts = 8;
+  t.io.vectored_reads = 16;
+  t.io.bounce_reads = 110;
+  t.apply_serialization_seconds = 0.015625;
   return cp;
 }
 
@@ -70,46 +84,108 @@ void ExpectEqual(const Checkpoint& a, const Checkpoint& b) {
   EXPECT_EQ(a.arrays, b.arrays);
   EXPECT_EQ(a.active, b.active);
   EXPECT_EQ(a.preact, b.preact);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
-  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
-  EXPECT_EQ(a.update_seconds, b.update_seconds);
-  EXPECT_EQ(a.io_seconds, b.io_seconds);
-  EXPECT_EQ(a.scheduler_seconds, b.scheduler_seconds);
-  EXPECT_EQ(a.overlapped_seconds, b.overlapped_seconds);
-  EXPECT_EQ(a.decode_seconds, b.decode_seconds);
-  EXPECT_EQ(a.io.seq_read_bytes, b.io.seq_read_bytes);
-  EXPECT_EQ(a.io.rand_read_bytes, b.io.rand_read_bytes);
-  EXPECT_EQ(a.io.seq_write_bytes, b.io.seq_write_bytes);
-  EXPECT_EQ(a.io.rand_write_bytes, b.io.rand_write_bytes);
-  EXPECT_EQ(a.io.seq_read_ops, b.io.seq_read_ops);
-  EXPECT_EQ(a.io.seq_write_ops, b.io.seq_write_ops);
-  EXPECT_EQ(a.io.rand_read_ops, b.io.rand_read_ops);
-  EXPECT_EQ(a.io.rand_write_ops, b.io.rand_write_ops);
-  EXPECT_EQ(a.io.retries, b.io.retries);
-  EXPECT_EQ(a.io.checksum_failures, b.io.checksum_failures);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.buffer_misses, b.buffer_misses);
-  EXPECT_EQ(a.buffer_bytes_saved, b.buffer_bytes_saved);
-  EXPECT_EQ(a.buffer_disk_bytes_saved, b.buffer_disk_bytes_saved);
-  EXPECT_EQ(a.frames_decoded, b.frames_decoded);
-  EXPECT_EQ(a.compressed_bytes_read, b.compressed_bytes_read);
-  EXPECT_EQ(a.decoded_bytes, b.decoded_bytes);
-  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
-  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
-  EXPECT_EQ(a.checkpoint_seconds, b.checkpoint_seconds);
+  EXPECT_EQ(a.totals, b.totals);
+}
+
+// EncodeCheckpoint(SampleCheckpoint()) as written by the GSCK version 1
+// encoder, whose payload ends at checkpoint_seconds.
+constexpr std::uint8_t kGoldenV1Frame[] = {
+    0x47, 0x53, 0x43, 0x4b, 0x01, 0x00, 0x00, 0x00, 0x69, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xaf, 0x7c, 0x1a, 0x1d, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde,
+    0x04, 0x00, 0x00, 0x00, 0x73, 0x73, 0x73, 0x70, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+    0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0,
+    0x3f, 0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb8, 0x0b, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x7b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2b, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0xe7, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x3f,
+};
+
+std::vector<std::uint8_t> GoldenV1Frame() {
+  return {std::begin(kGoldenV1Frame), std::end(kGoldenV1Frame)};
 }
 
 TEST(CheckpointFrame, RoundTripsEveryField) {
-  const Checkpoint cp = SampleCheckpoint();
+  Checkpoint cp = SampleCheckpoint();
+  // A distinct nonzero value in every total, so a field the codec drops,
+  // truncates or swaps cannot round-trip.
+  int k = 0;
+  RunTotals::ForEachField(
+      [&k](auto& field) {
+        field = static_cast<std::remove_reference_t<decltype(field)>>(++k * 3);
+      },
+      cp.totals);
   const std::vector<std::uint8_t> frame = EncodeCheckpoint(cp);
   ASSERT_GE(frame.size(), kCheckpointHeaderBytes);
   EXPECT_EQ(frame[0], 'G');
   EXPECT_EQ(frame[1], 'S');
   EXPECT_EQ(frame[2], 'C');
   EXPECT_EQ(frame[3], 'K');
+  EXPECT_EQ(frame[4], kCheckpointFormatVersion);
   const Checkpoint decoded = ValueOrDie(DecodeCheckpoint(frame));
   ExpectEqual(cp, decoded);
+}
+
+TEST(CheckpointFrame, DecodesVersionOneFrame) {
+  const std::vector<std::uint8_t> frame = GoldenV1Frame();
+  ASSERT_EQ(frame[4], 1u);
+  const Checkpoint decoded = ValueOrDie(DecodeCheckpoint(frame));
+  // The v1 fields match the sample; the fields v2 appended read as zero.
+  Checkpoint expect = SampleCheckpoint();
+  std::size_t field = 0;
+  RunTotals::ForEachField(
+      [&field](auto& value) {
+        if (field++ >= kCheckpointV1Fields) value = 0;
+      },
+      expect.totals);
+  EXPECT_EQ(field, kCheckpointV1Fields + 8);
+  ExpectEqual(expect, decoded);
+  EXPECT_EQ(decoded.totals.semi_rounds, 0u);
+  EXPECT_EQ(decoded.totals.blocks_skipped, 0u);
+  EXPECT_EQ(decoded.totals.blocks_skipped_bytes, 0u);
+  EXPECT_EQ(decoded.totals.buffer_frame_hits, 0u);
+  EXPECT_EQ(decoded.totals.buffer_frame_puts, 0u);
+  EXPECT_EQ(decoded.totals.io.vectored_reads, 0u);
+  EXPECT_EQ(decoded.totals.io.bounce_reads, 0u);
+  EXPECT_EQ(decoded.totals.apply_serialization_seconds, 0.0);
+}
+
+TEST(CheckpointFrame, VersionFieldSetsThePayloadLength) {
+  // The CRC covers only the payload, so relabelling a frame's version keeps
+  // it CRC-clean: a v1 payload read as v2 is truncated, a v2 payload read
+  // as v1 has trailing bytes.
+  std::vector<std::uint8_t> v1_as_v2 = GoldenV1Frame();
+  v1_as_v2[4] = 2;
+  EXPECT_EQ(DecodeCheckpoint(v1_as_v2).status().code(),
+            StatusCode::kCorruptData);
+  std::vector<std::uint8_t> v2_as_v1 = EncodeCheckpoint(SampleCheckpoint());
+  v2_as_v1[4] = 1;
+  EXPECT_EQ(DecodeCheckpoint(v2_as_v1).status().code(),
+            StatusCode::kCorruptData);
 }
 
 TEST(CheckpointFrame, RoundTripsGatherWithoutFrontiers) {

@@ -42,15 +42,17 @@ class ResilienceTest : public ::testing::Test {
     return options;
   }
 
-  std::vector<double> RunPageRank(const core::EngineOptions& options) {
-    core::GraphSDEngine engine(*t_.dataset, options);
+  std::vector<double> RunPageRank(const partition::GridDataset& dataset,
+                                  const core::EngineOptions& options) {
+    core::GraphSDEngine engine(dataset, options);
     algos::PageRank pr(10);
     EXPECT_OK(engine.Run(pr).status());
     return testing::Values(pr, *engine.state());
   }
 
-  std::vector<double> RunBfs(const core::EngineOptions& options) {
-    core::GraphSDEngine engine(*t_.dataset, options);
+  std::vector<double> RunBfs(const partition::GridDataset& dataset,
+                             const core::EngineOptions& options) {
+    core::GraphSDEngine engine(dataset, options);
     algos::Bfs bfs(0);
     EXPECT_OK(engine.Run(bfs).status());
     return testing::Values(bfs, *engine.state());
@@ -83,42 +85,66 @@ class ResilienceTest : public ::testing::Test {
 
 // The headline acceptance criterion: a fixed-seed >=1% transient read-fault
 // rate must not change a single output bit on either I/O model, and the
-// retry counters must show the faults were actually hit and absorbed.
+// retry counters must show the faults were actually hit and absorbed. Runs
+// on the simulated device and on real:ssd, whose read path adds O_DIRECT,
+// aligned bounce reads and vectored preadv batches.
 TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
-  for (const bool on_demand : {true, false}) {
-    SCOPED_TRACE(on_demand ? "SCIU (on-demand)" : "FCIU (full streaming)");
-    const core::EngineOptions options = Opts(on_demand);
+  for (const std::string kind : {"sim:scaled-hdd", "real:ssd"}) {
+    std::unique_ptr<io::Device> real_device;
+    std::unique_ptr<partition::GridDataset> real_dataset;
+    io::Device* device = t_.device.get();
+    const partition::GridDataset* dataset = t_.dataset.get();
+    if (kind == "real:ssd") {
+      real_device = ValueOrDie(io::MakeDeviceForKind(kind));
+      real_dataset = std::make_unique<partition::GridDataset>(
+          ValueOrDie(partition::GridDataset::Open(*real_device, ds_dir_)));
+      device = real_device.get();
+      dataset = real_dataset.get();
+    }
+    for (const bool on_demand : {true, false}) {
+      SCOPED_TRACE(kind + (on_demand ? " SCIU (on-demand)"
+                                     : " FCIU (full streaming)"));
+      const core::EngineOptions options = Opts(on_demand);
 
-    t_.device->set_fault_injector(nullptr);
-    const std::vector<double> want_pr = RunPageRank(options);
-    const std::vector<double> want_bfs = RunBfs(options);
+      const std::vector<double> want_pr = RunPageRank(*dataset, options);
+      const std::vector<double> want_bfs = RunBfs(*dataset, options);
 
-    io::FaultInjector injector(20260805);
-    io::FaultRule eio;
-    eio.kind = io::FaultKind::kEio;
-    eio.op = io::FaultOp::kRead;
-    eio.probability = 0.01;
-    injector.AddRule(eio);
-    io::FaultRule short_read;
-    short_read.kind = io::FaultKind::kShortRead;
-    short_read.op = io::FaultOp::kRead;
-    short_read.probability = 0.005;
-    injector.AddRule(short_read);
-    io::FaultRule eintr;
-    eintr.kind = io::FaultKind::kEintr;
-    eintr.op = io::FaultOp::kRead;
-    eintr.probability = 0.005;
-    injector.AddRule(eintr);
-    t_.device->set_fault_injector(&injector);
+      io::FaultInjector injector(20260805);
+      io::FaultRule eio;
+      eio.kind = io::FaultKind::kEio;
+      eio.op = io::FaultOp::kRead;
+      eio.probability = 0.01;
+      injector.AddRule(eio);
+      io::FaultRule short_read;
+      short_read.kind = io::FaultKind::kShortRead;
+      short_read.op = io::FaultOp::kRead;
+      short_read.probability = 0.005;
+      injector.AddRule(short_read);
+      io::FaultRule eintr;
+      eintr.kind = io::FaultKind::kEintr;
+      eintr.op = io::FaultOp::kRead;
+      eintr.probability = 0.005;
+      injector.AddRule(eintr);
+      device->set_fault_injector(&injector);
 
-    const std::uint64_t retries_before = t_.device->stats().Snapshot().retries;
-    const std::vector<double> got_pr = RunPageRank(options);
-    const std::vector<double> got_bfs = RunBfs(options);
+      const io::IoStatsSnapshot before = device->stats().Snapshot();
+      const std::vector<double> got_pr = RunPageRank(*dataset, options);
+      const std::vector<double> got_bfs = RunBfs(*dataset, options);
+      const io::IoStatsSnapshot delta = device->stats().Snapshot() - before;
+      device->set_fault_injector(nullptr);
 
-    EXPECT_EQ(got_pr, want_pr);
-    EXPECT_EQ(got_bfs, want_bfs);
-    EXPECT_GT(injector.faults_injected(), 0u);
-    EXPECT_GT(t_.device->stats().Snapshot().retries, retries_before);
+      EXPECT_EQ(got_pr, want_pr);
+      EXPECT_EQ(got_bfs, want_bfs);
+      EXPECT_GT(injector.faults_injected(), 0u);
+      EXPECT_GT(delta.retries, 0u);
+      if (kind == "real:ssd") {
+        // The faulted reads really went through the direct-I/O path.
+        EXPECT_GT(delta.bounce_reads, 0u);
+        if (on_demand) {
+          EXPECT_GT(delta.vectored_reads, 0u);
+        }
+      }
+    }
   }
 }
 

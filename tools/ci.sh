@@ -2,10 +2,10 @@
 # One-shot CI entry point.
 #
 #   1. Tier-1: regular build + the full test suite (the gate every change
-#      must keep green, see ROADMAP.md), CLI smokes, the perfbench unit
-#      tests, and the byte/round regression gate: a fresh bench_trajectory
-#      snapshot must reproduce the newest BENCH_*.json's deterministic
-#      fields exactly (tools/bench_gate.py).
+#      must keep green, see ROADMAP.md), CLI smokes, the perfbench and
+#      bench gate unit tests, and the byte/round regression gate: a fresh
+#      bench_trajectory snapshot must reproduce the newest BENCH_*.json's
+#      deterministic fields exactly (tools/bench_gate.py).
 #   2. ASan+UBSan build + full suite.
 #   3. TSan build + the concurrency smoke targets (ReadQueue, ThreadPool,
 #      IoStats and the prefetch pipeline end to end). The full suite under
@@ -91,7 +91,8 @@ grep -q "CANCELLED (interrupted (SIGINT))" "$OBS_DIR/run_int.log"
 test -f "$OBS_DIR/ck_int/checkpoint.0.gsck" \
     || test -f "$OBS_DIR/ck_int/checkpoint.1.gsck"
 # Randomized kill-and-resume differential sweep: kill checkpointed runs,
-# damage slots, resume, require bit-identical final values.
+# damage slots, resume, require bit-identical final values (and, under a
+# forced model, the uninterrupted run's round and skip counters).
 # (stderr silenced: every killed trial logs an expected "run cancelled".)
 "$CLI" difftest --kill-resume --seeds 2 --seed0 77 > /dev/null 2>&1
 echo "lifecycle smoke: OK"
@@ -199,6 +200,9 @@ echo "service smoke: OK"
 
 echo "== tier 1: perfbench unit tests =="
 (cd "$ROOT" && python3 -m unittest discover -s perfbench -p 'test_*.py')
+
+echo "== tier 1: bench gate unit tests =="
+(cd "$ROOT" && python3 -m unittest discover -s tools -p 'test_*.py')
 
 echo "== tier 1: byte and round regression gate (bench_trajectory) =="
 # Bytes moved, rounds, iterations, semi-external skips, frame-cache traffic
