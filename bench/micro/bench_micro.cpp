@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the engineering substrate:
-// bitset frontiers, atomic combines, grid partitioning, sub-block loading,
+// bitset frontiers, CRC32C checksums, grid partitioning, sub-block loading,
 // and the scheduler's evaluation pass. Not paper figures — these quantify
 // the building blocks the figures are made of.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/scheduler.hpp"
-#include "core/slot.hpp"
 #include "graph/generators.hpp"
 #include "partition/grid_builder.hpp"
 #include "partition/grid_dataset.hpp"
 #include "util/bitset.hpp"
+#include "util/crc32c.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,23 +43,29 @@ void BM_BitsetIterate(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetIterate);
 
-void BM_AtomicMinDouble(benchmark::State& state) {
-  core::Slot slot = core::SlotFromDouble(1e18);
+// CRC32C over a 1 MiB buffer: the portable slice-by-8 routine against the
+// dispatched one (SSE4.2 where the CPU has it). Bytes/s is the checksum
+// throughput every verified sub-block read pays.
+template <std::uint32_t (*kCrc)(std::uint32_t, const void*,
+                                std::size_t) noexcept>
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> data(1 << 20);
   Xoshiro256 rng(1);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::AtomicMinDouble(&slot, rng.NextDouble() * 1e18));
+    benchmark::DoNotOptimize(kCrc(0, data.data(), data.size()));
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
 }
-BENCHMARK(BM_AtomicMinDouble);
 
-void BM_AtomicAddDouble(benchmark::State& state) {
-  core::Slot slot = core::SlotFromDouble(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::AtomicAddDouble(&slot, 1.0));
-  }
+// `Crc32c` is overloaded; this names the (crc, data, size) one.
+std::uint32_t Crc32cDispatched(std::uint32_t crc, const void* data,
+                               std::size_t size) noexcept {
+  return Crc32c(crc, data, size);
 }
-BENCHMARK(BM_AtomicAddDouble);
+BENCHMARK(BM_Crc32c<Crc32cPortable>)->Name("BM_Crc32c/portable");
+BENCHMARK(BM_Crc32c<Crc32cDispatched>)->Name("BM_Crc32c/dispatched");
 
 void BM_RmatGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,7 +1,5 @@
 #include "algos/bfs.hpp"
 
-#include "core/slot.hpp"
-
 namespace graphsd::algos {
 
 void Bfs::Init(core::VertexState& state, core::Frontier& initial) {
@@ -15,13 +13,6 @@ void Bfs::Init(core::VertexState& state, core::Frontier& initial) {
 void Bfs::MakeContribution(core::VertexState& state, VertexId v,
                            core::ContribSlot slot) const {
   state.contrib(slot)[v] = state.array(0)[v];
-}
-
-bool Bfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                Weight /*w*/, core::ContribSlot slot) const {
-  const std::uint64_t src_level = state.contrib(slot)[src];
-  if (src_level == UINT64_MAX) return false;
-  return core::AtomicMinU64(&state.array(0)[dst], src_level + 1);
 }
 
 double Bfs::ValueOf(const core::VertexState& state, VertexId v) const {

@@ -1,7 +1,5 @@
 #include "algos/connected_components.hpp"
 
-#include "core/slot.hpp"
-
 namespace graphsd::algos {
 
 void ConnectedComponents::Init(core::VertexState& state,
@@ -15,12 +13,6 @@ void ConnectedComponents::MakeContribution(core::VertexState& state,
                                            VertexId v,
                                            core::ContribSlot slot) const {
   state.contrib(slot)[v] = state.array(0)[v];
-}
-
-bool ConnectedComponents::Apply(core::VertexState& state, VertexId src,
-                                VertexId dst, Weight /*w*/,
-                                core::ContribSlot slot) const {
-  return core::AtomicMinU64(&state.array(0)[dst], state.contrib(slot)[src]);
 }
 
 double ConnectedComponents::ValueOf(const core::VertexState& state,

@@ -8,10 +8,12 @@
 #pragma once
 
 #include "core/program.hpp"
+#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-class ConnectedComponents final : public core::PushProgram {
+class ConnectedComponents final
+    : public core::PushKernel<ConnectedComponents> {
  public:
   ConnectedComponents() = default;
 
@@ -21,8 +23,14 @@ class ConnectedComponents final : public core::PushProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// Min-label: label[dst] = min(label[dst], label[src]).
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [contrib = state.contrib(slot).data(),
+            label = state.array(0).data()](VertexId src, VertexId dst,
+                                           Weight /*w*/) {
+      return core::MinU64(label[dst], contrib[src]);
+    };
+  }
   double ValueOf(const core::VertexState& state, VertexId v) const override;
 
   /// Component label of `v` after a run.

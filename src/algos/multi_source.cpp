@@ -1,38 +1,11 @@
 #include "algos/multi_source.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-
-#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
-using core::AtomicMinDouble;
-using core::AtomicMinU64;
-using core::Slot;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-
-/// Atomic max over double payloads; returns true iff the value rose.
-/// (Mirrors the solo widest-path combine so lane results stay
-/// bit-identical.)
-bool AtomicMaxDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (SlotToDouble(observed) < value) {
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(value),
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 // ---- MultiBfs --------------------------------------------------------------
 
@@ -54,20 +27,6 @@ void MultiBfs::MakeContribution(core::VertexState& state, VertexId v,
   for (std::uint32_t k = 0; k < k_lanes; ++k) {
     contrib[static_cast<std::size_t>(v) * k_lanes + k] = state.array(k)[v];
   }
-}
-
-bool MultiBfs::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                     Weight /*w*/, core::ContribSlot slot) const {
-  const std::uint32_t k_lanes = lanes();
-  auto contrib = state.contrib(slot);
-  bool activate = false;
-  for (std::uint32_t k = 0; k < k_lanes; ++k) {
-    const std::uint64_t src_level =
-        contrib[static_cast<std::size_t>(src) * k_lanes + k];
-    if (src_level == UINT64_MAX) continue;
-    if (AtomicMinU64(&state.array(k)[dst], src_level + 1)) activate = true;
-  }
-  return activate;
 }
 
 double MultiBfs::LaneValueOf(const core::VertexState& state,
@@ -98,24 +57,6 @@ void MultiSssp::MakeContribution(core::VertexState& state, VertexId v,
   }
 }
 
-bool MultiSssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                      Weight w, core::ContribSlot slot) const {
-  const std::uint32_t k_lanes = lanes();
-  auto contrib = state.contrib(slot);
-  bool activate = false;
-  for (std::uint32_t k = 0; k < k_lanes; ++k) {
-    const double src_dist =
-        SlotToDouble(contrib[static_cast<std::size_t>(src) * k_lanes + k]);
-    if (src_dist == std::numeric_limits<double>::infinity()) continue;
-    // Same saturation guard as the solo program: an overflow-to-inf or NaN
-    // sum must never win a relaxation or activate the destination.
-    const double candidate = src_dist + static_cast<double>(w);
-    if (!std::isfinite(candidate)) continue;
-    if (AtomicMinDouble(&state.array(k)[dst], candidate)) activate = true;
-  }
-  return activate;
-}
-
 double MultiSssp::LaneValueOf(const core::VertexState& state,
                               std::uint32_t lane, VertexId v) const {
   return SlotToDouble(state.array(lane)[v]);
@@ -141,23 +82,6 @@ void MultiWidestPath::MakeContribution(core::VertexState& state, VertexId v,
   for (std::uint32_t k = 0; k < k_lanes; ++k) {
     contrib[static_cast<std::size_t>(v) * k_lanes + k] = state.array(k)[v];
   }
-}
-
-bool MultiWidestPath::Apply(core::VertexState& state, VertexId src,
-                            VertexId dst, Weight w,
-                            core::ContribSlot slot) const {
-  const std::uint32_t k_lanes = lanes();
-  auto contrib = state.contrib(slot);
-  bool activate = false;
-  for (std::uint32_t k = 0; k < k_lanes; ++k) {
-    const double src_width =
-        SlotToDouble(contrib[static_cast<std::size_t>(src) * k_lanes + k]);
-    if (src_width <= 0.0) continue;
-    const double bottleneck = std::min(src_width, static_cast<double>(w));
-    if (!std::isfinite(bottleneck) || bottleneck <= 0.0) continue;
-    if (AtomicMaxDouble(&state.array(k)[dst], bottleneck)) activate = true;
-  }
-  return activate;
 }
 
 double MultiWidestPath::LaneValueOf(const core::VertexState& state,
@@ -197,22 +121,6 @@ void MultiPpr::MakeContribution(core::VertexState& state, VertexId v,
     contrib[static_cast<std::size_t>(v) * k_lanes + k] =
         SlotFromDouble(degree == 0 ? 0.0 : damping_ * res / degree);
   }
-}
-
-bool MultiPpr::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                     Weight /*w*/, core::ContribSlot slot) const {
-  const std::uint32_t k_lanes = lanes();
-  auto contrib = state.contrib(slot);
-  bool activate = false;
-  for (std::uint32_t k = 0; k < k_lanes; ++k) {
-    const double share =
-        SlotToDouble(contrib[static_cast<std::size_t>(src) * k_lanes + k]);
-    if (share == 0.0) continue;
-    const double updated =
-        AtomicAddDouble(&state.array(k_lanes + k)[dst], share);
-    if (updated > epsilon_) activate = true;
-  }
-  return activate;
 }
 
 double MultiPpr::LaneValueOf(const core::VertexState& state,

@@ -17,11 +17,16 @@
 // (DESIGN.md §13; the service differential test pins it down).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/program.hpp"
+#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
@@ -54,10 +59,10 @@ class MultiSourceProgram : public core::PushProgram {
 };
 
 /// K-lane BFS: array k holds lane k's levels (u64, UINT64_MAX unreached).
-class MultiBfs final : public MultiSourceProgram {
+class MultiBfs final : public core::PushKernel<MultiBfs, MultiSourceProgram> {
  public:
   explicit MultiBfs(std::vector<VertexId> roots)
-      : MultiSourceProgram(std::move(roots)) {}
+      : PushKernel(std::move(roots)) {}
 
   std::string name() const override { return "multi_bfs"; }
   std::uint32_t num_value_arrays() const override { return lanes(); }
@@ -65,17 +70,31 @@ class MultiBfs final : public MultiSourceProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// Per lane: level[dst] = min(level[dst], level[src] + 1).
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [&state, contrib = state.contrib(slot).data(),
+            k_lanes = lanes()](VertexId src, VertexId dst, Weight /*w*/) {
+      const core::Slot* src_lanes =
+          contrib + static_cast<std::size_t>(src) * k_lanes;
+      bool activate = false;
+      for (std::uint32_t k = 0; k < k_lanes; ++k) {
+        const std::uint64_t src_level = src_lanes[k];
+        if (src_level == UINT64_MAX) continue;
+        if (core::MinU64(state.array(k)[dst], src_level + 1)) activate = true;
+      }
+      return activate;
+    };
+  }
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
 
 /// K-lane SSSP: array k holds lane k's distances (double, +inf unreached).
-class MultiSssp final : public MultiSourceProgram {
+class MultiSssp final
+    : public core::PushKernel<MultiSssp, MultiSourceProgram> {
  public:
   explicit MultiSssp(std::vector<VertexId> roots)
-      : MultiSourceProgram(std::move(roots)) {}
+      : PushKernel(std::move(roots)) {}
 
   std::string name() const override { return "multi_sssp"; }
   bool needs_weights() const override { return true; }
@@ -84,17 +103,35 @@ class MultiSssp final : public MultiSourceProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// Per lane: dist[dst] = min(dist[dst], dist[src] + w).
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [&state, contrib = state.contrib(slot).data(),
+            k_lanes = lanes()](VertexId src, VertexId dst, Weight w) {
+      const core::Slot* src_lanes =
+          contrib + static_cast<std::size_t>(src) * k_lanes;
+      bool activate = false;
+      for (std::uint32_t k = 0; k < k_lanes; ++k) {
+        const double src_dist = core::SlotToDouble(src_lanes[k]);
+        if (src_dist == std::numeric_limits<double>::infinity()) continue;
+        // Same saturation guard as the solo program: an overflow-to-inf or
+        // NaN sum must never win a relaxation or activate the destination.
+        const double candidate = src_dist + static_cast<double>(w);
+        if (!std::isfinite(candidate)) continue;
+        if (core::MinDouble(state.array(k)[dst], candidate)) activate = true;
+      }
+      return activate;
+    };
+  }
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
 
 /// K-lane widest path: array k holds lane k's widths (double, 0 unreached).
-class MultiWidestPath final : public MultiSourceProgram {
+class MultiWidestPath final
+    : public core::PushKernel<MultiWidestPath, MultiSourceProgram> {
  public:
   explicit MultiWidestPath(std::vector<VertexId> roots)
-      : MultiSourceProgram(std::move(roots)) {}
+      : PushKernel(std::move(roots)) {}
 
   std::string name() const override { return "multi_widest_path"; }
   bool needs_weights() const override { return true; }
@@ -103,19 +140,34 @@ class MultiWidestPath final : public MultiSourceProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// Per lane: width[dst] = max(width[dst], min(width[src], w)).
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [&state, contrib = state.contrib(slot).data(),
+            k_lanes = lanes()](VertexId src, VertexId dst, Weight w) {
+      const core::Slot* src_lanes =
+          contrib + static_cast<std::size_t>(src) * k_lanes;
+      bool activate = false;
+      for (std::uint32_t k = 0; k < k_lanes; ++k) {
+        const double src_width = core::SlotToDouble(src_lanes[k]);
+        if (src_width <= 0.0) continue;
+        const double bottleneck = std::min(src_width, static_cast<double>(w));
+        if (!std::isfinite(bottleneck) || bottleneck <= 0.0) continue;
+        if (core::MaxDouble(state.array(k)[dst], bottleneck)) activate = true;
+      }
+      return activate;
+    };
+  }
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 };
 
 /// K-lane personalized PageRank: array k is lane k's rank, array K + k its
 /// residual. Same residual-push recurrence as the solo program per lane.
-class MultiPpr final : public MultiSourceProgram {
+class MultiPpr final : public core::PushKernel<MultiPpr, MultiSourceProgram> {
  public:
   explicit MultiPpr(std::vector<VertexId> roots, double epsilon = 1e-10,
                     double damping = 0.85)
-      : MultiSourceProgram(std::move(roots)),
+      : PushKernel(std::move(roots)),
         epsilon_(epsilon),
         damping_(damping) {}
 
@@ -125,8 +177,23 @@ class MultiPpr final : public MultiSourceProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// Per lane: residual[dst] += contrib[src]; activates past epsilon.
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [&state, contrib = state.contrib(slot).data(), k_lanes = lanes(),
+            epsilon = epsilon_](VertexId src, VertexId dst, Weight /*w*/) {
+      const core::Slot* src_lanes =
+          contrib + static_cast<std::size_t>(src) * k_lanes;
+      bool activate = false;
+      for (std::uint32_t k = 0; k < k_lanes; ++k) {
+        const double share = core::SlotToDouble(src_lanes[k]);
+        if (share == 0.0) continue;
+        if (core::AddDouble(state.array(k_lanes + k)[dst], share) > epsilon) {
+          activate = true;
+        }
+      }
+      return activate;
+    };
+  }
   double LaneValueOf(const core::VertexState& state, std::uint32_t lane,
                      VertexId v) const override;
 

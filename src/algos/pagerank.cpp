@@ -1,11 +1,7 @@
 #include "algos/pagerank.hpp"
 
-#include "core/slot.hpp"
-
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
-using core::Slot;
 using core::SlotFromDouble;
 using core::SlotToDouble;
 
@@ -29,13 +25,6 @@ void PageRank::ResetAccum(core::VertexState& state,
   const double base = (1.0 - damping_) / state.num_vertices();
   auto accum = state.accum(a);
   for (auto& slot : accum) slot = SlotFromDouble(base);
-}
-
-void PageRank::Accumulate(core::VertexState& state, VertexId src, VertexId dst,
-                          Weight /*w*/, core::ContribSlot c,
-                          core::AccumSlot a) const {
-  const double share = SlotToDouble(state.contrib(c)[src]);
-  if (share != 0.0) AtomicAddDouble(&state.accum(a)[dst], share);
 }
 
 void PageRank::Finalize(core::VertexState& state, VertexId begin, VertexId end,

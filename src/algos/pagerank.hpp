@@ -8,10 +8,11 @@
 #pragma once
 
 #include "core/program.hpp"
+#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-class PageRank final : public core::GatherProgram {
+class PageRank final : public core::GatherKernel<PageRank> {
  public:
   explicit PageRank(std::uint32_t iterations, double damping = 0.85)
       : iterations_(iterations), damping_(damping) {}
@@ -24,9 +25,16 @@ class PageRank final : public core::GatherProgram {
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
   void ResetAccum(core::VertexState& state, core::AccumSlot a) const override;
-  void Accumulate(core::VertexState& state, VertexId src, VertexId dst,
-                  Weight w, core::ContribSlot c,
-                  core::AccumSlot a) const override;
+  /// accum(a)[dst] += contrib(c)[src].
+  auto Combiner(core::VertexState& state, core::ContribSlot c,
+                core::AccumSlot a) const {
+    return [contrib = state.contrib(c).data(),
+            accum = state.accum(a).data()](VertexId src, VertexId dst,
+                                           Weight /*w*/) {
+      const double share = core::SlotToDouble(contrib[src]);
+      if (share != 0.0) core::AddDouble(accum[dst], share);
+    };
+  }
   void Finalize(core::VertexState& state, VertexId begin, VertexId end,
                 core::AccumSlot a) const override;
   double ValueOf(const core::VertexState& state, VertexId v) const override;

@@ -1,17 +1,9 @@
 #include "algos/pagerank_delta.hpp"
 
-#include "core/slot.hpp"
-
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-constexpr std::uint32_t kRank = 0;
-constexpr std::uint32_t kResidual = 1;
-}  // namespace
 
 void PageRankDelta::Init(core::VertexState& state, core::Frontier& initial) {
   const VertexId n = state.num_vertices();
@@ -37,14 +29,6 @@ void PageRankDelta::MakeContribution(core::VertexState& state, VertexId v,
   const std::uint32_t degree = (*out_degrees_)[v];
   state.contrib(slot)[v] =
       SlotFromDouble(degree == 0 ? 0.0 : damping_ * res / degree);
-}
-
-bool PageRankDelta::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                          Weight /*w*/, core::ContribSlot slot) const {
-  const double share = SlotToDouble(state.contrib(slot)[src]);
-  if (share == 0.0) return false;
-  const double updated = AtomicAddDouble(&state.array(kResidual)[dst], share);
-  return updated > threshold_;
 }
 
 double PageRankDelta::ValueOf(const core::VertexState& state,

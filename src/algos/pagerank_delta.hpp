@@ -11,10 +11,11 @@
 #pragma once
 
 #include "core/program.hpp"
+#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-class PageRankDelta final : public core::PushProgram {
+class PageRankDelta final : public core::PushKernel<PageRankDelta> {
  public:
   /// With `relative_epsilon`, the activation threshold is
   /// `epsilon * (1-d)/|V|` — a fixed fraction of the per-vertex seed
@@ -35,11 +36,22 @@ class PageRankDelta final : public core::PushProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// residual[dst] += contrib[src]; dst activates past the threshold.
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [contrib = state.contrib(slot).data(),
+            residual = state.array(kResidual).data(),
+            threshold = threshold_](VertexId src, VertexId dst, Weight /*w*/) {
+      const double share = core::SlotToDouble(contrib[src]);
+      if (share == 0.0) return false;
+      return core::AddDouble(residual[dst], share) > threshold;
+    };
+  }
   double ValueOf(const core::VertexState& state, VertexId v) const override;
 
  private:
+  static constexpr std::uint32_t kRank = 0;
+  static constexpr std::uint32_t kResidual = 1;
+
   double epsilon_;
   double damping_;
   std::uint32_t max_iterations_;

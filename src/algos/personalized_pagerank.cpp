@@ -1,17 +1,9 @@
 #include "algos/personalized_pagerank.hpp"
 
-#include "core/slot.hpp"
-
 namespace graphsd::algos {
 
-using core::AtomicAddDouble;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-constexpr std::uint32_t kRank = 0;
-constexpr std::uint32_t kResidual = 1;
-}  // namespace
 
 void PersonalizedPageRank::Init(core::VertexState& state,
                                 core::Frontier& initial) {
@@ -38,15 +30,6 @@ void PersonalizedPageRank::MakeContribution(core::VertexState& state,
   const std::uint32_t degree = (*out_degrees_)[v];
   state.contrib(slot)[v] =
       SlotFromDouble(degree == 0 ? 0.0 : damping_ * res / degree);
-}
-
-bool PersonalizedPageRank::Apply(core::VertexState& state, VertexId src,
-                                 VertexId dst, Weight /*w*/,
-                                 core::ContribSlot slot) const {
-  const double share = SlotToDouble(state.contrib(slot)[src]);
-  if (share == 0.0) return false;
-  const double updated = AtomicAddDouble(&state.array(kResidual)[dst], share);
-  return updated > epsilon_;
 }
 
 double PersonalizedPageRank::ValueOf(const core::VertexState& state,

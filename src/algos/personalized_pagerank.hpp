@@ -10,10 +10,12 @@
 #pragma once
 
 #include "core/program.hpp"
+#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-class PersonalizedPageRank final : public core::PushProgram {
+class PersonalizedPageRank final
+    : public core::PushKernel<PersonalizedPageRank> {
  public:
   PersonalizedPageRank(VertexId source, double epsilon = 1e-10,
                        double damping = 0.85)
@@ -25,13 +27,24 @@ class PersonalizedPageRank final : public core::PushProgram {
   void Init(core::VertexState& state, core::Frontier& initial) override;
   void MakeContribution(core::VertexState& state, VertexId v,
                         core::ContribSlot slot) const override;
-  bool Apply(core::VertexState& state, VertexId src, VertexId dst, Weight w,
-             core::ContribSlot slot) const override;
+  /// residual[dst] += contrib[src]; dst activates past epsilon.
+  auto Combiner(core::VertexState& state, core::ContribSlot slot) const {
+    return [contrib = state.contrib(slot).data(),
+            residual = state.array(kResidual).data(),
+            epsilon = epsilon_](VertexId src, VertexId dst, Weight /*w*/) {
+      const double share = core::SlotToDouble(contrib[src]);
+      if (share == 0.0) return false;
+      return core::AddDouble(residual[dst], share) > epsilon;
+    };
+  }
   double ValueOf(const core::VertexState& state, VertexId v) const override;
 
   VertexId source() const noexcept { return source_; }
 
  private:
+  static constexpr std::uint32_t kRank = 0;
+  static constexpr std::uint32_t kResidual = 1;
+
   VertexId source_;
   double epsilon_;
   double damping_;

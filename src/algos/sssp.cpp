@@ -1,9 +1,6 @@
 #include "algos/sssp.hpp"
 
-#include <cmath>
 #include <limits>
-
-#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
@@ -22,18 +19,6 @@ void Sssp::Init(core::VertexState& state, core::Frontier& initial) {
 void Sssp::MakeContribution(core::VertexState& state, VertexId v,
                             core::ContribSlot slot) const {
   state.contrib(slot)[v] = state.array(0)[v];
-}
-
-bool Sssp::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                 Weight w, core::ContribSlot slot) const {
-  const double src_dist = SlotToDouble(state.contrib(slot)[src]);
-  if (src_dist == std::numeric_limits<double>::infinity()) return false;
-  // Saturate explicitly: a sum that overflows to inf (or passes through a
-  // NaN on a corrupted dataset) must never win a relaxation against an
-  // unreached (inf) destination or activate it.
-  const double candidate = src_dist + static_cast<double>(w);
-  if (!std::isfinite(candidate)) return false;
-  return core::AtomicMinDouble(&state.array(0)[dst], candidate);
 }
 
 double Sssp::ValueOf(const core::VertexState& state, VertexId v) const {

@@ -1,33 +1,11 @@
 #include "algos/widest_path.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-
-#include "core/slot.hpp"
 
 namespace graphsd::algos {
 
-using core::Slot;
 using core::SlotFromDouble;
 using core::SlotToDouble;
-
-namespace {
-
-/// Atomic max over double payloads; returns true iff the value rose.
-bool AtomicMaxDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (SlotToDouble(observed) < value) {
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(value),
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 void WidestPath::Init(core::VertexState& state, core::Frontier& initial) {
   GRAPHSD_CHECK(root_ < state.num_vertices());
@@ -40,18 +18,6 @@ void WidestPath::Init(core::VertexState& state, core::Frontier& initial) {
 void WidestPath::MakeContribution(core::VertexState& state, VertexId v,
                                   core::ContribSlot slot) const {
   state.contrib(slot)[v] = state.array(0)[v];
-}
-
-bool WidestPath::Apply(core::VertexState& state, VertexId src, VertexId dst,
-                       Weight w, core::ContribSlot slot) const {
-  const double src_width = SlotToDouble(state.contrib(slot)[src]);
-  if (src_width <= 0.0) return false;
-  // The root's width is +inf, so the bottleneck is finite whenever the
-  // weight is; an inf/NaN weight on a corrupted dataset must not install a
-  // non-finite width that would then dominate every later max.
-  const double bottleneck = std::min(src_width, static_cast<double>(w));
-  if (!std::isfinite(bottleneck) || bottleneck <= 0.0) return false;
-  return AtomicMaxDouble(&state.array(0)[dst], bottleneck);
 }
 
 double WidestPath::ValueOf(const core::VertexState& state, VertexId v) const {

@@ -1,6 +1,5 @@
 #include "core/fciu_executor.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "core/block_source.hpp"
@@ -160,15 +159,13 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
   // Iteration-t+1 pushes from sealed sources (`out`) into `out_ni`.
   const auto push_secondary = [&](std::uint32_t j,
                                   const partition::SubBlock& block) {
-    ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
-                    manifest.boundaries[j + 1],
-                    [&](const Edge& edge, Weight w) {
-                      if (!out.IsActive(edge.src)) return;
-                      if (program.Apply(state, edge.src, edge.dst, w,
-                                        ContribSlot::kSecondary)) {
-                        out_ni.Activate(edge.dst);
-                      }
-                    });
+    ApplyPass pass = EdgePass(block.edges, block.weights, need_weights,
+                              manifest.boundaries[j],
+                              manifest.boundaries[j + 1]);
+    pass.contrib = ContribSlot::kSecondary;
+    pass.sources = &out;
+    pass.activate = &out_ni;
+    ShardedDstApply(ctx_, program, state, pass);
   };
 
   // --- first half: iteration t, column-major ------------------------------
@@ -182,21 +179,17 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
       ctx_, source, plan, two_iterations, /*offer_all=*/semi,
       [&](std::uint32_t i, std::uint32_t j, const partition::SubBlock& block) {
         // UserFunction pass (iteration t), guarded by the active frontier.
-        std::atomic<std::uint64_t> provisional_priority{0};
+        // The edges it applies are the block's provisional buffer priority.
+        std::uint64_t provisional_priority = 0;
         {
           obs::TraceSpan span(ctx_.trace, "compute", iteration);
           ScopedWallAccumulator acc(update_seconds);
-          ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
-                          manifest.boundaries[j + 1],
-                          [&](const Edge& edge, Weight w) {
-                            if (!active.IsActive(edge.src)) return;
-                            provisional_priority.fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (program.Apply(state, edge.src, edge.dst, w,
-                                              ContribSlot::kPrimary)) {
-                              out.Activate(edge.dst);
-                            }
-                          });
+          ApplyPass pass = EdgePass(block.edges, block.weights, need_weights,
+                                    manifest.boundaries[j],
+                                    manifest.boundaries[j + 1]);
+          pass.sources = &active;
+          pass.activate = &out;
+          provisional_priority = ShardedDstApply(ctx_, program, state, pass);
         }
         if (two_iterations && i < j) {
           // CrossIterUpdate: interval i sealed when column i completed, so
@@ -205,7 +198,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
           ScopedWallAccumulator acc(update_seconds);
           push_secondary(j, block);
         }
-        return provisional_priority.load(std::memory_order_relaxed);
+        return provisional_priority;
       },
       [&](std::uint32_t j, const partition::SubBlock* diagonal) {
         // Column j complete: interval j sealed for iteration t.
@@ -281,12 +274,12 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
   // Accumulates every edge of `block` from `contrib` into `accum`.
   const auto accumulate = [&](std::uint32_t j, const partition::SubBlock& block,
                               ContribSlot contrib, AccumSlot accum) {
-    ShardedDstApply(ctx_, block, need_weights, manifest.boundaries[j],
-                    manifest.boundaries[j + 1],
-                    [&](const Edge& edge, Weight w) {
-                      program.Accumulate(state, edge.src, edge.dst, w, contrib,
-                                         accum);
-                    });
+    ApplyPass pass = EdgePass(block.edges, block.weights, need_weights,
+                              manifest.boundaries[j],
+                              manifest.boundaries[j + 1]);
+    pass.contrib = contrib;
+    pass.accum = accum;
+    ShardedDstApply(ctx_, program, state, pass);
   };
 
   GRAPHSD_RETURN_IF_ERROR(SweepColumns(

@@ -15,12 +15,28 @@
 //     kA collects iteration t and kB iteration t+1 within one FCIU round.
 //
 // All combine operations must be commutative and associative: that is the
-// property that makes both intra-interval parallelism and cross-iteration
-// value computation exact under BSP semantics.
+// property that makes cross-iteration value computation exact under BSP
+// semantics.
+//
+// Single-writer rule. The executors hand edges to a program one pass at a
+// time through `ApplySpan`, and every pass runs under destination sharding
+// (core/sharded_apply.hpp): each destination vertex has exactly one writer
+// task per pass, and the contribution arrays a pass reads are sealed before
+// it starts. A combine therefore updates dst with plain loads and stores —
+// no atomics, no compare-exchange. Only frontier activation is shared
+// between tasks (neighbouring destinations share a bitset word), and
+// Frontier::Activate is thread safe.
+//
+// Programs derive from PushKernel<Derived> / GatherKernel<Derived>, which
+// implement the span loop once per program with the combine inlined. A
+// program that overrides only the per-edge virtual (the difftest wrappers)
+// gets the base-class span loop over that virtual, with the same semantics.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -28,6 +44,64 @@
 #include "graph/types.hpp"
 
 namespace graphsd::core {
+
+/// One edge pass of an executor, as one shard task sees it: the
+/// `num_edges` edges in file order, restricted to destinations in
+/// [dst_begin, dst_end) and, with `sources` set, to active sources.
+struct ApplyPass {
+  const Edge* edges = nullptr;
+  /// Aligned with `edges`; null when the pass streams no weights, in which
+  /// case every edge carries Weight{1}.
+  const Weight* weights = nullptr;
+  std::size_t num_edges = 0;
+  VertexId dst_begin = 0;
+  VertexId dst_end = 0;
+  /// The contribution snapshot sources are read from.
+  ContribSlot contrib = ContribSlot::kPrimary;
+  /// Gather passes: the accumulator destinations add into.
+  AccumSlot accum = AccumSlot::kA;
+  /// Optional source filter: only edges whose src is active apply.
+  const Frontier* sources = nullptr;
+  /// Push passes: destinations whose combine reports a change activate here.
+  Frontier* activate = nullptr;
+};
+
+namespace detail {
+
+template <bool kFiltered, bool kWeighted, typename Fn>
+std::uint64_t ForEachPassEdge(const ApplyPass& pass, Fn& fn) {
+  const VertexId lo = pass.dst_begin;
+  const VertexId width = pass.dst_end - pass.dst_begin;
+  std::uint64_t applied = 0;
+  for (std::size_t k = 0; k < pass.num_edges; ++k) {
+    const Edge edge = pass.edges[k];
+    // One unsigned compare: dst − lo wraps for dst < lo, landing >= width.
+    if (static_cast<VertexId>(edge.dst - lo) >= width) continue;
+    if constexpr (kFiltered) {
+      if (!pass.sources->IsActive(edge.src)) continue;
+    }
+    ++applied;
+    fn(edge.src, edge.dst, kWeighted ? pass.weights[k] : Weight{1});
+  }
+  return applied;
+}
+
+}  // namespace detail
+
+/// Calls `fn(src, dst, w)` for every edge of `pass` inside its destination
+/// range and source filter, in file order. Returns how many edges applied.
+/// The filter and weight tests are hoisted out of the loop.
+template <typename Fn>
+std::uint64_t ForEachPassEdge(const ApplyPass& pass, Fn&& fn) {
+  const bool filtered = pass.sources != nullptr;
+  const bool weighted = pass.weights != nullptr;
+  if (filtered) {
+    return weighted ? detail::ForEachPassEdge<true, true>(pass, fn)
+                    : detail::ForEachPassEdge<true, false>(pass, fn);
+  }
+  return weighted ? detail::ForEachPassEdge<false, true>(pass, fn)
+                  : detail::ForEachPassEdge<false, false>(pass, fn);
+}
 
 enum class ProgramKind { kPush, kGather };
 
@@ -84,11 +158,22 @@ class PushProgram : public Program {
   virtual void MakeContribution(VertexState& state, VertexId v,
                                 ContribSlot slot) const = 0;
 
-  /// Applies one edge using the source contribution in `slot`. Must be
-  /// thread safe (atomic combine on dst). Returns true iff dst must be
-  /// (re)activated for the following iteration.
+  /// Applies one edge using the source contribution in `slot`, combining
+  /// into dst under the single-writer rule (see the top of this file).
+  /// Returns true iff dst must be (re)activated for the following iteration.
   virtual bool Apply(VertexState& state, VertexId src, VertexId dst, Weight w,
                      ContribSlot slot) const = 0;
+
+  /// Applies every edge of `pass` (reading `pass.contrib`), activating in
+  /// `*pass.activate` each dst whose Apply returns true. Returns the number
+  /// of edges applied. The default loops over the virtual Apply;
+  /// PushKernel replaces it with an inlined loop.
+  virtual std::uint64_t ApplySpan(VertexState& state,
+                                  const ApplyPass& pass) const {
+    return ForEachPassEdge(pass, [&](VertexId src, VertexId dst, Weight w) {
+      if (Apply(state, src, dst, w, pass.contrib)) pass.activate->Activate(dst);
+    });
+  }
 };
 
 class GatherProgram : public Program {
@@ -103,13 +188,78 @@ class GatherProgram : public Program {
   /// Resets accumulator `a` to the iteration base value for all vertices.
   virtual void ResetAccum(VertexState& state, AccumSlot a) const = 0;
 
-  /// accum(a)[dst] += contribution(c)[src]; must be thread safe.
+  /// accum(a)[dst] += contribution(c)[src], under the single-writer rule.
   virtual void Accumulate(VertexState& state, VertexId src, VertexId dst,
                           Weight w, ContribSlot c, AccumSlot a) const = 0;
+
+  /// Accumulates every edge of `pass` from `pass.contrib` into
+  /// `pass.accum`. Returns the number of edges applied. The default loops
+  /// over the virtual Accumulate; GatherKernel inlines it.
+  virtual std::uint64_t ApplySpan(VertexState& state,
+                                  const ApplyPass& pass) const {
+    return ForEachPassEdge(pass, [&](VertexId src, VertexId dst, Weight w) {
+      Accumulate(state, src, dst, w, pass.contrib, pass.accum);
+    });
+  }
 
   /// Commits accum(a) into the value array for vertices [begin, end).
   virtual void Finalize(VertexState& state, VertexId begin, VertexId end,
                         AccumSlot a) const = 0;
+};
+
+/// CRTP base that gives a push program one inlined, atomic-free span loop.
+/// `Derived` supplies
+///   auto Combiner(VertexState& state, ContribSlot slot) const;
+/// returning a callable `bool(VertexId src, VertexId dst, Weight w)` that
+/// reads the `slot` snapshot and combines into dst with plain loads and
+/// stores, returning true iff dst must activate. Both Apply and ApplySpan
+/// run it, so the per-edge and span paths cannot drift apart. `Base` lets
+/// an intermediate program base (MultiSourceProgram) sit in between.
+template <typename Derived, typename Base = PushProgram>
+class PushKernel : public Base {
+  static_assert(std::is_base_of_v<PushProgram, Base>);
+
+ public:
+  using Base::Base;
+
+  bool Apply(VertexState& state, VertexId src, VertexId dst, Weight w,
+             ContribSlot slot) const final {
+    return self().Combiner(state, slot)(src, dst, w);
+  }
+
+  std::uint64_t ApplySpan(VertexState& state,
+                          const ApplyPass& pass) const final {
+    const auto combine = self().Combiner(state, pass.contrib);
+    Frontier& activate = *pass.activate;
+    return ForEachPassEdge(pass, [&](VertexId src, VertexId dst, Weight w) {
+      if (combine(src, dst, w)) activate.Activate(dst);
+    });
+  }
+
+ private:
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+};
+
+/// Gather counterpart of PushKernel. `Derived` supplies
+///   auto Combiner(VertexState& state, ContribSlot c, AccumSlot a) const;
+/// returning a callable `void(VertexId src, VertexId dst, Weight w)` that
+/// adds the `c` contribution of src into accum(a)[dst] with plain stores.
+template <typename Derived>
+class GatherKernel : public GatherProgram {
+ public:
+  void Accumulate(VertexState& state, VertexId src, VertexId dst, Weight w,
+                  ContribSlot c, AccumSlot a) const final {
+    self().Combiner(state, c, a)(src, dst, w);
+  }
+
+  std::uint64_t ApplySpan(VertexState& state,
+                          const ApplyPass& pass) const final {
+    const auto combine = self().Combiner(state, pass.contrib, pass.accum);
+    return ForEachPassEdge(pass, combine);
+  }
+
+ private:
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
 };
 
 }  // namespace graphsd::core

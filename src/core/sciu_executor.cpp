@@ -333,15 +333,11 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       // over the whole payload visits every edge in exactly the serial
       // per-run order.
       ScopedWallAccumulator acc(update_seconds);
-      ShardedDstApplyRange(
-          ctx_, payload.edges.data(), payload.weights.data(), 0,
-          payload.edges.size(), need_weights, manifest.boundaries[j],
-          manifest.boundaries[j + 1], [&](const Edge& edge, Weight w) {
-            if (program.Apply(state, edge.src, edge.dst, w,
-                              ContribSlot::kPrimary)) {
-              out.Activate(edge.dst);
-            }
-          });
+      ApplyPass pass =
+          EdgePass(payload.edges, payload.weights, need_weights,
+                   manifest.boundaries[j], manifest.boundaries[j + 1]);
+      pass.activate = &out;
+      ShardedDstApply(ctx_, program, state, pass);
     }
     if (retain) {
       arena_edges.insert(arena_edges.end(), payload.edges.begin(),
@@ -376,16 +372,12 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       });
       // Retained edges span every destination interval, so the shard range
       // is the whole vertex space.
-      ShardedDstApplyRange(
-          ctx_, arena_edges.data(), arena_weights.data(), 0, arena_edges.size(),
-          need_weights, 0, manifest.num_vertices,
-          [&](const Edge& edge, Weight w) {
-            if (!qualifying.IsActive(edge.src)) return;
-            if (program.Apply(state, edge.src, edge.dst, w,
-                              ContribSlot::kSecondary)) {
-              out_ni.Activate(edge.dst);
-            }
-          });
+      ApplyPass pass = EdgePass(arena_edges, arena_weights, need_weights, 0,
+                                manifest.num_vertices);
+      pass.contrib = ContribSlot::kSecondary;
+      pass.sources = &qualifying;
+      pass.activate = &out_ni;
+      ShardedDstApply(ctx_, program, state, pass);
       qualifying.ForEachActive(
           [&](std::size_t v) { out.Deactivate(static_cast<VertexId>(v)); });
     }

@@ -13,17 +13,19 @@
 //     the edges whose `dst` falls in its sub-range.
 //
 // Each destination's updates therefore arrive in exactly the serial order
-// (file order), and two tasks never touch the same destination — no atomics
-// needed for correctness, no reordering of any per-dst combine chain. Reads
-// of source contributions are stable during a pass (contributions are
-// sealed before it), frontier activation is a thread-safe per-dst bitset
-// op, so the only cost of parallelism is the S-fold re-scan of the edge
-// array — cheap sequential traffic against the random-access apply work it
-// spreads across cores.
+// (file order), and each destination has exactly one writer per pass. That
+// single-writer rule is what lets every program combine with plain loads
+// and stores (core/program.hpp): no atomics, no compare-exchange. Reads of
+// source contributions are stable during a pass (contributions are sealed
+// before it), and frontier activation is a thread-safe per-dst bitset op,
+// so the only cost of parallelism is the S-fold re-scan of the edge array.
+//
+// Each task hands its sub-range to the program's ApplySpan, which returns
+// the edges it applied; the counts are summed once after the pass rather
+// than through a shared counter per edge.
 //
 // `shards <= 1`, a single-worker pool or a span of at most kParallelGrain
-// edges all fall back to the plain serial loop, which is byte-for-byte the
-// pre-parallel code path.
+// edges all fall back to one ApplySpan over the whole destination range.
 #pragma once
 
 #include <algorithm>
@@ -33,8 +35,9 @@
 #include <vector>
 
 #include "core/exec_context.hpp"
+#include "core/program.hpp"
+#include "core/vertex_state.hpp"
 #include "graph/types.hpp"
-#include "partition/grid_dataset.hpp"
 #include "util/clock.hpp"
 #include "util/thread_pool.hpp"
 
@@ -44,10 +47,10 @@ namespace graphsd::core {
 /// the pool dispatch.
 inline constexpr std::size_t kParallelGrain = 16384;
 
-/// Applies `fn(edge, weight)` to edges[begin, end) (weights aligned when
-/// `need_weights`), restricted per task to destinations in
-/// [dst_begin, dst_end), with the pool and shard count from `ctx`.
-/// Bit-identical to the serial loop for any shard count.
+/// Runs `program.ApplySpan` over `pass` split into destination shards, with
+/// the pool and shard count from `ctx`, and returns the sum of the
+/// per-shard applied-edge counts. `ProgramT` is PushProgram or
+/// GatherProgram. Bit-identical to one serial ApplySpan for any shard count.
 ///
 /// `ctx.apply_excess`, when non-null, accumulates (measured elapsed −
 /// longest shard task) per parallel pass: the wall time lost to running
@@ -60,33 +63,27 @@ inline constexpr std::size_t kParallelGrain = 16384;
 /// compute wall a machine with >= `shards` cores would see. Strictly
 /// passive — never read by the executors, never affects results or
 /// decisions.
-template <typename Fn>
-void ShardedDstApplyRange(const ExecContext& ctx, const Edge* edges,
-                          const Weight* weights, std::size_t begin,
-                          std::size_t end, bool need_weights,
-                          VertexId dst_begin, VertexId dst_end, Fn&& fn) {
-  const auto serial = [&] {
-    for (std::size_t k = begin; k < end; ++k) {
-      const Weight w = need_weights ? weights[k] : Weight{1};
-      fn(edges[k], w);
-    }
-  };
-  if (begin >= end) return;
+template <typename ProgramT>
+std::uint64_t ShardedDstApply(const ExecContext& ctx, const ProgramT& program,
+                              VertexState& state, const ApplyPass& pass) {
+  if (pass.num_edges == 0) return 0;
   ThreadPool& pool = *ctx.pool;
   double* serialization_excess = ctx.apply_excess;
+  const VertexId dst_begin = pass.dst_begin;
   const std::uint64_t span =
-      dst_end > dst_begin ? static_cast<std::uint64_t>(dst_end - dst_begin) : 0;
+      pass.dst_end > dst_begin
+          ? static_cast<std::uint64_t>(pass.dst_end - dst_begin)
+          : 0;
   const std::size_t effective = static_cast<std::size_t>(std::min<std::uint64_t>(
       std::max<std::size_t>(ctx.compute_shards, 1),
       std::max<std::uint64_t>(span, 1)));
-  if (effective <= 1 || pool.size() <= 1 || end - begin <= kParallelGrain) {
-    serial();
-    return;
+  if (effective <= 1 || pool.size() <= 1 || pass.num_edges <= kParallelGrain) {
+    return program.ApplySpan(state, pass);
   }
   using Clock = std::chrono::steady_clock;
   // One slot per shard start index; tasks cover disjoint [s, s_end) ranges
-  // so the writes never race. Only allocated when the caller asked for the
-  // critical-path measurement.
+  // so the writes never race.
+  std::vector<std::uint64_t> applied(effective, 0);
   std::vector<double> task_seconds;
   if (serialization_excess != nullptr) task_seconds.assign(effective, 0);
   const Clock::time_point pass_start = Clock::now();
@@ -94,24 +91,17 @@ void ShardedDstApplyRange(const ExecContext& ctx, const Edge* edges,
     const double task_cpu_start =
         serialization_excess != nullptr ? ThreadCpuSeconds() : 0;
     const std::size_t task_slot = s;
+    std::uint64_t task_applied = 0;
+    ApplyPass shard = pass;
     for (; s < s_end; ++s) {
       // 64-bit shard boundaries: span * (s + 1) stays well under 2^64 for
       // any real vertex count.
-      const VertexId lo =
-          dst_begin + static_cast<VertexId>(span * s / effective);
-      const VertexId hi =
+      shard.dst_begin = dst_begin + static_cast<VertexId>(span * s / effective);
+      shard.dst_end =
           dst_begin + static_cast<VertexId>(span * (s + 1) / effective);
-      // The filter scan is the price of sharding (every task walks the
-      // whole span), so it is the hot loop: one unsigned compare — dst−lo
-      // wraps for dst < lo, landing >= width — instead of two.
-      const VertexId width = hi - lo;
-      for (std::size_t k = begin; k < end; ++k) {
-        const Edge& edge = edges[k];
-        if (static_cast<VertexId>(edge.dst - lo) >= width) continue;
-        const Weight w = need_weights ? weights[k] : Weight{1};
-        fn(edge, w);
-      }
+      task_applied += program.ApplySpan(state, shard);
     }
+    applied[task_slot] = task_applied;
     if (serialization_excess != nullptr) {
       task_seconds[task_slot] = ThreadCpuSeconds() - task_cpu_start;
     }
@@ -123,17 +113,23 @@ void ShardedDstApplyRange(const ExecContext& ctx, const Edge* edges,
     for (const double t : task_seconds) critical = std::max(critical, t);
     *serialization_excess += std::max(0.0, elapsed - critical);
   }
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : applied) total += n;
+  return total;
 }
 
-/// SubBlock convenience wrapper: applies over the whole block, destinations
-/// restricted to [dst_begin, dst_end) — the block's destination interval.
-template <typename Fn>
-void ShardedDstApply(const ExecContext& ctx, const partition::SubBlock& block,
-                     bool need_weights, VertexId dst_begin, VertexId dst_end,
-                     Fn&& fn) {
-  ShardedDstApplyRange(ctx, block.edges.data(), block.weights.data(), 0,
-                       block.edges.size(), need_weights, dst_begin, dst_end,
-                       static_cast<Fn&&>(fn));
+/// The pass over all of `edges`, destinations restricted to
+/// [dst_begin, dst_end). `weights` ride along only when `need_weights`.
+inline ApplyPass EdgePass(const std::vector<Edge>& edges,
+                          const std::vector<Weight>& weights, bool need_weights,
+                          VertexId dst_begin, VertexId dst_end) {
+  ApplyPass pass;
+  pass.edges = edges.data();
+  pass.weights = need_weights ? weights.data() : nullptr;
+  pass.num_edges = edges.size();
+  pass.dst_begin = dst_begin;
+  pass.dst_end = dst_end;
+  return pass;
 }
 
 }  // namespace graphsd::core

@@ -1,14 +1,14 @@
-// Vertex value slots and atomic combine primitives.
+// Vertex value slots and their combine primitives.
 //
 // Every per-vertex quantity is stored in a 64-bit `Slot`; programs reinterpret
-// slots as double / float / u32 via std::bit_cast. Combines (min, add) are
-// lock-free CAS loops over std::atomic_ref so worker threads can apply edges
-// within a destination interval concurrently. All combines used by GraphSD
-// programs are commutative and associative, which is what makes both the
-// parallelism and the cross-iteration update exact under BSP.
+// slots as double / float / u32 via std::bit_cast. The combines (min, max,
+// add) are plain loads and stores: every edge pass gives each destination
+// exactly one writer (the single-writer rule, core/program.hpp), so no
+// atomics are needed. All combines used by GraphSD programs are commutative
+// and associative, which is what makes the cross-iteration update exact
+// under BSP.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 
@@ -22,50 +22,34 @@ inline double SlotToDouble(Slot s) noexcept { return std::bit_cast<double>(s); }
 inline Slot SlotFromU64(std::uint64_t v) noexcept { return v; }
 inline std::uint64_t SlotToU64(Slot s) noexcept { return s; }
 
-/// Atomically `*slot = min(*slot, value)` for double payloads.
-/// Returns true iff the stored value was lowered.
-inline bool AtomicMinDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (SlotToDouble(observed) > value) {
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(value),
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
+/// `slot = min(slot, value)` for double payloads. Returns true iff the
+/// stored value was lowered (equal is not a lowering).
+inline bool MinDouble(Slot& slot, double value) noexcept {
+  if (!(SlotToDouble(slot) > value)) return false;
+  slot = SlotFromDouble(value);
+  return true;
 }
 
-/// Atomically `*slot = min(*slot, value)` for u64 payloads.
-inline bool AtomicMinU64(Slot* slot, std::uint64_t value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  while (observed > value) {
-    if (ref.compare_exchange_weak(observed, value,
-                                  std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
+/// `slot = max(slot, value)` for double payloads. Returns true iff the
+/// stored value rose.
+inline bool MaxDouble(Slot& slot, double value) noexcept {
+  if (!(SlotToDouble(slot) < value)) return false;
+  slot = SlotFromDouble(value);
+  return true;
 }
 
-/// Atomically `*slot += value` for double payloads. Returns the new value.
-inline double AtomicAddDouble(Slot* slot, double value) noexcept {
-  std::atomic_ref<Slot> ref(*slot);
-  Slot observed = ref.load(std::memory_order_relaxed);
-  for (;;) {
-    const double updated = SlotToDouble(observed) + value;
-    if (ref.compare_exchange_weak(observed, SlotFromDouble(updated),
-                                  std::memory_order_relaxed)) {
-      return updated;
-    }
-  }
+/// `slot = min(slot, value)` for u64 payloads. Returns true iff lowered.
+inline bool MinU64(Slot& slot, std::uint64_t value) noexcept {
+  if (slot <= value) return false;
+  slot = value;
+  return true;
 }
 
-/// Plain (non-atomic) slot load as double.
-inline double LoadDouble(const Slot* slot) noexcept {
-  return SlotToDouble(std::atomic_ref<const Slot>(*slot).load(
-      std::memory_order_relaxed));
+/// `slot += value` for double payloads. Returns the new value.
+inline double AddDouble(Slot& slot, double value) noexcept {
+  const double updated = SlotToDouble(slot) + value;
+  slot = SlotFromDouble(updated);
+  return updated;
 }
 
 }  // namespace graphsd::core

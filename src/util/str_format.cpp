@@ -1,5 +1,6 @@
 #include "util/str_format.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -37,6 +38,16 @@ void StrAppendf(std::string* out, const char* format, ...) {
   va_start(args, format);
   VAppendf(out, format, args);
   va_end(args);
+}
+
+void AppendDouble17g(std::string* out, double value) {
+  // 17 significant digits, a sign, a point and a 4-character exponent fit
+  // in 25 bytes; 32 leaves room for "-nan".
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  GRAPHSD_CHECK(r.ec == std::errc());
+  out->append(buf, r.ptr);
 }
 
 }  // namespace graphsd

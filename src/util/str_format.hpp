@@ -16,4 +16,9 @@ std::string StrPrintf(const char* format, ...)
 void StrAppendf(std::string* out, const char* format, ...)
     __attribute__((format(printf, 2, 3)));
 
+/// Appends `value` byte-identically to printf's "%.17g" (the round-trip
+/// format of every values file), via std::to_chars: no format parsing, no
+/// locale, several times faster than snprintf per value.
+void AppendDouble17g(std::string* out, double value);
+
 }  // namespace graphsd

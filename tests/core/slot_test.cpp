@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,59 +14,42 @@ TEST(Slot, DoubleRoundTrip) {
   }
 }
 
-TEST(AtomicMinDouble, LowersAndReports) {
+TEST(SlotCombine, MinDoubleLowersAndReports) {
   Slot slot = SlotFromDouble(10.0);
-  EXPECT_TRUE(AtomicMinDouble(&slot, 5.0));
+  EXPECT_TRUE(MinDouble(slot, 5.0));
   EXPECT_EQ(SlotToDouble(slot), 5.0);
-  EXPECT_FALSE(AtomicMinDouble(&slot, 7.0));
+  EXPECT_FALSE(MinDouble(slot, 7.0));
   EXPECT_EQ(SlotToDouble(slot), 5.0);
-  EXPECT_FALSE(AtomicMinDouble(&slot, 5.0));  // equal is not a lowering
+  EXPECT_FALSE(MinDouble(slot, 5.0));  // equal is not a lowering
 }
 
-TEST(AtomicMinDouble, HandlesInfinity) {
+TEST(SlotCombine, MinDoubleHandlesInfinity) {
   Slot slot = SlotFromDouble(std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(AtomicMinDouble(&slot, 1e308));
+  EXPECT_TRUE(MinDouble(slot, 1e308));
   EXPECT_EQ(SlotToDouble(slot), 1e308);
 }
 
-TEST(AtomicMinU64, LowersAndReports) {
-  Slot slot = 100;
-  EXPECT_TRUE(AtomicMinU64(&slot, 7));
-  EXPECT_EQ(slot, 7u);
-  EXPECT_FALSE(AtomicMinU64(&slot, 9));
-  EXPECT_FALSE(AtomicMinU64(&slot, 7));
-}
-
-TEST(AtomicAddDouble, ReturnsNewValue) {
-  Slot slot = SlotFromDouble(1.5);
-  EXPECT_DOUBLE_EQ(AtomicAddDouble(&slot, 2.5), 4.0);
-  EXPECT_DOUBLE_EQ(SlotToDouble(slot), 4.0);
-}
-
-TEST(AtomicAddDouble, ConcurrentSumsAreLossless) {
+TEST(SlotCombine, MaxDoubleRaisesAndReports) {
   Slot slot = SlotFromDouble(0.0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) AtomicAddDouble(&slot, 1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(SlotToDouble(slot), 40000.0);
+  EXPECT_TRUE(MaxDouble(slot, 3.0));
+  EXPECT_EQ(SlotToDouble(slot), 3.0);
+  EXPECT_FALSE(MaxDouble(slot, 2.0));
+  EXPECT_FALSE(MaxDouble(slot, 3.0));  // equal is not a rise
+  EXPECT_EQ(SlotToDouble(slot), 3.0);
 }
 
-TEST(AtomicMinU64, ConcurrentMinFindsGlobalMinimum) {
-  Slot slot = UINT64_MAX;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < 10000; ++i) {
-        AtomicMinU64(&slot, (i * 7 + t) % 100000 + 42);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(slot, 42u);
+TEST(SlotCombine, MinU64LowersAndReports) {
+  Slot slot = 100;
+  EXPECT_TRUE(MinU64(slot, 7));
+  EXPECT_EQ(slot, 7u);
+  EXPECT_FALSE(MinU64(slot, 9));
+  EXPECT_FALSE(MinU64(slot, 7));
+}
+
+TEST(SlotCombine, AddDoubleReturnsNewValue) {
+  Slot slot = SlotFromDouble(1.5);
+  EXPECT_DOUBLE_EQ(AddDouble(slot, 2.5), 4.0);
+  EXPECT_DOUBLE_EQ(SlotToDouble(slot), 4.0);
 }
 
 }  // namespace

@@ -62,5 +62,57 @@ TEST(Crc32c, DetectsSwappedBlocks) {
   EXPECT_NE(CrcOf("abcdef"), CrcOf("defabc"));
 }
 
+TEST(Crc32cPortable, MatchesRfc3720CheckVector) {
+  EXPECT_EQ(Crc32cPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(0, "", 0), 0u);
+}
+
+TEST(Crc32cPortable, DispatchedPathAgreesOnEveryLengthAndAlignment) {
+  // Lengths 0..4100 cover the 8-byte main loop, every tail length and
+  // multi-page inputs; offsets 0..7 cover every misalignment of the
+  // 8-byte loads.
+  constexpr std::size_t kMaxLen = 4100;
+  std::vector<std::uint8_t> data(kMaxLen + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(Crc32c(0, p, len), Crc32cPortable(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cPortable, ChainedCallsAgreeWithDispatchedPath) {
+  std::vector<std::uint8_t> data(1031);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::uint32_t whole = Crc32cPortable(0, data.data(), data.size());
+  EXPECT_EQ(Crc32c(0, data.data(), data.size()), whole);
+  for (std::size_t split = 0; split <= data.size(); split += 13) {
+    const std::uint32_t head = Crc32c(0, data.data(), split);
+    EXPECT_EQ(head, Crc32cPortable(0, data.data(), split));
+    EXPECT_EQ(Crc32cPortable(head, data.data() + split, data.size() - split),
+              whole);
+    EXPECT_EQ(Crc32c(head, data.data() + split, data.size() - split), whole);
+  }
+}
+
+TEST(Crc32cImplementation, UsesSse42WhenTheCpuHasIt) {
+  const std::string name = Crc32cImplementation();
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_EQ(name, "sse4.2");
+    return;
+  }
+#endif
+  EXPECT_EQ(name, "slice-by-8");
+}
+
 }  // namespace
 }  // namespace graphsd

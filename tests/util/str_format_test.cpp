@@ -1,5 +1,8 @@
 #include "util/str_format.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -37,6 +40,49 @@ TEST(StrFormat, AppendLongContent) {
   std::string out = "x";
   StrAppendf(&out, "%s", big.c_str());
   EXPECT_EQ(out.size(), 1 + big.size());
+}
+
+TEST(StrFormat, AppendDouble17gMatchesPrintf) {
+  using Limits = std::numeric_limits<double>;
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -1.0,
+                           42.0,
+                           1e16,
+                           123456789012345678.0,
+                           0.1,
+                           1.0 / 3.0,
+                           3.814697265625e-06,
+                           1e300,
+                           -1e300,
+                           1e-300,
+                           -1e-300,
+                           Limits::denorm_min(),
+                           -Limits::denorm_min(),
+                           Limits::min() / 3,
+                           Limits::max(),
+                           Limits::lowest(),
+                           Limits::infinity(),
+                           -Limits::infinity(),
+                           Limits::quiet_NaN(),
+                           -Limits::quiet_NaN()};
+  for (const double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", v);
+    std::string out = "x";
+    AppendDouble17g(&out, v);
+    EXPECT_EQ(out, std::string("x") + expected) << expected;
+  }
+  for (int i = -20; i <= 20; ++i) {  // integers and powers of two
+    for (const double v : {static_cast<double>(i), std::ldexp(1.0, i * 50)}) {
+      char expected[64];
+      std::snprintf(expected, sizeof(expected), "%.17g", v);
+      std::string out;
+      AppendDouble17g(&out, v);
+      EXPECT_EQ(out, expected);
+    }
+  }
 }
 
 }  // namespace

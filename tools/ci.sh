@@ -166,6 +166,39 @@ PYEOF
 cmp "$OBS_DIR/sssp_ssd_sim.txt" "$OBS_DIR/sssp_ssd_real.txt"
 echo "ssd scheduling smoke: OK"
 
+echo "== tier 1: hot-path smoke (hardware CRC32C, atomic-free kernels) =="
+# The real:ssd read path verifies every sub-block with the dispatched
+# CRC32C, and every apply runs the programs' single-writer kernels: PR
+# (gather) and PR-Delta (push) must give the same bytes serially and
+# sharded, the dataset must verify, and one flipped edge byte must fail
+# verification.
+for ALGO in pr prd; do
+  for CT in 1 4; do
+    "$CLI" run --dataset "$OBS_DIR/ds" --algo "$ALGO" --device real:ssd \
+        --threads 4 --compute-threads "$CT" \
+        --values-out "$OBS_DIR/hot_${ALGO}_$CT.txt" > /dev/null
+  done
+  cmp "$OBS_DIR/hot_${ALGO}_1.txt" "$OBS_DIR/hot_${ALGO}_4.txt"
+done
+"$CLI" verify --dataset "$OBS_DIR/ds" > /dev/null
+cp -r "$OBS_DIR/ds" "$OBS_DIR/ds_flip"
+EDGES="$(ls -S "$OBS_DIR"/ds_flip/sb_*.edges | head -n 1)"
+python3 - "$EDGES" <<'PYEOF'
+import sys
+with open(sys.argv[1], "r+b") as f:
+    f.seek(0, 2)
+    f.seek(f.tell() // 2)
+    byte = f.read(1)
+    f.seek(-1, 1)
+    f.write(bytes([byte[0] ^ 0xFF]))
+PYEOF
+RC=0
+"$CLI" verify --dataset "$OBS_DIR/ds_flip" > "$OBS_DIR/verify_flip.log" 2>&1 \
+    || RC=$?
+test "$RC" = "1"
+grep -q "CRC32C mismatch" "$OBS_DIR/verify_flip.log"
+echo "hot-path smoke: OK"
+
 echo "== tier 1: query service smoke (graphsd serve / graphsd query) =="
 # Resident daemon on a temp socket: open-once dataset registry, shared
 # buffer tier, batched multi-source runs. Exercises the wire protocol end

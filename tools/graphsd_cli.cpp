@@ -17,6 +17,7 @@
 //                      [--replay artifact.txt] [--kill-resume]
 //
 // `run` prints the execution report and optionally dumps per-vertex values.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -53,6 +54,7 @@
 #include "testing/temp_dir.hpp"
 #include "util/checked_cast.hpp"
 #include "util/cli.hpp"
+#include "util/str_format.hpp"
 
 namespace graphsd {
 namespace {
@@ -441,12 +443,24 @@ int CmdRun(int argc, const char* const* argv) {
 
   const std::string values_out = flags.GetString("values-out");
   if (!values_out.empty() && state != nullptr) {
+    // One "<vertex> <%.17g value>" line per vertex, formatted into one
+    // buffer and written with a single fwrite.
+    std::string text;
+    text.reserve(static_cast<std::size_t>(state->num_vertices()) * 32);
+    for (VertexId v = 0; v < state->num_vertices(); ++v) {
+      char id[16];
+      text.append(id, std::to_chars(id, id + sizeof(id), v).ptr);
+      text.push_back(' ');
+      AppendDouble17g(&text, program->ValueOf(*state, v));
+      text.push_back('\n');
+    }
     std::FILE* f = std::fopen(values_out.c_str(), "w");
     if (f == nullptr) return Fail(ErrnoError("fopen " + values_out, errno));
-    for (VertexId v = 0; v < state->num_vertices(); ++v) {
-      std::fprintf(f, "%u %.17g\n", v, program->ValueOf(*state, v));
+    const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                         text.size();
+    if (std::fclose(f) != 0 || !written) {
+      return Fail(ErrnoError("write " + values_out, errno));
     }
-    std::fclose(f);
     std::printf("wrote %u vertex values to %s\n", state->num_vertices(),
                 values_out.c_str());
   }
