@@ -1,11 +1,10 @@
-// Prefetch-pipeline micro-benchmarks: raw ReadQueue ticket throughput, the
-// PrefetchStream window machinery, and end-to-end engine runs across queue
+// Prefetch-pipeline micro-benchmarks: the PrefetchStream window machinery
+// (the loader's per-unit cost) and end-to-end engine runs across prefetch
 // depths. Depth 0 is the synchronous baseline; the depth>0 series shows
 // what the background loader costs (tiny graphs, page-cache-resident) or
 // saves (modeled time, via the overlapped charge counter).
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,52 +12,12 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "io/prefetch.hpp"
-#include "io/read_queue.hpp"
 #include "partition/grid_builder.hpp"
 #include "partition/grid_dataset.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace graphsd;
-
-void BM_ReadQueueSubmitWaitRoundTrip(benchmark::State& state) {
-  ThreadPool pool(1);
-  io::ReadQueue queue(pool, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const io::ReadQueue::Ticket t =
-        queue.Submit([] { return Status::Ok(); });
-    benchmark::DoNotOptimize(queue.Wait(t).ok());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ReadQueueSubmitWaitRoundTrip)->Arg(1)->Arg(4);
-
-void BM_ReadQueuePipelinedWindow(benchmark::State& state) {
-  // Keeps the in-flight window full the way PrefetchStream does: wait on
-  // the oldest ticket only once the window is at depth.
-  const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(1);
-  io::ReadQueue queue(pool, depth);
-  constexpr int kBatch = 256;
-  for (auto _ : state) {
-    std::deque<io::ReadQueue::Ticket> window;
-    for (int i = 0; i < kBatch; ++i) {
-      if (window.size() >= depth) {
-        benchmark::DoNotOptimize(queue.Wait(window.front()).ok());
-        window.pop_front();
-      }
-      window.push_back(queue.Submit([] { return Status::Ok(); }));
-    }
-    while (!window.empty()) {
-      benchmark::DoNotOptimize(queue.Wait(window.front()).ok());
-      window.pop_front();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kBatch);
-}
-BENCHMARK(BM_ReadQueuePipelinedWindow)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_PrefetchStreamTake(benchmark::State& state) {
   // The full stream machinery over trivial fetches; depth 0 runs the same

@@ -28,7 +28,7 @@ BlockSource::Stream BlockSource::Open(const Plan& plan) const {
     };
     units.push_back(std::move(unit));
   }
-  return Stream(ctx_.prefetch, std::move(units));
+  return Stream(ctx_.prefetch, std::move(units), ctx_.cancel);
 }
 
 Result<BlockSource::Block> BlockSource::Acquire(Stream& stream, std::uint32_t i,
@@ -36,7 +36,8 @@ Result<BlockSource::Block> BlockSource::Acquire(Stream& stream, std::uint32_t i,
                                                 bool keep_frame) {
   // Cooperative-cancellation poll point: every stream consumer funnels
   // through here, so a tripped token stops the round within one sub-block's
-  // worth of work. The stream destructor drains tickets already in flight.
+  // worth of work. The stream skips its fetches not yet started and its
+  // destructor waits out those already in flight.
   if (ctx_.cancel != nullptr) {
     GRAPHSD_RETURN_IF_ERROR(ctx_.cancel->Check());
   }

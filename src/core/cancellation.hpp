@@ -1,7 +1,7 @@
 // Engine-facing run cancellation: signal plumbing for the token.
 //
 // The token itself lives in util/cancellation.hpp (the io layer polls it
-// from the read queue and prefetch loader); this header adds the pieces
+// from each prefetch stream's loader fetches); this header adds the pieces
 // only the driver needs:
 //
 //   * `SignalCancellationScope` — RAII SIGINT/SIGTERM installation that

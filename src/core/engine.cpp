@@ -75,15 +75,12 @@ class GraphSDEngine::RunScope {
     }
     // Run-local cancellation: chains the caller's token (signal handlers
     // trip that one) and arms the optional deadline. Executors poll it at
-    // fetch boundaries; the prefetch loader drains queued reads when it
+    // fetch boundaries; each prefetch stream skips its queued reads when it
     // trips.
     token_.set_parent(options_.cancel);
     if (options_.deadline_seconds > 0) {
       token_.SetDeadline(options_.deadline_seconds);
     }
-    // A shared pipeline's token belongs to its owner: pointing it at this
-    // run's token would dangle (and clobber concurrent runs).
-    if (local_prefetch_ != nullptr) local_prefetch_->set_cancellation(&token_);
 
     ctx_.dataset = &dataset_;
     ctx_.pool = &pool_;

@@ -256,7 +256,7 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       // records whether the decoded block is buffered at issue time; the
       // fetch closure then elides the frame read. The probe runs on the
       // consumer thread and the flag is published to the loader through the
-      // read queue's submission, so no race. `intervals` is fully sized up
+      // loader submission, so no race. `intervals` is fully sized up
       // front, so the `actives` pointer stays valid.
       auto resident = std::make_shared<bool>(false);
       io::PrefetchStream<SciuPassPayload>::Unit unit;
@@ -288,7 +288,8 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
   // BlockSource; block weights are never needed (weight ranges are read
   // raw by FetchPass).
   BlockSource blocks(ctx_, /*need_weights=*/false, trace_iteration_);
-  io::PrefetchStream<SciuPassPayload> stream(ctx_.prefetch, std::move(units));
+  io::PrefetchStream<SciuPassPayload> stream(ctx_.prefetch, std::move(units),
+                                             ctx_.cancel);
   for (std::size_t pass = 0; pass < stream.planned(); ++pass) {
     if (ctx_.cancel != nullptr) {
       GRAPHSD_RETURN_IF_ERROR(ctx_.cancel->Check());

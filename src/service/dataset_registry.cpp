@@ -34,8 +34,7 @@ Result<DatasetEntry*> DatasetRegistry::GetOrOpen(const std::string& dir) {
 
   // One shared buffer + loader per dataset. Capacity defaults to the
   // engine's own 5 % budget so shared and private runs see the same tier
-  // size; the pipeline carries the daemon's shutdown token, not any single
-  // run's (a run's own deadline still stops it at fetch boundaries).
+  // size. Cancellation belongs to each run's streams, not to the pipeline.
   const std::uint64_t capacity =
       options_.buffer_capacity_bytes != 0
           ? options_.buffer_capacity_bytes
@@ -44,7 +43,6 @@ Result<DatasetEntry*> DatasetRegistry::GetOrOpen(const std::string& dir) {
   entry->buffer = std::make_unique<core::SubBlockBuffer>(capacity);
   entry->prefetch =
       std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
-  entry->prefetch->set_cancellation(options_.cancel);
   // Skip summaries are dataset-static, so one store serves every query on
   // the entry: the first run to touch a sub-block publishes its summary and
   // all later runs skip I/O against it (DESIGN.md §14).

@@ -28,7 +28,6 @@
 #include "io/device.hpp"
 #include "io/prefetch.hpp"
 #include "partition/grid_dataset.hpp"
-#include "util/cancellation.hpp"
 
 namespace graphsd::service {
 
@@ -45,8 +44,6 @@ struct RegistryOptions {
   /// open; a corrupt dataset is refused once instead of failing queries
   /// midway, and the verdict is cached with the entry.
   bool verify_on_open = true;
-  /// Cancellation for the shared pipelines (the daemon's shutdown token).
-  const CancellationToken* cancel = nullptr;
   /// Cache compressed sub-blocks as raw GSDF frames in the shared buffer
   /// (decode-on-hit); only meaningful for compressed datasets, a no-op
   /// otherwise. See DESIGN.md §14.

@@ -60,7 +60,6 @@ QueryServer::QueryServer(ServerOptions options)
   if (options_.scratch_dir.empty()) {
     options_.scratch_dir = options_.socket_path + ".scratch";
   }
-  options_.registry.cancel = &shutdown_;
   registry_ = std::make_unique<DatasetRegistry>(options_.registry);
 }
 

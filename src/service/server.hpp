@@ -46,8 +46,7 @@ struct ServerOptions {
   /// Unix-domain socket path. A stale socket file is replaced at Start().
   std::string socket_path;
   /// Dataset-tier options (device kind, buffer capacity, prefetch depth,
-  /// verify-on-open). The registry's cancel token is installed by the
-  /// server.
+  /// verify-on-open).
   RegistryOptions registry;
   AdmissionLimits limits;
   /// Engine-run worker threads (concurrent runs; each run additionally

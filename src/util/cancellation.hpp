@@ -8,8 +8,8 @@
 // `StatusCode::kCancelled`, so the run always lands on a committed
 // iteration boundary.
 //
-// The token lives in util — below the io layer — because `ReadQueue` and
-// `PrefetchPipeline` poll it to drain in-flight I/O promptly.  Every layer
+// The token lives in util — below the io layer — because every
+// `PrefetchStream` polls it to drain its queued I/O promptly.  Every layer
 // spells it `graphsd::CancellationToken`; the engine-facing signal
 // installation lives in core/cancellation.hpp.
 //

@@ -1,8 +1,8 @@
 // A small fixed-size thread pool with a blocking `ParallelFor`.
 //
 // GraphSD parallelizes edge application *within* a destination interval;
-// combines are commutative atomics, so chunk scheduling order never changes
-// results. The pool is created once per engine run and reused across
+// each destination has exactly one writer (core/sharded_apply.hpp), so
+// chunk scheduling order never changes results. The pool is created once per engine run and reused across
 // iterations (no per-iteration thread churn). The prefetch pipeline
 // (io/prefetch.hpp) runs its loader on a dedicated single-worker pool.
 //

@@ -75,7 +75,6 @@ TEST(BlockSource, EvictedBetweenIssueAndConsumeReloadsOnce) {
   const std::uint64_t before = fx.ReadBytes();
   // Resident at issue time: the unit is skipped, nothing is read.
   BlockSource::Stream stream = source.Open({{i, j}});
-  fx.prefetch.Drain();
   EXPECT_EQ(fx.ReadBytes(), before);
 
   fx.buffer.Erase(i, j);  // evicted before the consumer gets to it

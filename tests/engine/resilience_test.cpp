@@ -4,6 +4,10 @@
 // a logged degradation — never a silent wrong answer.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+
 #include "engine_test_util.hpp"
 #include "io/fault_injector.hpp"
 #include "partition/manifest.hpp"
@@ -58,6 +62,56 @@ class ResilienceTest : public ::testing::Test {
     return testing::Values(bfs, *engine.state());
   }
 
+  /// The dataset as `kind` reads it: the fixture's simulated device, or a
+  /// fresh real:ssd device whose read path adds O_DIRECT, aligned bounce
+  /// reads and vectored preadv batches.
+  struct Backend {
+    std::unique_ptr<io::Device> owned_device;
+    std::unique_ptr<partition::GridDataset> owned_dataset;
+    io::Device* device = nullptr;
+    const partition::GridDataset* dataset = nullptr;
+  };
+
+  Backend Open(const std::string& kind) {
+    Backend backend;
+    backend.device = t_.device.get();
+    backend.dataset = t_.dataset.get();
+    if (kind == "real:ssd") {
+      backend.owned_device = ValueOrDie(io::MakeDeviceForKind(kind));
+      backend.owned_dataset = std::make_unique<partition::GridDataset>(
+          ValueOrDie(partition::GridDataset::Open(*backend.owned_device,
+                                                  ds_dir_)));
+      backend.device = backend.owned_device.get();
+      backend.dataset = backend.owned_dataset.get();
+    }
+    return backend;
+  }
+
+  /// Calls `run` on every device kind at prefetch depths 0 and 1 and
+  /// expects the checksum failures counted; on real:ssd the corrupt bytes
+  /// arrive through bounce reads.
+  void ExpectCorruptDataOnEveryDevice(bool on_demand,
+                                      const std::function<void(
+                                          const partition::GridDataset&,
+                                          const core::EngineOptions&)>& run) {
+    for (const std::string kind : {"sim:scaled-hdd", "real:ssd"}) {
+      const Backend backend = Open(kind);
+      for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
+        SCOPED_TRACE(kind + " prefetch depth " + std::to_string(depth));
+        core::EngineOptions options = Opts(on_demand);
+        options.prefetch_depth = depth;
+        const io::IoStatsSnapshot before = backend.device->stats().Snapshot();
+        run(*backend.dataset, options);
+        const io::IoStatsSnapshot delta =
+            backend.device->stats().Snapshot() - before;
+        EXPECT_GT(delta.checksum_failures, 0u);
+        if (kind == "real:ssd") {
+          EXPECT_GT(delta.bounce_reads, 0u);
+        }
+      }
+    }
+  }
+
   void CorruptAllNonEmptyEdgeFiles() {
     const auto& manifest = t_.dataset->manifest();
     bool corrupted_any = false;
@@ -90,17 +144,9 @@ class ResilienceTest : public ::testing::Test {
 // aligned bounce reads and vectored preadv batches.
 TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
   for (const std::string kind : {"sim:scaled-hdd", "real:ssd"}) {
-    std::unique_ptr<io::Device> real_device;
-    std::unique_ptr<partition::GridDataset> real_dataset;
-    io::Device* device = t_.device.get();
-    const partition::GridDataset* dataset = t_.dataset.get();
-    if (kind == "real:ssd") {
-      real_device = ValueOrDie(io::MakeDeviceForKind(kind));
-      real_dataset = std::make_unique<partition::GridDataset>(
-          ValueOrDie(partition::GridDataset::Open(*real_device, ds_dir_)));
-      device = real_device.get();
-      dataset = real_dataset.get();
-    }
+    const Backend backend = Open(kind);
+    io::Device* device = backend.device;
+    const partition::GridDataset* dataset = backend.dataset;
     for (const bool on_demand : {true, false}) {
       SCOPED_TRACE(kind + (on_demand ? " SCIU (on-demand)"
                                      : " FCIU (full streaming)"));
@@ -149,14 +195,19 @@ TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
 }
 
 // A flipped payload byte must fail the run with kCorruptData on the full
-// streaming path...
+// streaming path, synchronous or prefetched, including when real:ssd's
+// bounce read is what hands the corrupt bytes to the checksum...
 TEST_F(ResilienceTest, CorruptEdgePayloadFailsFullStreamingRun) {
   CorruptAllNonEmptyEdgeFiles();
-  core::GraphSDEngine engine(*t_.dataset, Opts(/*on_demand=*/false));
-  algos::PageRank pr(10);
-  const auto result = engine.Run(pr);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruptData);
+  ExpectCorruptDataOnEveryDevice(
+      /*on_demand=*/false, [](const partition::GridDataset& dataset,
+                              const core::EngineOptions& options) {
+        core::GraphSDEngine engine(dataset, options);
+        algos::PageRank pr(10);
+        const auto result = engine.Run(pr);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::kCorruptData);
+      });
 }
 
 // ...and on the on-demand path, where the one-time sub-block verification
@@ -164,11 +215,15 @@ TEST_F(ResilienceTest, CorruptEdgePayloadFailsFullStreamingRun) {
 // hits the same corruption — the error still surfaces, never a wrong answer.
 TEST_F(ResilienceTest, CorruptEdgePayloadFailsOnDemandRun) {
   CorruptAllNonEmptyEdgeFiles();
-  core::GraphSDEngine engine(*t_.dataset, Opts(/*on_demand=*/true));
-  algos::Bfs bfs(0);
-  const auto result = engine.Run(bfs);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruptData);
+  ExpectCorruptDataOnEveryDevice(
+      /*on_demand=*/true, [](const partition::GridDataset& dataset,
+                             const core::EngineOptions& options) {
+        core::GraphSDEngine engine(dataset, options);
+        algos::Bfs bfs(0);
+        const auto result = engine.Run(bfs);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::kCorruptData);
+      });
 }
 
 // Corrupt *index* files only hurt the on-demand model; the engine must

@@ -7,8 +7,8 @@
 #      bench_trajectory snapshot must reproduce the newest BENCH_*.json's
 #      deterministic fields exactly (tools/bench_gate.py).
 #   2. ASan+UBSan build + full suite.
-#   3. TSan build + the concurrency smoke targets (ReadQueue, ThreadPool,
-#      IoStats and the prefetch pipeline end to end). The full suite under
+#   3. TSan build + the concurrency smoke targets (PrefetchStream,
+#      ThreadPool, IoStats and the prefetch pipeline end to end). The full suite under
 #      TSan is too slow for per-change CI; run it manually before releases
 #      with `tools/sanitize_build.sh thread`.
 #

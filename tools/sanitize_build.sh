@@ -4,7 +4,7 @@
 #
 # Usage: tools/sanitize_build.sh [address|thread] [ctest-regex]
 #   address (default) — ASan + UBSan, full suite unless a regex is given.
-#   thread            — TSan; races in the prefetch loader, ReadQueue and
+#   thread            — TSan; races in the prefetch loader, its streams and
 #                       I/O accounting paths.
 set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
