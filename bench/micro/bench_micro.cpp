@@ -1,12 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the engineering substrate:
-// bitset frontiers, CRC32C checksums, grid partitioning, sub-block loading,
-// and the scheduler's evaluation pass. Not paper figures — these quantify
-// the building blocks the figures are made of.
+// bitset frontiers, CRC32C checksums, varint-delta decode, grid
+// partitioning, sub-block loading, and the scheduler's evaluation pass.
+// Not paper figures — these quantify the building blocks the figures are
+// made of.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "compress/codec.hpp"
+#include "compress/frame.hpp"
 #include "core/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "partition/grid_builder.hpp"
@@ -66,6 +71,76 @@ std::uint32_t Crc32cDispatched(std::uint32_t crc, const void* data,
 }
 BENCHMARK(BM_Crc32c<Crc32cPortable>)->Name("BM_Crc32c/portable");
 BENCHMARK(BM_Crc32c<Crc32cDispatched>)->Name("BM_Crc32c/dispatched");
+
+// The largest sub-block of an RMAT scale-16 graph, framed by the real grid
+// builder: its varint-delta payload and decoded size. Built once.
+struct DecodeInput {
+  std::vector<std::uint8_t> frame;
+  std::size_t raw_bytes = 0;
+};
+
+const DecodeInput& RmatDecodeInput() {
+  static const DecodeInput input = [] {
+    RmatOptions o;
+    o.scale = 16;
+    o.edge_factor = 16;
+    const EdgeList g = GenerateRmat(o);
+    auto device = io::MakePosixDevice();
+    const std::string dir = "/tmp/graphsd_micro_decode";
+    partition::GridBuildOptions build;
+    build.num_intervals = 4;
+    build.codec = "varint-delta";
+    (void)partition::BuildGrid(g, *device, dir, build);
+    auto dataset = partition::GridDataset::Open(*device, dir);
+    const partition::GridManifest& m = dataset->manifest();
+    std::uint32_t bi = 0;
+    std::uint32_t bj = 0;
+    for (std::uint32_t i = 0; i < m.p; ++i) {
+      for (std::uint32_t j = 0; j < m.p; ++j) {
+        if (m.EdgesIn(i, j) > m.EdgesIn(bi, bj)) {
+          bi = i;
+          bj = j;
+        }
+      }
+    }
+    DecodeInput out;
+    out.frame = std::move(dataset->FetchSubBlock(bi, bj, false)->frame);
+    out.raw_bytes = m.EdgesIn(bi, bj) * kEdgeBytes;
+    (void)io::RemoveTree(dir);
+    return out;
+  }();
+  return input;
+}
+
+// varint-delta decode of that sub-block: the checked byte-at-a-time
+// decoder, the portable word-at-a-time kernel, and the kernel
+// `VarintDeltaCodec().Decode` dispatches to (masked VByte where the CPU
+// has SSSE3, BMI1 and BMI2). Bytes/s counts decoded (raw edge) bytes, the
+// unit of perfbench's compress.decode_mib_per_s.
+void BM_VarintDeltaDecode(benchmark::State& state,
+                          Status (*decode)(std::span<const std::uint8_t>,
+                                           std::span<std::uint8_t>)) {
+  const DecodeInput& input = RmatDecodeInput();
+  const auto encoded = std::span<const std::uint8_t>(input.frame)
+                           .subspan(compress::kFrameHeaderBytes);
+  std::vector<std::uint8_t> raw(input.raw_bytes);
+  for (auto _ : state) {
+    if (!decode(encoded, raw).ok()) state.SkipWithError("decode failed");
+    benchmark::DoNotOptimize(raw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw.size()));
+}
+BENCHMARK_CAPTURE(BM_VarintDeltaDecode, checked,
+                  &compress::VarintDeltaDecodeChecked);
+BENCHMARK_CAPTURE(BM_VarintDeltaDecode, portable,
+                  compress::VarintDeltaKernels().front().decode);
+BENCHMARK_CAPTURE(BM_VarintDeltaDecode, dispatched,
+                  +[](std::span<const std::uint8_t> encoded,
+                      std::span<std::uint8_t> raw) {
+                    return compress::VarintDeltaCodec().Decode(encoded, raw);
+                  });
 
 void BM_RmatGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -63,6 +63,31 @@ const Codec& NoneCodec();
 /// encode in 1-2 bytes) but round-trips arbitrary edge payloads.
 const Codec& VarintDeltaCodec();
 
+/// The varint-delta decode kernels. `VarintDeltaCodec().Decode` picks the
+/// fastest one this CPU supports once per process (the way `Crc32c` picks
+/// SSE4.2). Every kernel accepts exactly the streams the checked decoder
+/// accepts, never loads outside `encoded`, and hands any frame it cannot
+/// vouch for to the checked decoder, so output bytes and every
+/// kCorruptData status and message are the checked decoder's.
+struct VarintDeltaKernel {
+  const char* name;
+  Status (*decode)(std::span<const std::uint8_t> encoded,
+                   std::span<std::uint8_t> raw_out);
+};
+
+/// The byte-at-a-time checked decoder: the error path of every kernel and
+/// the oracle tests compare them with.
+Status VarintDeltaDecodeChecked(std::span<const std::uint8_t> encoded,
+                                std::span<std::uint8_t> raw_out);
+
+/// Every compiled kernel this CPU can run, portable first; the last one is
+/// the one `Decode` dispatches to. Exposed so tests and benchmarks can run
+/// each of them.
+std::span<const VarintDeltaKernel> VarintDeltaKernels();
+
+/// Name of the kernel `VarintDeltaCodec().Decode` dispatches to.
+const char* VarintDeltaImplementation();
+
 /// Looks up a codec by manifest name; nullptr when unknown.
 const Codec* FindCodec(std::string_view name) noexcept;
 

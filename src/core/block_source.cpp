@@ -41,7 +41,13 @@ Result<BlockSource::Block> BlockSource::Acquire(Stream& stream, std::uint32_t i,
   if (ctx_.cancel != nullptr) {
     GRAPHSD_RETURN_IF_ERROR(ctx_.cancel->Check());
   }
-  Stream::Item item = stream.Take();
+  Stream::Item item;
+  {
+    // The consumer's wait on the loader (zero when the unit is already
+    // fetched, or the fetch itself at depth 0).
+    obs::TraceSpan span(ctx_.trace, "prefetch-wait", iteration_);
+    item = stream.Take();
+  }
   // With a private per-run buffer, blocks only ever enter it when they
   // themselves are consumed, so a block absent at issue time cannot be
   // resident at consume time — a fetched payload never shadows a cached

@@ -240,6 +240,8 @@ class GraphSDEngine::RunScope {
 
     report_.iterations = iterations;
     report_.codec = dataset_.codec_name();
+    // The writer is this run's own, so its count is this run's delta.
+    report_.checkpoints_dropped = writer_.frames_dropped();
     FoldRunCounters(report_);
     if (options_.metrics != nullptr) PublishMetrics(*options_.metrics);
     return std::move(report_);
@@ -296,6 +298,7 @@ class GraphSDEngine::RunScope {
           .Add(report.checkpoints_written - base_.checkpoints_written);
       metrics.GetCounter("checkpoint.bytes")
           .Add(report.checkpoint_bytes - base_.checkpoint_bytes);
+      metrics.GetCounter("checkpoint.dropped").Add(report.checkpoints_dropped);
     }
     dataset_.device().PublishMetrics(metrics);
     buffer_->PublishMetrics(metrics);

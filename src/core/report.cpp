@@ -65,10 +65,13 @@ std::string ExecutionReport::Summary() const {
                resume_iteration);
   }
   if (checkpoints_written > 0) {
-    StrAppendf(&out, "  lifecycle: %u checkpoints written (%s, %s wall)\n",
+    StrAppendf(&out,
+               "  lifecycle: %u checkpoints written (%s, %s wall, %llu "
+               "superseded before reaching disk)\n",
                checkpoints_written,
                graphsd::FormatBytes(checkpoint_bytes).c_str(),
-               graphsd::FormatSeconds(checkpoint_seconds).c_str());
+               graphsd::FormatSeconds(checkpoint_seconds).c_str(),
+               static_cast<unsigned long long>(checkpoints_dropped));
   }
   if (cancelled) {
     StrAppendf(&out, "  lifecycle: CANCELLED (%s) — partial run up to "

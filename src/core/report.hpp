@@ -190,6 +190,10 @@ struct ExecutionReport : RunTotals {
   // at the resume point.
   bool resumed = false;
   std::uint32_t resume_iteration = 0;
+  // Checkpoint frames this run submitted that the async writer dropped
+  // because a newer one superseded them before it reached disk. This run
+  // only: not a RunTotals field, so no checkpoint carries it.
+  std::uint64_t checkpoints_dropped = 0;
 
   std::vector<RoundStat> per_round;
 

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 #include "testing_util.hpp"
 
 namespace graphsd::core {
@@ -143,6 +146,29 @@ TEST(BlockSource, CompressedHitIsDecodedOnHitAndNeverOfferedBack) {
     EXPECT_EQ(fx.buffer.size_bytes(), stored);
     EXPECT_EQ(fx.buffer.entry_count(), 1u);
   }
+}
+
+TEST(BlockSource, AcquireTracesTheWaitOnTheLoader) {
+  // The consumer's wait in Acquire is its own span, tagged with the
+  // source's iteration and recorded on the consumer's thread; the fetch it
+  // waited for is traced on the loader's.
+  Fixture fx("none");
+  obs::TraceBuffer trace;
+  fx.ctx.trace = &trace;
+  const auto [i, j] = fx.Secondary();
+  BlockSource source(fx.ctx, /*need_weights=*/false, /*trace_iteration=*/7);
+  BlockSource::Stream stream = source.Open({{i, j}});
+  ValueOrDie(source.Acquire(stream, i, j, /*keep_frame=*/false));
+  std::vector<obs::TraceEvent> waits;
+  std::vector<obs::TraceEvent> reads;
+  for (const obs::TraceEvent& event : trace.Events()) {
+    if (std::string(event.name) == "prefetch-wait") waits.push_back(event);
+    if (std::string(event.name) == "edge-read") reads.push_back(event);
+  }
+  ASSERT_EQ(waits.size(), 1u);
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_EQ(waits[0].iteration, 7u);
+  EXPECT_NE(waits[0].tid, reads[0].tid);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/checkpoint.hpp"
 #include "engine_test_util.hpp"
 #include "io/file.hpp"
+#include "obs/metrics.hpp"
 #include "util/cancellation.hpp"
 
 namespace graphsd {
@@ -300,6 +301,27 @@ TEST_F(EngineLifecycleTest, ResumeAfterNaturalCompletionIsANoOp) {
   EXPECT_FALSE(resume_report.cancelled);
   EXPECT_EQ(resume_report.iterations, first_report.iterations);
   ExpectBitwiseEqual(Values(bfs2, *resumed.state()), expect);
+}
+
+TEST_F(EngineLifecycleTest, CheckpointMetricsCountSupersededFrames) {
+  // Every submitted frame either reaches disk or is dropped because a newer
+  // one superseded it; the final one always lands (Finish flushes).
+  obs::MetricsRegistry metrics;
+  core::EngineOptions options = Opts();
+  options.checkpoint_dir = CheckpointDir();
+  options.checkpoint_every = 1;
+  options.metrics = &metrics;
+  core::GraphSDEngine engine(*t_.dataset, options);
+  algos::Bfs bfs(0);
+  const auto report = ValueOrDie(engine.Run(bfs));
+  ASSERT_GT(report.checkpoints_written, 1u);
+  EXPECT_LT(report.checkpoints_dropped, report.checkpoints_written);
+  EXPECT_EQ(metrics.GetCounter("checkpoint.written").value(),
+            report.checkpoints_written);
+  EXPECT_EQ(metrics.GetCounter("checkpoint.dropped").value(),
+            report.checkpoints_dropped);
+  EXPECT_NE(report.Summary().find("superseded before reaching disk"),
+            std::string::npos);
 }
 
 // Concurrency surface for the TSan build (tsan_buffer_cancel_smoke):
