@@ -5,8 +5,7 @@ namespace graphsd::core {
 BlockSource::Stream BlockSource::Open(const Plan& plan) const {
   const partition::GridDataset* dataset = ctx_.dataset;
   SubBlockBuffer* buffer = ctx_.buffer;
-  const bool decode_in_fetch = ctx_.compute_shards > 1 &&
-                               dataset->compressed() && !ctx_.cache_compressed;
+  const bool decode_in_fetch = dataset->compressed() && !ctx_.cache_compressed;
   std::vector<Stream::Unit> units;
   units.reserve(plan.size());
   for (const auto& [i, j] : plan) {

@@ -2,7 +2,7 @@
 // the FCIU push and gather rounds, semi rounds and SCIU's compressed passes
 // fetch, acquire and offer edge blocks through one BlockSource. A fetch unit
 // is skipped at issue time when the buffer holds its block (counter-free
-// Contains). With parallel compute it also decodes, on the loader thread,
+// Contains). On a compressed dataset it also decodes, on the loader thread,
 // except in cache-compressed mode, where the consumer needs the undecoded
 // frame for its buffer offer. Every acquisition records the block's
 // active-source skip summary.
@@ -20,8 +20,8 @@ namespace graphsd::core {
 
 class BlockSource {
  public:
-  /// The stream carries fetched payloads: undecoded frames unless the
-  /// fetch unit decoded them (parallel compute).
+  /// The stream carries fetched payloads, decoded by the fetch unit except
+  /// in cache-compressed mode.
   using Stream = io::PrefetchStream<partition::SubBlockPayload>;
   /// An ordered sweep of (i, j) sub-blocks.
   using Plan = std::vector<std::pair<std::uint32_t, std::uint32_t>>;

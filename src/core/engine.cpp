@@ -90,15 +90,6 @@ class GraphSDEngine::RunScope {
     ctx_.memory_budget_bytes = options_.memory_budget_bytes != 0
                                    ? options_.memory_budget_bytes
                                    : default_budget;
-    // Destination-range compute sharding (core/sharded_apply.hpp): 0
-    // follows the pool size, 1 is the bit-exact serial reference. Results
-    // are bit-identical either way; only wall time changes.
-    ctx_.compute_shards = options_.compute_threads == 0
-                              ? pool_.size()
-                              : options_.compute_threads;
-    // Critical-path measurement for the sharded applies, accumulated
-    // straight into the report. Passive: never read during the run.
-    ctx_.apply_excess = &report_.apply_serialization_seconds;
     ctx_.cancel = &token_;
     ctx_.summaries = summaries;
     ctx_.cache_compressed = options_.cache_compressed && dataset_.compressed();
@@ -109,7 +100,6 @@ class GraphSDEngine::RunScope {
     report_.dataset = manifest.name;
     // Overlap charging is only honest when the pipeline actually overlaps.
     report_.overlap_io = options_.overlap_io && prefetch_->enabled();
-    report_.compute_shards = ctx_.compute_shards;
     external_before_ = ExternalCounters();
   }
 

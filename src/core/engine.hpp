@@ -46,18 +46,9 @@ class SkipSummaryStore;
 enum class RoundModelChoice : std::uint8_t { kAuto, kOnDemand, kFull, kSemi };
 
 struct EngineOptions {
-  /// Worker threads (0 = hardware concurrency).
+  /// Engine pool workers (0 = hardware concurrency). The pool preverifies
+  /// SCIU checksums; edge application always runs on the consumer thread.
   std::size_t num_threads = 0;
-  /// Destination-range shards per compute pass (core/sharded_apply.hpp):
-  /// each apply loop splits its destination interval into this many
-  /// contiguous sub-ranges, one pool task each, every task scanning the
-  /// edge span in file order and applying only its own destinations. Per-
-  /// destination application order therefore equals serial, so results are
-  /// bit-identical to `compute_threads = 1` for every program — float
-  /// reductions included. 0 (the default) matches the worker pool size;
-  /// 1 pins the serial reference path. Frame decode and SCIU checksum
-  /// verification also move off the consumer thread when > 1.
-  std::size_t compute_threads = 0;
   /// Cross-iteration value computation (SCIU step 3 / FCIU second half).
   bool enable_cross_iteration = true;
   /// State-aware scheduling: allow the on-demand I/O model at all.

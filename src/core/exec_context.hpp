@@ -31,17 +31,6 @@ struct ExecContext {
   /// Memory budget for SCIU's in-memory retention of loaded active edges
   /// (the precondition for its cross-iteration step).
   std::uint64_t memory_budget_bytes = 0;
-  /// Destination-range shards per compute pass (core/sharded_apply.hpp).
-  /// <= 1 runs every apply loop serially — the bit-exact reference path.
-  /// Results are bit-identical at any value; this only trades the S-fold
-  /// edge re-scan against apply parallelism.
-  std::size_t compute_shards = 1;
-  /// Accumulates the wall time sharded applies lost to running more shards
-  /// than the machine has cores (Σ elapsed − longest shard per pass); see
-  /// core/sharded_apply.hpp. Null disables the measurement. Written only on
-  /// the executor's apply path (single-threaded at that point), strictly
-  /// passive.
-  double* apply_excess = nullptr;
   /// Cooperative-cancellation token polled at fetch boundaries (before each
   /// sub-block / pass load, never per edge). Null = not cancellable. A
   /// tripped token makes the executor return kCancelled without committing

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/block_source.hpp"
-#include "core/sharded_apply.hpp"
 #include "util/clock.hpp"
 
 namespace graphsd::core {
@@ -165,7 +164,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
     pass.contrib = ContribSlot::kSecondary;
     pass.sources = &out;
     pass.activate = &out_ni;
-    ShardedDstApply(ctx_, program, state, pass);
+    program.ApplySpan(state, pass);
   };
 
   // --- first half: iteration t, column-major ------------------------------
@@ -189,7 +188,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
                                     manifest.boundaries[j + 1]);
           pass.sources = &active;
           pass.activate = &out;
-          provisional_priority = ShardedDstApply(ctx_, program, state, pass);
+          provisional_priority = program.ApplySpan(state, pass);
         }
         if (two_iterations && i < j) {
           // CrossIterUpdate: interval i sealed when column i completed, so
@@ -279,7 +278,7 @@ Status FciuExecutor::RunGatherRound(const GatherProgram& program,
                               manifest.boundaries[j + 1]);
     pass.contrib = contrib;
     pass.accum = accum;
-    ShardedDstApply(ctx_, program, state, pass);
+    program.ApplySpan(state, pass);
   };
 
   GRAPHSD_RETURN_IF_ERROR(SweepColumns(

@@ -19,13 +19,12 @@
 // semantics.
 //
 // Single-writer rule. The executors hand edges to a program one pass at a
-// time through `ApplySpan`, and every pass runs under destination sharding
-// (core/sharded_apply.hpp): each destination vertex has exactly one writer
-// task per pass, and the contribution arrays a pass reads are sealed before
-// it starts. A combine therefore updates dst with plain loads and stores —
-// no atomics, no compare-exchange. Only frontier activation is shared
-// between tasks (neighbouring destinations share a bitset word), and
-// Frontier::Activate is thread safe.
+// time through `ApplySpan`, and one consumer thread applies every pass, in
+// file order; the engine pool only preverifies checksums and the loader
+// only reads and decodes. The contribution arrays a pass reads are sealed
+// before it starts. A combine therefore updates dst with plain loads and
+// stores — no atomics, no compare-exchange — and float reductions are
+// bit-identical at any thread count.
 //
 // Programs derive from PushKernel<Derived> / GatherKernel<Derived>, which
 // implement the span loop once per program with the combine inlined. A
@@ -45,9 +44,9 @@
 
 namespace graphsd::core {
 
-/// One edge pass of an executor, as one shard task sees it: the
-/// `num_edges` edges in file order, restricted to destinations in
-/// [dst_begin, dst_end) and, with `sources` set, to active sources.
+/// One edge pass of an executor: the `num_edges` edges in file order,
+/// restricted to destinations in [dst_begin, dst_end) and, with `sources`
+/// set, to active sources.
 struct ApplyPass {
   const Edge* edges = nullptr;
   /// Aligned with `edges`; null when the pass streams no weights, in which
@@ -66,6 +65,20 @@ struct ApplyPass {
   Frontier* activate = nullptr;
 };
 
+/// The pass over all of `edges`, destinations restricted to
+/// [dst_begin, dst_end). `weights` ride along only when `need_weights`.
+inline ApplyPass EdgePass(const std::vector<Edge>& edges,
+                          const std::vector<Weight>& weights, bool need_weights,
+                          VertexId dst_begin, VertexId dst_end) {
+  ApplyPass pass;
+  pass.edges = edges.data();
+  pass.weights = need_weights ? weights.data() : nullptr;
+  pass.num_edges = edges.size();
+  pass.dst_begin = dst_begin;
+  pass.dst_end = dst_end;
+  return pass;
+}
+
 namespace detail {
 
 template <bool kFiltered, bool kWeighted, typename Fn>
@@ -75,7 +88,9 @@ std::uint64_t ForEachPassEdge(const ApplyPass& pass, Fn& fn) {
   std::uint64_t applied = 0;
   for (std::size_t k = 0; k < pass.num_edges; ++k) {
     const Edge edge = pass.edges[k];
-    // One unsigned compare: dst − lo wraps for dst < lo, landing >= width.
+    // Bounds dst to the pass's range, so a combine never writes outside
+    // it. One unsigned compare: dst − lo wraps for dst < lo, landing
+    // >= width.
     if (static_cast<VertexId>(edge.dst - lo) >= width) continue;
     if constexpr (kFiltered) {
       if (!pass.sources->IsActive(edge.src)) continue;

@@ -85,21 +85,18 @@ struct RunTotals {
   std::uint64_t blocks_skipped = 0;
   std::uint64_t blocks_skipped_bytes = 0;
 
-  // Edge-payload decode counters: frames decoded on the compute side,
-  // on-disk frame bytes in, raw edge bytes out, and the wall time decode
-  // cost (already inside compute_seconds — decode runs on the consuming
-  // thread).
+  // Edge-payload decode counters: frames decoded, on-disk frame bytes in,
+  // raw edge bytes out, and the wall time decode cost. Streamed blocks are
+  // decoded by the loader's fetch unit; buffer hits, reloads, SCIU passes
+  // and cache-compressed streams decode on the consuming thread.
   std::uint64_t frames_decoded = 0;
   std::uint64_t compressed_bytes_read = 0;
   std::uint64_t decoded_bytes = 0;
   double decode_seconds = 0;
 
-  // Wall time the sharded applies lost to executing more shards than the
-  // machine has cores: Σ over parallel passes of (measured elapsed −
-  // longest shard task). `compute_seconds − apply_serialization_seconds`
-  // is therefore the compute wall a machine with >= compute_shards cores
-  // would see; ~0 when the shards genuinely ran concurrently and exactly 0
-  // for serial runs.
+  // Always 0: one consumer applies every pass, so no apply waits on
+  // another. Kept in GSCK v2 and the report JSON only because
+  // perfbench/run.py --trace 1 still reads it.
   double apply_serialization_seconds = 0;
 
   // Checkpoint overhead (wall time; checkpoint I/O bypasses the modeled
@@ -174,11 +171,6 @@ struct ExecutionReport : RunTotals {
   // Byte counts and results are identical either way — only the time
   // charging differs.
   bool overlap_io = false;
-
-  // Destination-range compute shards the run executed with
-  // (EngineOptions::compute_threads resolved against the pool size).
-  // Results are bit-identical at any value.
-  std::uint64_t compute_shards = 1;
 
   // --- Run lifecycle (DESIGN.md §12) -------------------------------------
   // A cancelled run (Ctrl-C, deadline, external token) still returns a

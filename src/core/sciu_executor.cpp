@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/block_source.hpp"
-#include "core/sharded_apply.hpp"
 #include "partition/dataset_verify.hpp"
 #include "util/clock.hpp"
 
@@ -275,14 +274,11 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     }
   }
 
-  // Parallel compute: hash every planned sub-block's checksums across the
-  // pool up front instead of serially inside the first FetchPass that
-  // touches it. Verification I/O is unaccounted, so bytes and scheduler
-  // decisions are untouched; under corruption the first plan-order error
-  // still wins.
-  if (ctx_.compute_shards > 1) {
-    GRAPHSD_RETURN_IF_ERROR(PreverifySubBlocks(plan_coords, need_weights));
-  }
+  // Hash every planned sub-block's checksums across the pool up front
+  // instead of serially inside the first FetchPass that touches it.
+  // Verification I/O is unaccounted, so bytes and scheduler decisions are
+  // untouched; under corruption the first plan-order error still wins.
+  GRAPHSD_RETURN_IF_ERROR(PreverifySubBlocks(plan_coords, need_weights));
 
   // Compressed passes acquire their decoded blocks through the shared
   // BlockSource; block weights are never needed (weight ranges are read
@@ -330,15 +326,14 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     obs::TraceSpan compute_span(ctx_.trace, "compute", trace_iteration_);
     {
       // The runs tile [0, edges.size()) in read order (raw reads append;
-      // compressed passes rebase above), so one destination-sharded apply
-      // over the whole payload visits every edge in exactly the serial
-      // per-run order.
+      // compressed passes rebase above), so one apply over the whole
+      // payload visits every edge in per-run order.
       ScopedWallAccumulator acc(update_seconds);
       ApplyPass pass =
           EdgePass(payload.edges, payload.weights, need_weights,
                    manifest.boundaries[j], manifest.boundaries[j + 1]);
       pass.activate = &out;
-      ShardedDstApply(ctx_, program, state, pass);
+      program.ApplySpan(state, pass);
     }
     if (retain) {
       arena_edges.insert(arena_edges.end(), payload.edges.begin(),
@@ -371,14 +366,14 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
         program.MakeContribution(state, static_cast<VertexId>(v),
                                  ContribSlot::kSecondary);
       });
-      // Retained edges span every destination interval, so the shard range
-      // is the whole vertex space.
+      // Retained edges span every destination interval, so the pass's
+      // destination range is the whole vertex space.
       ApplyPass pass = EdgePass(arena_edges, arena_weights, need_weights, 0,
                                 manifest.num_vertices);
       pass.contrib = ContribSlot::kSecondary;
       pass.sources = &qualifying;
       pass.activate = &out_ni;
-      ShardedDstApply(ctx_, program, state, pass);
+      program.ApplySpan(state, pass);
       qualifying.ForEachActive(
           [&](std::size_t v) { out.Deactivate(static_cast<VertexId>(v)); });
     }

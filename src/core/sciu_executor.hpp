@@ -90,11 +90,12 @@ class SciuExecutor {
   Status EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
                                 bool need_weights);
 
-  /// Parallel-compute fast path: CRC-verifies every not-yet-verified pass
-  /// of the sweep across the pool before the stream starts, so the loader's
-  /// serialized FetchPass calls find `verified_` already set and spend no
-  /// time hashing. Distinct (i, j) slots make the concurrent `verified_`
-  /// writes race-free; the ParallelFor barrier publishes them to the loader.
+  /// CRC-verifies every not-yet-verified pass of the sweep across the
+  /// engine pool before the stream starts, so the loader's serialized
+  /// FetchPass calls find `verified_` already set and spend no time
+  /// hashing. A one-worker pool runs it inline. Distinct (i, j) slots make
+  /// the concurrent `verified_` writes race-free; the ParallelFor barrier
+  /// publishes them to the loader.
   /// Returns the first failure in plan order (the same error the serialized
   /// path would have surfaced first). Byte-neutral: verification I/O is
   /// unaccounted.

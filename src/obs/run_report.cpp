@@ -65,7 +65,6 @@ std::string ToRunReportJson(const core::ExecutionReport& report,
   json.Field("overlapped", report.overlapped_seconds);
   json.EndObject();
   json.Field("overlap_io", report.overlap_io);
-  json.Field("compute_shards", report.compute_shards);
   json.Field("apply_serialization_seconds",
              report.apply_serialization_seconds);
 

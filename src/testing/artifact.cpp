@@ -36,7 +36,6 @@ Status WriteArtifact(const ReproArtifact& a, const std::string& path) {
   out << "cross_iteration " << (a.cross_iteration ? 1 : 0) << "\n";
   out << "prefetch_depth " << a.prefetch_depth << "\n";
   out << "threads " << a.threads << "\n";
-  out << "compute_threads " << a.compute_threads << "\n";
   out << "fault " << FaultName(a.fault) << "\n";
   out << "vertices " << a.graph.num_vertices() << "\n";
   out << "edges " << a.graph.num_edges() << "\n";
@@ -144,8 +143,8 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
       a.threads =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (key == "compute_threads") {
-      a.compute_threads =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      // Older files record a destination-shard count. Sharded apply was
+      // bit-identical to serial, so the value cannot change a replay.
     } else if (key == "fault") {
       if (value == "none") {
         a.fault = EngineFault::kNone;
@@ -174,9 +173,6 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
                          std::to_string(edges.size()));
   }
   if (a.threads == 0) return Malformed(path, line_no, "threads must be >= 1");
-  if (a.compute_threads == 0) {
-    return Malformed(path, line_no, "compute_threads must be >= 1");
-  }
   if (a.p == 0) return Malformed(path, line_no, "p must be >= 1");
 
   a.graph = EdgeList(vertices);

@@ -20,13 +20,15 @@
 //   cross_iteration 0|1
 //   prefetch_depth <u32>
 //   threads <u32>
-//   compute_threads <u32>      # destination shards; absent in old files (= 1)
 //   fault none|drop_max_edge
 //   vertices <u32>
 //   edges <u64>
 //   weighted 0|1
 //   e <src> <dst> [<weight>]   # weight in C hex-float (%a) — exact
 //   end
+//
+// Older files may also carry a destination-shard-count line, which
+// ReadArtifact accepts and ignores.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,6 @@ struct ReproArtifact {
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
   std::uint32_t threads = 1;
-  std::uint32_t compute_threads = 1;
   EngineFault fault = EngineFault::kNone;
   EdgeList graph{0};
 };

@@ -185,9 +185,6 @@ Result<std::optional<Divergence>> RunTrial(
   if (config.threads == 0) {
     return InvalidArgumentError("trial threads must be >= 1");
   }
-  if (config.compute_threads == 0) {
-    return InvalidArgumentError("trial compute_threads must be >= 1");
-  }
 
   // Oracle: the unwrapped program under textbook BSP.
   auto oracle_program = MakeProgram(config.algo, root);
@@ -222,10 +219,6 @@ Result<std::optional<Divergence>> RunTrial(
 
   EngineOptions options;
   options.num_threads = config.threads;
-  // Sharded compute is order-preserving, so this axis rides every invariant
-  // unchanged: the bitwise/iteration gates below still key off config.threads
-  // alone, and any shard count must pass them identically.
-  options.compute_threads = config.compute_threads;
   options.enable_cross_iteration = cross;
   options.prefetch_depth = config.prefetch_depth;
   options.record_per_round = false;
@@ -377,7 +370,6 @@ Result<bool> StillDiverges(const ReproArtifact& artifact, const EdgeList& graph,
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
   config.threads = artifact.threads;
-  config.compute_threads = artifact.compute_threads;
   config.fault = artifact.fault;
   auto divergence = RunTrial(graph, root, *built->dataset, config);
   GRAPHSD_RETURN_IF_ERROR(divergence.status());
@@ -472,7 +464,6 @@ Result<std::optional<Divergence>> ReplayArtifact(
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
   config.threads = artifact.threads;
-  config.compute_threads = artifact.compute_threads;
   config.fault = artifact.fault;
   return RunTrial(artifact.graph, artifact.root, *built->dataset, config);
 }
@@ -874,12 +865,11 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
 
   constexpr std::uint32_t kDepths[] = {0, 1, 4};
   constexpr std::uint32_t kThreads[] = {1, 4};
-  constexpr std::uint32_t kComputeShards[] = {1, 2, 8};
   constexpr std::uint32_t kIntervals[] = {1, 2, 4, 8};
   const char* kModels[] = {"on_demand", "full", "semi", "auto"};
 
   SweepSummary summary;
-  std::uint64_t rotation = 0;  // spreads depth/threads/shards/cross per combo
+  std::uint64_t rotation = 0;  // spreads depth/threads/cross per combo
 
   for (std::uint32_t s = 0; s < options.num_seeds; ++s) {
     const std::uint64_t seed = options.seed0 + s;
@@ -915,9 +905,6 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           config.prefetch_depth = kDepths[rotation % 3];
           config.threads = kThreads[(rotation / 3) % 2];
           config.cross_iteration = ((rotation / 6) % 2) == 1;
-          // Co-prime stride against the 12-combo depth/threads/cross cycle
-          // so every shard count eventually meets every other setting.
-          config.compute_threads = kComputeShards[(rotation / 5) % 3];
           if (options.fault != EngineFault::kNone && algo.push) {
             config.fault = options.fault;
           }
@@ -942,7 +929,6 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           artifact.cross_iteration = config.cross_iteration;
           artifact.prefetch_depth = config.prefetch_depth;
           artifact.threads = config.threads;
-          artifact.compute_threads = config.compute_threads;
           artifact.fault = config.fault;
           artifact.graph = graph_case.list;
           GRAPHSD_RETURN_IF_ERROR(MinimizeArtifact(

@@ -22,8 +22,8 @@
 // A *sweep* generates seeded graph cases, builds each across raw and
 // varint-delta datasets with varying P, and runs every registered
 // algorithm through forced-SCIU / forced-FCIU / scheduler-auto
-// configurations with rotating prefetch depth, thread count, compute
-// shard count and cross-iteration setting. The first divergence is minimized (ddmin over
+// configurations with rotating prefetch depth, thread count and
+// cross-iteration setting. The first divergence is minimized (ddmin over
 // edges, then vertex-range shrink) and persisted as a replayable artifact.
 #pragma once
 
@@ -53,11 +53,6 @@ struct TrialConfig {
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
   std::uint32_t threads = 1;
-  /// Destination-interval compute shards (EngineOptions::compute_threads,
-  /// core/sharded_apply.hpp). Sharding preserves the serial per-destination
-  /// application order, so this axis must never relax an invariant — any
-  /// value must reproduce the shards=1 trial bitwise.
-  std::uint32_t compute_threads = 1;
   /// Deliberate engine-side fault (push algorithms only) for harness
   /// self-tests.
   EngineFault fault = EngineFault::kNone;

@@ -1,21 +1,8 @@
 #include "util/clock.hpp"
 
-#include <ctime>
-
 #include "util/status.hpp"
 
 namespace graphsd {
-
-double ThreadCpuSeconds() noexcept {
-#ifdef CLOCK_THREAD_CPUTIME_ID
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-#else
-  return 0;
-#endif
-}
 
 void VirtualClock::Add(double seconds) noexcept {
   if (seconds <= 0) return;  // zero-cost events are fine; never subtract

@@ -35,14 +35,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// CPU seconds consumed by the calling thread so far
-/// (CLOCK_THREAD_CPUTIME_ID). Unlike wall time this is immune to
-/// preemption: a time-sliced thread accrues only the time it actually ran,
-/// so a task's CPU delta is its machine-independent cost — equal to its
-/// wall time when it had a core to itself. Returns 0 if the clock is
-/// unavailable.
-double ThreadCpuSeconds() noexcept;
-
 /// Thread-safe accumulator of modeled (virtual) seconds.
 ///
 /// Stored as integer nanoseconds so concurrent `Add` calls are exact and

@@ -1,10 +1,11 @@
 // A small fixed-size thread pool with a blocking `ParallelFor`.
 //
-// GraphSD parallelizes edge application *within* a destination interval;
-// each destination has exactly one writer (core/sharded_apply.hpp), so
-// chunk scheduling order never changes results. The pool is created once per engine run and reused across
-// iterations (no per-iteration thread churn). The prefetch pipeline
-// (io/prefetch.hpp) runs its loader on a dedicated single-worker pool.
+// Edge application never runs on the pool: one consumer thread applies
+// every pass (core/program.hpp), so results do not depend on the pool size.
+// The engine pool only preverifies SCIU checksums (core/sciu_executor.hpp).
+// It is created once per engine run and reused across iterations (no
+// per-iteration thread churn). The prefetch pipeline (io/prefetch.hpp) runs
+// its loader on a dedicated single-worker pool.
 //
 // A task that throws does not kill the worker: the first exception is
 // captured and rethrown to the next caller of Wait(). Later exceptions from

@@ -33,11 +33,11 @@ struct PrefetchConfig {
   const char* name;
   std::size_t depth;
   bool overlap;
-  std::size_t threads;  // worker pool size == compute shard count
+  std::size_t threads;  // engine pool size
 };
 
-// Thread counts rotate {1, 2, 8} across the configurations so decode,
-// checksum offload and sharded compute all run under real parallelism
+// Thread counts rotate {1, 2, 8} across the configurations so loader
+// decode and the pool's checksum preverify run under real parallelism
 // while every comparison stays bitwise against the serial reference.
 constexpr PrefetchConfig kConfigs[] = {
     {"sync_serial", 0, false, 1},   {"sync_overlap_flag", 0, true, 8},
@@ -55,10 +55,9 @@ struct RunObservation {
 
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
-  // Destination-interval sharding keeps the reduction order fixed at any
-  // shard count, so bitwise comparison holds under real parallelism too.
+  // One consumer applies every pass in file order at any thread count, so
+  // bitwise comparison holds under real parallelism too.
   options.num_threads = config.threads;
-  options.compute_threads = config.threads;
   options.prefetch_depth = config.depth;
   options.overlap_io = config.overlap;
   return options;

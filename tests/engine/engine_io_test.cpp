@@ -164,7 +164,7 @@ TEST_F(EngineIoTest, RealSsdBackendMatchesPosixBitwise) {
   // The direct-I/O bounce path and gap-merged vectored reads are purely
   // physical concerns: a run on the real:ssd backend must return exactly
   // the values of a plain posix run, on both the streaming path and the
-  // on-demand (scattered-run ReadRuns) path, with parallel compute on.
+  // on-demand (scattered-run ReadRuns) path.
   for (const bool on_demand : {false, true}) {
     std::optional<std::vector<double>> reference;
     for (const char* kind : {"posix", "real:ssd"}) {
@@ -175,7 +175,6 @@ TEST_F(EngineIoTest, RealSsdBackendMatchesPosixBitwise) {
       TempDir scratch;
       core::EngineOptions options;
       options.force_on_demand = on_demand;
-      options.compute_threads = 4;
       options.scratch_dir = scratch.path();
       core::GraphSDEngine engine(ds, options);
       algos::Sssp sssp(0);

@@ -1,20 +1,19 @@
-// TSan smoke for the sharded parallel compute path. Each program runs with
-// eight worker threads and eight destination shards and must reproduce the
-// single-threaded run bitwise:
+// TSan smoke for the concurrency around the serial apply: the loader's
+// fetch and frame decode, the engine pool's SCIU checksum preverify and the
+// prefetch look-ahead, all running next to the one consumer thread that
+// applies every pass. Each program runs on a varint-delta dataset with
+// eight engine threads and a four-deep prefetch, and must reproduce the
+// one-thread synchronous run bitwise:
 //   * SSSP under each executor — SCIU (on-demand), FCIU (full streaming)
-//     and semi-external — which also drives the decode offload and the
-//     checksum preverify concurrently;
+//     and semi-external;
 //   * PageRank (gather, two-iteration FCIU), PR-Delta, CC and the batched
 //     MultiBfs, covering the accumulate kernel, the float-sum and min-label
 //     push kernels and the multi-lane kernel.
-// Every program combines with plain loads and stores under the
-// single-writer rule (core/program.hpp), so a TSan report here means two
-// shards wrote one destination. The graph is large enough that the biggest
-// sub-blocks exceed kParallelGrain and really fan out. Registered in
-// tests/CMakeLists.txt as tsan_parallel_compute_smoke so the
-// thread-sanitized CI tier covers the compute fan-out without paying for
-// the full suite.
-#include <algorithm>
+// A TSan report here means a loader or pool thread touched state the
+// consumer owns. The test names predate serial apply: "EightShards" now
+// means eight engine threads. Registered in tests/CMakeLists.txt as
+// tsan_parallel_compute_smoke so the thread-sanitized CI tier covers the
+// loader and pool without paying for the full suite.
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -24,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/multi_source.hpp"
-#include "core/sharded_apply.hpp"
 #include "engine_test_util.hpp"
 
 namespace graphsd {
@@ -44,16 +42,8 @@ class ParallelComputeSmoke : public ::testing::Test {
     o.scale = 13;
     o.edge_factor = 16;
     o.max_weight = 10.0;
-    t_ = MakeDataset(GenerateRmat(o), dir_.Sub("ds"), 2);
-    // The sharded path only runs on blocks above the grain.
-    const auto& manifest = t_.dataset->manifest();
-    std::uint64_t largest = 0;
-    for (std::uint32_t i = 0; i < manifest.p; ++i) {
-      for (std::uint32_t j = 0; j < manifest.p; ++j) {
-        largest = std::max<std::uint64_t>(largest, manifest.EdgesIn(i, j));
-      }
-    }
-    ASSERT_GT(largest, core::kParallelGrain);
+    t_ = MakeDataset(GenerateRmat(o), dir_.Sub("ds"), 4, "varint-delta");
+    ASSERT_TRUE(t_.dataset->compressed());
   }
 
   /// Every value of every lane (one lane for solo programs).
@@ -73,10 +63,11 @@ class ParallelComputeSmoke : public ::testing::Test {
 
   std::vector<double> RunWith(const ProgramFactory& make,
                               core::RoundModelChoice forced,
-                              std::size_t threads) {
+                              std::size_t threads,
+                              std::size_t prefetch_depth) {
     core::EngineOptions options;
     options.num_threads = threads;
-    options.compute_threads = threads;
+    options.prefetch_depth = prefetch_depth;
     options.semi_external = forced == core::RoundModelChoice::kSemi;
     if (forced != core::RoundModelChoice::kAuto) {
       options.model_override = [forced](std::uint32_t) { return forced; };
@@ -87,15 +78,15 @@ class ParallelComputeSmoke : public ::testing::Test {
     return AllValues(*program, *engine.state());
   }
 
-  void ExpectEightShardsBitIdentical(const ProgramFactory& make,
-                                     core::RoundModelChoice forced) {
-    const std::vector<double> serial = RunWith(make, forced, 1);
-    const std::vector<double> sharded = RunWith(make, forced, 8);
-    ASSERT_EQ(sharded.size(), serial.size());
-    for (std::size_t v = 0; v < sharded.size(); ++v) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(sharded[v]),
+  void ExpectEightThreadsBitIdentical(const ProgramFactory& make,
+                                      core::RoundModelChoice forced) {
+    const std::vector<double> serial = RunWith(make, forced, 1, 0);
+    const std::vector<double> threaded = RunWith(make, forced, 8, 4);
+    ASSERT_EQ(threaded.size(), serial.size());
+    for (std::size_t v = 0; v < threaded.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(threaded[v]),
                 std::bit_cast<std::uint64_t>(serial[v]))
-          << "value " << v << ": " << sharded[v] << " vs " << serial[v];
+          << "value " << v << ": " << threaded[v] << " vs " << serial[v];
     }
   }
 
@@ -108,25 +99,25 @@ class ParallelComputeSmoke : public ::testing::Test {
 };
 
 TEST_F(ParallelComputeSmoke, SciuEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(MakeSssp, core::RoundModelChoice::kOnDemand);
+  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kOnDemand);
 }
 
 TEST_F(ParallelComputeSmoke, FciuEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(MakeSssp, core::RoundModelChoice::kFull);
+  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kFull);
 }
 
 TEST_F(ParallelComputeSmoke, SemiEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(MakeSssp, core::RoundModelChoice::kSemi);
+  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kSemi);
 }
 
 TEST_F(ParallelComputeSmoke, PageRankEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(
+  ExpectEightThreadsBitIdentical(
       [] { return std::make_unique<algos::PageRank>(4); },
       core::RoundModelChoice::kAuto);
 }
 
 TEST_F(ParallelComputeSmoke, PageRankDeltaEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(
+  ExpectEightThreadsBitIdentical(
       [] {
         return std::make_unique<algos::PageRankDelta>(1e-6, 0.85, 6);
       },
@@ -134,13 +125,13 @@ TEST_F(ParallelComputeSmoke, PageRankDeltaEightShardsBitIdentical) {
 }
 
 TEST_F(ParallelComputeSmoke, ConnectedComponentsEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(
+  ExpectEightThreadsBitIdentical(
       [] { return std::make_unique<algos::ConnectedComponents>(); },
       core::RoundModelChoice::kOnDemand);
 }
 
 TEST_F(ParallelComputeSmoke, MultiBfsEightShardsBitIdentical) {
-  ExpectEightShardsBitIdentical(
+  ExpectEightThreadsBitIdentical(
       [] {
         return std::make_unique<algos::MultiBfs>(
             std::vector<VertexId>{0, 1, 2, 3});

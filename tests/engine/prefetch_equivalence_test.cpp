@@ -37,14 +37,14 @@ struct PrefetchConfig {
   const char* name;
   std::size_t depth;
   bool overlap;
-  std::size_t threads;  // worker pool size == compute shard count
+  std::size_t threads;  // engine pool size
 };
 
 // The first entry is the reference: fully synchronous, serial charging,
 // single-threaded. The thread axis rotates {1, 2, 8} across the prefetch
-// configurations so the sweep also proves sharded parallel compute
-// (core/sharded_apply.hpp) invisible: bit-identical values and identical
-// byte traffic at every shard count.
+// configurations so the sweep also proves the engine pool's checksum
+// preverify invisible: bit-identical values and identical byte traffic at
+// every thread count.
 constexpr PrefetchConfig kConfigs[] = {
     {"sync_serial", 0, false, 1},
     {"sync_overlap_flag", 0, true, 2},  // flag without a pipeline is inert
@@ -66,12 +66,10 @@ struct RunObservation {
 
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
-  // Destination-interval sharding fixes the floating-point reduction order
-  // regardless of thread count (each destination sees its updates in file
-  // order), so the bitwise comparison sweeps real thread counts too; the
-  // reference stays the single-threaded serial path.
+  // One consumer applies every pass in file order at any thread count, so
+  // the bitwise comparison sweeps real thread counts too; the reference
+  // stays the single-threaded synchronous path.
   options.num_threads = config.threads;
-  options.compute_threads = config.threads;
   options.prefetch_depth = config.depth;
   options.overlap_io = config.overlap;
   return options;

@@ -141,6 +141,41 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   }
 }
 
+// Artifacts written before apply went serial carry a destination-shard
+// count. The writer no longer emits it; the reader accepts and ignores it,
+// and the artifact still replays its divergence.
+TEST(DifftestArtifact, ReadsAndReplaysLegacyComputeThreadsLine) {
+  ScratchDir scratch = ValueOrDie(ScratchDir::Create());
+  ReproArtifact artifact;
+  artifact.algo = "bfs";
+  artifact.root = 0;
+  artifact.codec = "varint-delta";
+  artifact.p = 2;
+  artifact.model = "full";
+  artifact.threads = 4;
+  artifact.fault = EngineFault::kDropMaxEdge;
+  artifact.graph = GeneratePath(6);
+
+  const std::string path = scratch.path() + "/legacy.txt";
+  ASSERT_OK(WriteArtifact(artifact, path));
+  std::string text = ValueOrDie(io::ReadFileToString(path));
+  ASSERT_EQ(text.find("compute_threads"), std::string::npos);
+  const std::string threads_line = "threads 4\n";
+  const std::size_t at = text.find(threads_line);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + threads_line.size(), "compute_threads 8\n");
+  ASSERT_OK(io::WriteStringToFile(path, text));
+
+  const ReproArtifact loaded = ValueOrDie(ReadArtifact(path));
+  EXPECT_EQ(loaded.threads, artifact.threads);
+  EXPECT_EQ(loaded.fault, artifact.fault);
+  EXPECT_EQ(loaded.graph.num_edges(), artifact.graph.num_edges());
+  const auto replayed =
+      ValueOrDie(ReplayArtifact(loaded, scratch.path() + "/replay"));
+  ASSERT_TRUE(replayed.has_value())
+      << "legacy artifact did not reproduce the divergence";
+}
+
 TEST(DifftestArtifact, RejectsMalformedFiles) {
   ScratchDir scratch = ValueOrDie(ScratchDir::Create());
   const std::string path = scratch.path() + "/bad.txt";

@@ -7,7 +7,6 @@ and fails on any difference. Compared exactly:
 
   * per workload: read_bytes, write_bytes, rounds, iterations;
   * every semi_external cell (all non-time fields) and the compressed cell;
-  * parallel_compute: read_bytes, write_bytes and bytes_identical per cell;
   * ssd_scheduling: the per-round model strings of every cell;
   * service: the failed-query count of every cell.
 
@@ -26,7 +25,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKLOAD_FIELDS = ("read_bytes", "write_bytes", "rounds", "iterations")
-PARALLEL_FIELDS = ("read_bytes", "write_bytes", "bytes_identical")
 SSD_FIELDS = ("models_hdd", "models_ssd", "models_ssd_semi")
 
 
@@ -67,9 +65,6 @@ def deterministic_view(doc):
               untimed)
     for field, value in semi.get("compressed_cell", {}).items():
         view["semi_external.compressed_cell." + field] = value
-    add_cells("parallel_compute",
-              doc.get("parallel_compute", {}).get("cells", []), ("dataset",),
-              lambda c: pick(c, PARALLEL_FIELDS))
     add_cells("ssd_scheduling",
               doc.get("ssd_scheduling", {}).get("cells", []), ("dataset",),
               lambda c: pick(c, SSD_FIELDS))

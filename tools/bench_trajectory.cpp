@@ -25,16 +25,11 @@
 // >= 1.5x. One compressed cell additionally pins `--cache-compressed`
 // frame-cache traffic.
 //
-// Since PR 10 two more sections pin the raw-speed floor work:
-//   - parallel_compute: the compute-bound figure workload (5-iteration
-//     PageRank, full streams every round) with destination-interval
-//     sharding off (--compute-threads 1) vs on (8 shards), best-of-3 wall
-//     time each. Acceptance: >= 1.3x wall speedup on at least one dataset
-//     with bit-identical bytes moved on every dataset.
-//   - ssd_scheduling: SSSP re-priced under the IoCostModel::Ssd() preset.
-//     Cheap seeks move the C_r <= C_s crossover toward on-demand, so the
-//     scheduler must log at least one SCIU ("S") round that the HDD
-//     profile refuses; the per-round C_r/C_s/C_m decision log is pinned.
+// Since PR 10 an ssd_scheduling section re-prices SSSP under the
+// IoCostModel::Ssd() preset. Cheap seeks move the C_r <= C_s crossover
+// toward on-demand, so the scheduler must log at least one SCIU ("S")
+// round that the HDD profile refuses; the per-round C_r/C_s/C_m decision
+// log is pinned.
 //
 // Usage: bench_trajectory [output.json]   (default BENCH.json in cwd)
 #include <algorithm>
@@ -435,111 +430,6 @@ int Main(int argc, char** argv) {
   json.Field("sssp_min_bytes_reduction", sssp_ratio_min);
   json.EndObject();
 
-  // Parallel-compute section: the compute-bound figure workload
-  // (5-iteration PageRank — every round full-streams, so wall time is the
-  // apply sweep, not seeks) with the destination-interval sharding off
-  // (--compute-threads 1, the pre-PR-10 serial floor) vs on (8 shards).
-  // The pool size is pinned equal in both runs so the prefetch/IO side is
-  // constant and the only axis is compute sharding; scheduling is cost-
-  // model-driven, so bytes moved must be bit-identical. Wall time is
-  // best-of-3 per config (the modeled numbers are identical across trials;
-  // only the measured sweep varies with machine noise).
-  //
-  // Wall time is charged the way this repo charges I/O: against the
-  // hardware the paper assumes, not whatever container the bench lands in.
-  // The engine measures each sharded apply's critical path (longest shard
-  // task) alongside its elapsed time; `wall − apply_serialization_seconds`
-  // is the wall a machine with >= 8 cores would see, and equals the
-  // measured wall when the shards genuinely ran concurrently. Both numbers
-  // and the host's hardware thread count are pinned.
-  const std::size_t kSerialShards = 1;
-  const std::size_t kParallelShards = 8;
-  json.Key("parallel_compute");
-  json.BeginObject();
-  json.Field("algo", AlgoName(Algo::kPr));
-  json.Field("serial_compute_threads",
-             static_cast<std::uint64_t>(kSerialShards));
-  json.Field("parallel_compute_threads",
-             static_cast<std::uint64_t>(kParallelShards));
-  json.Field("hardware_threads", static_cast<std::uint64_t>(
-                                     std::thread::hardware_concurrency()));
-  json.Key("cells");
-  json.BeginArray();
-  TablePrinter par_table({"Dataset", "Wall 1shard(ms)", "Wall 8shard(ms)",
-                          "Stall(ms)", "Speedup", "BytesEq"});
-  double par_best_speedup = 0;
-  bool par_bytes_identical = true;
-  for (const DatasetSpec& spec : Specs()) {
-    const PreparedDataset dataset = Prepare(*device, spec);
-    core::EngineOptions serial_opts;
-    serial_opts.num_threads = kParallelShards;
-    serial_opts.compute_threads = kSerialShards;
-    // A buffer that fits the dataset makes this the compute-bound
-    // configuration (Figure 12's buffered case): after round 1 every
-    // sub-block is served from RAM and wall time is the apply sweep, which
-    // is exactly the floor this section exists to measure. Identical in
-    // both runs, so bytes stay comparable.
-    serial_opts.buffer_capacity_bytes = 1ull << 30;
-    core::EngineOptions par_opts = serial_opts;
-    par_opts.compute_threads = kParallelShards;
-    core::ExecutionReport serial_run;
-    core::ExecutionReport par_run;
-    double serial_wall = 0;
-    double par_wall = 0;
-    for (int trial = 0; trial < 3; ++trial) {
-      double t0 = WallNow();
-      core::ExecutionReport r = RunGraphSD(*device, dataset, Algo::kPr,
-                                           serial_opts);
-      const double w_serial = WallNow() - t0;
-      if (trial == 0 || w_serial < serial_wall) {
-        serial_run = std::move(r);
-        serial_wall = w_serial;
-      }
-      t0 = WallNow();
-      r = RunGraphSD(*device, dataset, Algo::kPr, par_opts);
-      const double w_par = WallNow() - t0;
-      if (trial == 0 || w_par < par_wall) {
-        par_run = std::move(r);
-        par_wall = w_par;
-      }
-    }
-    const bool bytes_eq =
-        serial_run.io.TotalReadBytes() == par_run.io.TotalReadBytes() &&
-        serial_run.io.TotalWriteBytes() == par_run.io.TotalWriteBytes();
-    // The serialization stall is what running 8 shards on fewer cores
-    // cost; subtracting it gives the adequately-cored wall (it is ~0 when
-    // the host actually has the cores, so this is the measured wall there).
-    const double par_stall = par_run.apply_serialization_seconds;
-    const double par_effective = std::max(par_wall - par_stall, 0.0);
-    const double speedup =
-        par_effective > 0 ? serial_wall / par_effective : 0;
-    const double measured_speedup = par_wall > 0 ? serial_wall / par_wall : 0;
-    par_best_speedup = std::max(par_best_speedup, speedup);
-    par_bytes_identical = par_bytes_identical && bytes_eq;
-    json.BeginObject();
-    json.Field("dataset", spec.name);
-    json.Field("paper_name", spec.paper_name);
-    json.Field("serial_wall_seconds", serial_wall);
-    json.Field("parallel_wall_seconds", par_wall);
-    json.Field("parallel_apply_serialization_seconds", par_stall);
-    json.Field("parallel_effective_wall_seconds", par_effective);
-    json.Field("speedup", speedup);
-    json.Field("measured_speedup", measured_speedup);
-    json.Field("serial_compute_shards", serial_run.compute_shards);
-    json.Field("parallel_compute_shards", par_run.compute_shards);
-    json.Field("read_bytes", par_run.io.TotalReadBytes());
-    json.Field("write_bytes", par_run.io.TotalWriteBytes());
-    json.Field("bytes_identical", bytes_eq);
-    json.EndObject();
-    par_table.AddRow({spec.paper_name, Fmt(serial_wall * 1e3, 1),
-                      Fmt(par_effective * 1e3, 1), Fmt(par_stall * 1e3, 1),
-                      Fmt(speedup, 2) + "x", bytes_eq ? "yes" : "NO"});
-  }
-  json.EndArray();
-  json.Field("best_speedup", par_best_speedup);
-  json.Field("bytes_identical", par_bytes_identical);
-  json.EndObject();
-
   // SSD-preset scheduling section: the sparse-frontier workload (SSSP)
   // re-priced under IoCostModel::Ssd(). A 60us seek shrinks C_r by ~100x
   // against the true HDD preset (10ms seeks — the paper's testbed
@@ -621,8 +511,6 @@ int Main(int argc, char** argv) {
              cells ? sum_overhead / cells * 100 : 0);
   json.Field("service_read_bytes_per_query_reduction", svc_ratio);
   json.Field("semi_sssp_mean_bytes_reduction", semi_mean_ratio);
-  json.Field("parallel_compute_best_speedup", par_best_speedup);
-  json.Field("parallel_compute_bytes_identical", par_bytes_identical);
   json.Field("ssd_sciu_rounds", ssd_s_total);
   json.EndObject();
   json.EndObject();
@@ -652,16 +540,8 @@ int Main(int argc, char** argv) {
   std::printf(
       "\nbytes moved, --mode semi vs two-way on the sparse-frontier (SSSP) "
       "cells: mean %.2fx / min %.2fx fewer (acceptance: mean >= 1.5x)\n"
-      "\nparallel compute (pr, %zu shards vs serial, best of 3):\n",
-      semi_mean_ratio, sssp_ratio_min, kParallelShards);
-  par_table.Print();
-  std::printf(
-      "\nwall speedup at 8 shards, serialization stall charged at the "
-      "critical path: best %.2fx (acceptance: >= 1.3x with identical bytes "
-      "moved; bytes identical: %s; host has %u hardware threads)\n\nssd "
-      "scheduling (sssp, IoCostModel::Ssd() vs IoCostModel::Hdd()):\n",
-      par_best_speedup, par_bytes_identical ? "yes" : "NO",
-      std::thread::hardware_concurrency());
+      "\nssd scheduling (sssp, IoCostModel::Ssd() vs IoCostModel::Hdd()):\n",
+      semi_mean_ratio, sssp_ratio_min);
   ssd_table.Print();
   std::printf(
       "\nSCIU rounds under ssd economics: %llu vs %llu under hdd "
@@ -669,8 +549,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(ssd_s_total),
       static_cast<unsigned long long>(hdd_s_total), out_path.c_str());
   return max_overhead < 0.05 && svc_ratio >= 1.5 && svc_failures == 0 &&
-                 semi_mean_ratio >= 1.5 && par_best_speedup >= 1.3 &&
-                 par_bytes_identical && ssd_s_total >= 1
+                 semi_mean_ratio >= 1.5 && ssd_s_total >= 1
              ? 0
              : 1;
 }

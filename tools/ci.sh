@@ -141,8 +141,8 @@ echo "== tier 1: SSD scheduling smoke (--device sim:ssd / real:ssd) =="
 # handful of 60us seeks, the scheduler must flip at least one round to SCIU
 # and log the decision (model "S") with its cost inputs in the report. The
 # same workload then runs on the real:ssd backend (O_DIRECT + batched
-# preadv, SSD scheduler economics, wall-clock time) with parallel compute
-# and must produce bit-identical values.
+# preadv, SSD scheduler economics, wall-clock time) with eight engine
+# threads and must produce bit-identical values.
 "$CLI" generate --type grid --rows 256 --cols 256 --max-weight 9 \
     --out "$OBS_DIR/grid_ssd.bin" > /dev/null
 "$CLI" preprocess --input "$OBS_DIR/grid_ssd.bin" --out "$OBS_DIR/ds_ssd" \
@@ -161,24 +161,27 @@ for r in doc["per_round"]:
         assert r["cost_on_demand"] > 0 and r["cost_full"] > 0, r
 PYEOF
 "$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 --threads 8 \
-    --compute-threads 8 --device real:ssd \
-    --values-out "$OBS_DIR/sssp_ssd_real.txt" > /dev/null
+    --device real:ssd --values-out "$OBS_DIR/sssp_ssd_real.txt" > /dev/null
 cmp "$OBS_DIR/sssp_ssd_sim.txt" "$OBS_DIR/sssp_ssd_real.txt"
 echo "ssd scheduling smoke: OK"
 
 echo "== tier 1: hot-path smoke (hardware CRC32C, atomic-free kernels) =="
 # The real:ssd read path verifies every sub-block with the dispatched
-# CRC32C, and every apply runs the programs' single-writer kernels: PR
-# (gather) and PR-Delta (push) must give the same bytes serially and
-# sharded, the dataset must verify, and one flipped edge byte must fail
-# verification.
+# CRC32C, and one consumer thread runs every apply through the programs'
+# single-writer kernels while the loader reads and decodes frames. On the
+# varint-delta copy of the smoke dataset, PR (gather) and PR-Delta (push)
+# must give the same bytes at 1 and 4 engine threads and with synchronous
+# (depth 0) or prefetched (depth 1) reads; the dataset must verify, and one
+# flipped edge byte must fail verification.
 for ALGO in pr prd; do
-  for CT in 1 4; do
-    "$CLI" run --dataset "$OBS_DIR/ds" --algo "$ALGO" --device real:ssd \
-        --threads 4 --compute-threads "$CT" \
-        --values-out "$OBS_DIR/hot_${ALGO}_$CT.txt" > /dev/null
+  for T in 1 4; do
+    for D in 0 1; do
+      "$CLI" run --dataset "$OBS_DIR/ds_vd" --algo "$ALGO" --device real:ssd \
+          --threads "$T" --prefetch-depth "$D" \
+          --values-out "$OBS_DIR/hot_${ALGO}_${T}_$D.txt" > /dev/null
+      cmp "$OBS_DIR/hot_${ALGO}_1_0.txt" "$OBS_DIR/hot_${ALGO}_${T}_$D.txt"
+    done
   done
-  cmp "$OBS_DIR/hot_${ALGO}_1.txt" "$OBS_DIR/hot_${ALGO}_4.txt"
 done
 "$CLI" verify --dataset "$OBS_DIR/ds" > /dev/null
 cp -r "$OBS_DIR/ds" "$OBS_DIR/ds_flip"
@@ -241,8 +244,8 @@ echo "== tier 1: byte and round regression gate (bench_trajectory) =="
 # Bytes moved, rounds, iterations, semi-external skips, frame-cache traffic
 # and SSD scheduling decisions are deterministic, so a fresh snapshot must
 # match the newest pinned BENCH_*.json exactly. bench_trajectory also exits
-# 1 when one of its wall-time acceptances (checkpoint overhead, parallel
-# speedup, service batching) misses on this host; those are not part of
+# 1 when one of its wall-time acceptances (checkpoint overhead, service
+# batching) misses on this host; those are not part of
 # this gate, so only other exit codes (a crash) fail here. Its other exit-1
 # cause, a failed service query, is caught by the gate's failure counts.
 RC=0

@@ -53,6 +53,14 @@ grep -q '"metrics"' "$WORK/report.json"
     --values-out "$WORK/dist_ext.txt" > "$WORK/run2" 2>&1
 cmp "$WORK/dist.txt" "$WORK/dist_ext.txt"
 
+# --compute-threads is accepted and ignored (perfbench's pr-full command
+# line still passes it): the run must succeed with byte-identical values.
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 --threads 4 \
+    --values-out "$WORK/pr.txt" > "$WORK/run_pr" 2>&1
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 --threads 4 \
+    --compute-threads 4 --values-out "$WORK/pr_ct.txt" > "$WORK/run_pr_ct" 2>&1
+cmp "$WORK/pr.txt" "$WORK/pr_ct.txt"
+
 # Flipping one payload byte must be detected by verify AND by run —
 # a corrupted dataset may never produce a silent wrong answer.
 SB=""

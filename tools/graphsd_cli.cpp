@@ -284,9 +284,8 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("root", "0", "sssp/bfs: source vertex");
   flags.Define("threads", "0", "worker threads (0 = hardware)");
   flags.Define("compute-threads", "0",
-               "destination-range compute shards per apply pass "
-               "(0 = match --threads pool, 1 = serial reference; results "
-               "are bit-identical at any value)");
+               "ignored: edge application is serial on one consumer thread; "
+               "still accepted because perfbench/run.py passes it");
   flags.Define("no-cross-iteration", "false", "disable cross-iteration (b1)");
   flags.Define("no-selective", "false", "disable the on-demand model (b2)");
   flags.Define("no-buffer", "false", "disable the sub-block buffer");
@@ -371,8 +370,6 @@ int CmdRun(int argc, const char* const* argv) {
   if (engine_kind == "graphsd") {
     core::EngineOptions options;
     options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    options.compute_threads =
-        CheckedCast<std::size_t>(flags.GetInt("compute-threads"));
     options.enable_cross_iteration = !flags.GetBool("no-cross-iteration");
     options.enable_selective = !flags.GetBool("no-selective");
     options.enable_buffering = !flags.GetBool("no-buffer");

@@ -28,10 +28,6 @@ BASELINE = {
         ],
         "compressed_cell": {"frame_hits": 4},
     },
-    "parallel_compute": {
-        "cells": [{"dataset": "web", "read_bytes": 4096, "write_bytes": 512,
-                   "bytes_identical": True, "speedup": 1.1}],
-    },
     "ssd_scheduling": {
         "cells": [{"dataset": "grid", "models_hdd": "SSF",
                    "models_ssd": "SSS", "models_ssd_semi": "MMM"}],
