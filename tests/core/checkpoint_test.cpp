@@ -129,6 +129,54 @@ std::vector<std::uint8_t> GoldenV1Frame() {
   return {std::begin(kGoldenV1Frame), std::end(kGoldenV1Frame)};
 }
 
+// EncodeCheckpoint(SampleCheckpoint()) as written by the GSCK version 2
+// encoder. Its totals include three fields later versions dropped, all
+// nonzero here: buffer_frame_hits = 4, buffer_frame_puts = 8 and
+// apply_serialization_seconds = 0.015625.
+constexpr std::uint8_t kGoldenV2Frame[] = {    0x47, 0x53, 0x43, 0x4b, 0x02, 0x00, 0x00, 0x00, 0xa5, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x91, 0xd6, 0xc3, 0xb2, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde,
+    0x04, 0x00, 0x00, 0x00, 0x73, 0x73, 0x73, 0x70, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+    0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0,
+    0x3f, 0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb8, 0x0b, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x7b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2b, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0xe7, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x3f, 0x06, 0x00, 0x00,
+    0x00, 0x1f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x6e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x3f,
+};
+
+std::vector<std::uint8_t> GoldenV2Frame() {
+  return {std::begin(kGoldenV2Frame), std::end(kGoldenV2Frame)};
+}
+
 TEST(CheckpointFrame, RoundTripsEveryField) {
   Checkpoint cp = SampleCheckpoint();
   // A distinct nonzero value in every total, so a field the codec drops,
@@ -172,6 +220,15 @@ TEST(CheckpointFrame, DecodesVersionOneFrame) {
   EXPECT_EQ(decoded.totals.io.vectored_reads, 0u);
   EXPECT_EQ(decoded.totals.io.bounce_reads, 0u);
   EXPECT_EQ(decoded.totals.apply_serialization_seconds, 0.0);
+}
+
+TEST(CheckpointFrame, DecodesVersionTwoFrame) {
+  const std::vector<std::uint8_t> frame = GoldenV2Frame();
+  ASSERT_EQ(frame[4], 2u);
+  const Checkpoint decoded = ValueOrDie(DecodeCheckpoint(frame));
+  ExpectEqual(SampleCheckpoint(), decoded);
+  EXPECT_EQ(decoded.totals.io.vectored_reads, 16u);
+  EXPECT_EQ(decoded.totals.io.bounce_reads, 110u);
 }
 
 TEST(CheckpointFrame, VersionFieldSetsThePayloadLength) {
