@@ -2,10 +2,8 @@
 // the FCIU push and gather rounds, semi rounds and SCIU's compressed passes
 // fetch, acquire and offer edge blocks through one BlockSource. A fetch unit
 // is skipped at issue time when the buffer holds its block (counter-free
-// Contains). On a compressed dataset it also decodes, on the loader thread,
-// except in cache-compressed mode, where the consumer needs the undecoded
-// frame for its buffer offer. Every acquisition records the block's
-// active-source skip summary.
+// Contains). On a compressed dataset it also decodes, on the loader thread.
+// Every acquisition records the block's active-source skip summary.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +18,7 @@ namespace graphsd::core {
 
 class BlockSource {
  public:
-  /// The stream carries fetched payloads, decoded by the fetch unit except
-  /// in cache-compressed mode.
+  /// The stream carries fetched payloads, already decoded by the fetch unit.
   using Stream = io::PrefetchStream<partition::SubBlockPayload>;
   /// An ordered sweep of (i, j) sub-blocks.
   using Plan = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -32,11 +29,6 @@ class BlockSource {
   struct Block {
     SubBlockBuffer::Pin pin;
     partition::SubBlock local;
-    /// The buffer already holds this sub-block although `local` is used (a
-    /// compressed entry decoded on hit): it must not be offered back.
-    bool resident = false;
-    /// Undecoded frame kept for a PutFrame offer (cache-compressed mode).
-    std::vector<std::uint8_t> frame;
 
     const partition::SubBlock& operator*() const noexcept {
       return pin ? *pin : local;
@@ -44,7 +36,7 @@ class BlockSource {
     const partition::SubBlock* operator->() const noexcept { return &**this; }
     bool from_buffer() const noexcept { return static_cast<bool>(pin); }
     /// True when the block came from disk, i.e. Offer() would insert it.
-    bool offerable() const noexcept { return !pin && !resident; }
+    bool offerable() const noexcept { return !pin; }
   };
 
   /// `need_weights` selects whether blocks carry their weights (a hit on
@@ -59,17 +51,15 @@ class BlockSource {
 
   /// Consumes the next unit of `stream`, which must be (i, j), after a
   /// cancellation poll: buffer hit, else the fetched payload, else a
-  /// synchronous reload (offered decoded, like a synchronous load). With
-  /// `keep_frame`, a fetched compressed frame is kept for Offer().
-  Result<Block> Acquire(Stream& stream, std::uint32_t i, std::uint32_t j,
-                        bool keep_frame);
+  /// synchronous reload.
+  Result<Block> Acquire(Stream& stream, std::uint32_t i, std::uint32_t j);
 
   /// SCIU compressed pass: `fetched` holds the frame the pass read, or no
   /// frame when the block was buffer-resident at issue time — then a
-  /// buffer hit, else a synchronous reload. `keep_frame` applies to both
-  /// the fetched and the reloaded frame.
+  /// buffer hit, else a synchronous reload. The frame decodes on the
+  /// calling thread.
   Result<Block> Acquire(std::uint32_t i, std::uint32_t j,
-                        partition::SubBlockPayload fetched, bool keep_frame);
+                        partition::SubBlockPayload fetched);
 
   /// Donates an offerable block to the buffer with `priority`; no-op for
   /// blocks the buffer already holds.
@@ -77,14 +67,11 @@ class BlockSource {
              std::uint64_t priority) const;
 
  private:
-  Result<Block> Hit(std::uint32_t i, std::uint32_t j,
-                    SubBlockBuffer::Pin cached) const;
-  /// Decodes a fetched payload (keeping its frame first when asked).
+  Block Hit(std::uint32_t i, std::uint32_t j, SubBlockBuffer::Pin cached) const;
+  /// Decodes a fetched payload still holding its frame.
   Result<Block> Decode(std::uint32_t i, std::uint32_t j,
-                       partition::SubBlockPayload payload,
-                       bool keep_frame) const;
-  Result<Block> Reload(std::uint32_t i, std::uint32_t j,
-                       bool keep_frame) const;
+                       partition::SubBlockPayload payload) const;
+  Result<Block> Reload(std::uint32_t i, std::uint32_t j) const;
   void RecordSummary(std::uint32_t i, std::uint32_t j,
                      const partition::SubBlock& block) const;
 

@@ -11,16 +11,20 @@
 //
 //   offset  size  field
 //        0     4  magic "GSCK"
-//        4     4  format version (u32, currently 2)
+//        4     4  format version (u32, currently 3)
 //        8     8  payload bytes (u64)
 //       16     4  CRC32C over the payload (u32)
 //       20    12  reserved (zero)
 //       32     -  payload (see EncodeCheckpoint)
 //
 // The payload ends with the RunTotals fields in RunTotals::ForEachField
-// order. Version 2 appends fields to version 1 after `checkpoint_seconds`,
-// so a v1 payload is the v2 prefix of kCheckpointV1Fields fields and
-// decodes with the rest zero; other versions fail with kUnimplemented.
+// order. Version 2 appended eight fields to version 1 after
+// `checkpoint_seconds`; version 3 drops three of them, 8 bytes each:
+// buffer_frame_hits and buffer_frame_puts (the deleted compressed-frame
+// cache) and apply_serialization_seconds (always 0). A v1 payload is the v3
+// prefix of kCheckpointV1Fields fields and decodes with the rest zero; a v2
+// payload decodes with the dropped fields read and discarded. Other
+// versions fail with kUnimplemented.
 //
 // The header mirrors the GSDF compressed-frame format (compress/frame.hpp):
 // magic + CRC + declared size make every checkpoint independently
@@ -52,8 +56,9 @@
 
 namespace graphsd::core {
 
-/// Checkpoint format version this build writes; it also reads version 1.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+/// Checkpoint format version this build writes; it also reads versions 1
+/// and 2.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /// RunTotals fields a version 1 payload carries (a ForEachField prefix).
 inline constexpr std::size_t kCheckpointV1Fields = 29;

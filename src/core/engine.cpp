@@ -92,7 +92,6 @@ class GraphSDEngine::RunScope {
                                    : default_budget;
     ctx_.cancel = &token_;
     ctx_.summaries = summaries;
-    ctx_.cache_compressed = options_.cache_compressed && dataset_.compressed();
 
     if (checkpointing()) fingerprint_ = DatasetFingerprint(manifest);
     report_.engine = options_.engine_name;
@@ -354,8 +353,6 @@ class GraphSDEngine::RunScope {
     t.buffer_misses = buf.misses;
     t.buffer_bytes_saved = buf.bytes_saved;
     t.buffer_disk_bytes_saved = buf.disk_bytes_saved;
-    t.buffer_frame_hits = buf.frame_hits;
-    t.buffer_frame_puts = buf.frame_puts;
     const partition::DecodeStats decode = dataset_.decode_stats();
     t.frames_decoded = decode.frames_decoded;
     t.compressed_bytes_read = decode.compressed_bytes;

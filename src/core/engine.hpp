@@ -62,11 +62,6 @@ struct EngineOptions {
   /// edge I/O) joins SCIU and full streaming as a third costed scheduler
   /// choice. Push programs only; gather runs ignore it.
   bool semi_external = false;
-  /// Cache compressed GSDF frames in the sub-block buffer instead of
-  /// decoded edges (decode-on-hit): ~codec-ratio more sub-blocks per byte
-  /// of budget, one decode per hit charged to compute. No effect on raw
-  /// datasets.
-  bool cache_compressed = false;
   /// The §4.3 priority buffer for secondary sub-blocks.
   bool enable_buffering = true;
   /// Buffer capacity; 0 = 5 % of the dataset's edge payload (the paper's

@@ -42,11 +42,6 @@ struct ExecContext {
   /// whenever its decoded edges are in hand; semi rounds additionally
   /// consult it to skip sub-blocks before any edge I/O.
   SkipSummaryStore* summaries = nullptr;
-  /// Cache compressed GSDF frames in the sub-block buffer instead of
-  /// decoded edges (decode-on-hit): ~codec-ratio more sub-blocks fit the
-  /// same byte budget, at one decode per hit charged to compute. No effect
-  /// on raw datasets.
-  bool cache_compressed = false;
 };
 
 }  // namespace graphsd::core

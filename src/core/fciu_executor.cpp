@@ -103,9 +103,8 @@ Status SweepColumns(const ExecContext& ctx, BlockSource& source,
     for (; next < plan.size() && plan[next].second == j; ++next) {
       const std::uint32_t i = plan[next].first;
       const bool offer = offer_all || i > j;
-      GRAPHSD_ASSIGN_OR_RETURN(
-          BlockSource::Block block,
-          source.Acquire(stream, i, j, offer && ctx.cache_compressed));
+      GRAPHSD_ASSIGN_OR_RETURN(BlockSource::Block block,
+                               source.Acquire(stream, i, j));
       const std::uint64_t priority = apply(i, j, *block);
       if (two_iterations && i == j) {
         // Copy a buffered diagonal; the buffer retains its entry.
@@ -127,7 +126,7 @@ Status SweepBlocks(BlockSource& source, const Plan& plan, Apply&& apply) {
   BlockSource::Stream stream = source.Open(plan);
   for (const auto& [i, j] : plan) {
     GRAPHSD_ASSIGN_OR_RETURN(BlockSource::Block block,
-                             source.Acquire(stream, i, j, false));
+                             source.Acquire(stream, i, j));
     apply(j, *block);
   }
   return Status::Ok();

@@ -29,13 +29,6 @@ std::string ExecutionReport::Summary() const {
                static_cast<unsigned long long>(buffer_misses),
                graphsd::FormatBytes(buffer_bytes_saved).c_str());
   }
-  if (buffer_frame_puts + buffer_frame_hits > 0) {
-    StrAppendf(&out,
-               "  frame cache: %llu compressed entries inserted, "
-               "%llu decode-on-hit serves\n",
-               static_cast<unsigned long long>(buffer_frame_puts),
-               static_cast<unsigned long long>(buffer_frame_hits));
-  }
   if (semi_rounds > 0) {
     StrAppendf(&out,
                "  semi-external: %u rounds, %llu sub-blocks skipped "

@@ -71,12 +71,8 @@ struct RunTotals {
   std::uint64_t buffer_misses = 0;  // sub-blocks (re)loaded from disk
   std::uint64_t buffer_bytes_saved = 0;
   // On-disk bytes buffer hits avoided re-reading (differs from
-  // buffer_bytes_saved exactly by the compression ratio of cached frames).
+  // buffer_bytes_saved exactly by the compression savings of the blocks).
   std::uint64_t buffer_disk_bytes_saved = 0;
-  // Compressed-frame caching (DESIGN.md §14): hits served as an undecoded
-  // frame (decoded on the consumer's thread) and frame entries inserted.
-  std::uint64_t buffer_frame_hits = 0;
-  std::uint64_t buffer_frame_puts = 0;
 
   // Semi-external rounds (DESIGN.md §14): totals of the per-round skip
   // counters — sub-blocks elided by their active-source summary before any
@@ -87,17 +83,12 @@ struct RunTotals {
 
   // Edge-payload decode counters: frames decoded, on-disk frame bytes in,
   // raw edge bytes out, and the wall time decode cost. Streamed blocks are
-  // decoded by the loader's fetch unit; buffer hits, reloads, SCIU passes
-  // and cache-compressed streams decode on the consuming thread.
+  // decoded by the loader's fetch unit; synchronous reloads and SCIU
+  // passes decode on the consuming thread. Buffer hits decode nothing.
   std::uint64_t frames_decoded = 0;
   std::uint64_t compressed_bytes_read = 0;
   std::uint64_t decoded_bytes = 0;
   double decode_seconds = 0;
-
-  // Always 0: one consumer applies every pass, so no apply waits on
-  // another. Kept in GSCK v2 and the report JSON only because
-  // perfbench/run.py --trace 1 still reads it.
-  double apply_serialization_seconds = 0;
 
   // Checkpoint overhead (wall time; checkpoint I/O bypasses the modeled
   // device on purpose, so it appears here and nowhere in `io`).
@@ -108,7 +99,7 @@ struct RunTotals {
   bool operator==(const RunTotals&) const = default;
 
   /// The one list of the fields: calls `f(t.field...)` per field, with the
-  /// same field of every argument, in GSCK payload order. The first
+  /// same field of every argument, in GSCK v3 payload order. The first
   /// kCheckpointV1Fields are the v1 payload; new fields go at the end.
   template <typename F, typename... Totals>
   static void ForEachField(F&& f, Totals&... t) {
@@ -141,15 +132,12 @@ struct RunTotals {
     f(t.checkpoints_written...);
     f(t.checkpoint_bytes...);
     f(t.checkpoint_seconds...);
-    // GSCK v2.
+    // GSCK v2, less the three fields v3 dropped (core/checkpoint.hpp).
     f(t.semi_rounds...);
     f(t.blocks_skipped...);
     f(t.blocks_skipped_bytes...);
-    f(t.buffer_frame_hits...);
-    f(t.buffer_frame_puts...);
     f(t.io.vectored_reads...);
     f(t.io.bounce_reads...);
-    f(t.apply_serialization_seconds...);
   }
 };
 

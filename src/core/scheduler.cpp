@@ -269,6 +269,9 @@ SchedulerDecision StateAwareScheduler::Evaluate(
   // unknown summaries (the executor pays that probe to learn them). No
   // vertex-values terms at all — semi mode keeps the state RAM-resident.
   // Buffer-resident sub-blocks charge decode only (compressed datasets).
+  // That is an over-charge: the buffer holds only decoded blocks, so a hit
+  // decodes nothing. It stays because pricing it at zero would move round
+  // decisions (ROADMAP item 4 re-prices the scheduler from measurements).
   double cost_semi_io = 0;
   if (semi != nullptr) {
     std::uint64_t semi_read_bytes = 0;

@@ -304,8 +304,7 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       // re-scored — by this pass's active edge count.
       GRAPHSD_ASSIGN_OR_RETURN(
           BlockSource::Block block,
-          blocks.Acquire(i, j, std::move(payload.fetched),
-                         ctx_.cache_compressed));
+          blocks.Acquire(i, j, std::move(payload.fetched)));
       if (!block.offerable()) {
         ctx_.buffer->UpdatePriority(i, j, active_edges);
       }

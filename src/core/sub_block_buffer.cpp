@@ -5,7 +5,7 @@
 namespace graphsd::core {
 
 // unordered_map never invalidates references to mapped values on insert or
-// rehash, so a Pin's block/frame pointers stay valid for exactly as long as
+// rehash, so a Pin's block pointer stays valid for exactly as long as
 // their entry stays in the map — which the pin count guarantees.
 
 std::uint64_t SubBlockBuffer::size_bytes() const {
@@ -49,19 +49,18 @@ SubBlockBuffer::Pin SubBlockBuffer::Get(std::uint32_t i, std::uint32_t j,
     return Pin();
   }
   Entry& entry = it->second;
-  // Edge-bearing entries (decoded edges, or a frame that decodes into them)
-  // cached without their weights miss a weighted consumer.
-  const bool has_edges = !entry.block.edges.empty() || !entry.frame.empty();
-  if (require_weights && has_edges && entry.block.weights.empty()) {
+  // Edge-bearing entries cached without their weights miss a weighted
+  // consumer.
+  if (require_weights && !entry.block.edges.empty() &&
+      entry.block.weights.empty()) {
     ++misses_;
     return Pin();
   }
   ++hits_;
-  if (!entry.frame.empty()) ++frame_hits_;
-  bytes_saved_ += entry.served_bytes;
+  bytes_saved_ += entry.stored_bytes;
   disk_bytes_saved_ += entry.block.disk_bytes;
   ++entry.pins;
-  return Pin(this, it->first, &entry.block, &entry.frame);
+  return Pin(this, it->first, &entry.block);
 }
 
 void SubBlockBuffer::Unpin(std::uint64_t key) {
@@ -72,33 +71,9 @@ void SubBlockBuffer::Unpin(std::uint64_t key) {
 
 bool SubBlockBuffer::Put(std::uint32_t i, std::uint32_t j,
                          partition::SubBlock block, std::uint64_t priority) {
-  Entry entry;
-  entry.stored_bytes = block.SizeBytes();
-  entry.served_bytes = entry.stored_bytes;
-  entry.block = std::move(block);
-  entry.priority = priority;
-  return PutEntry(Key(i, j), std::move(entry));
-}
-
-bool SubBlockBuffer::PutFrame(std::uint32_t i, std::uint32_t j,
-                              partition::SubBlockPayload payload,
-                              std::uint64_t served_bytes,
-                              std::uint64_t priority) {
-  if (payload.frame.empty()) {
-    return Put(i, j, std::move(payload.block), priority);
-  }
-  Entry entry;
-  entry.stored_bytes = payload.frame.size() + payload.block.SizeBytes();
-  entry.served_bytes = served_bytes;
-  entry.block = std::move(payload.block);
-  entry.frame = std::move(payload.frame);
-  entry.priority = priority;
-  return PutEntry(Key(i, j), std::move(entry));
-}
-
-bool SubBlockBuffer::PutEntry(std::uint64_t key, Entry entry) {
   if (!enabled()) return false;
-  const std::uint64_t bytes = entry.stored_bytes;
+  const std::uint64_t key = Key(i, j);
+  const std::uint64_t bytes = block.SizeBytes();
   std::lock_guard<std::mutex> lock(mutex_);
   if (bytes > capacity_) {
     // An entry that can never fit is rejected before any eviction: flushing
@@ -122,7 +97,7 @@ bool SubBlockBuffer::PutEntry(std::uint64_t key, Entry entry) {
   std::uint64_t evictable = 0;
   for (const auto& [entry_key, resident] : entries_) {
     if (entry_key == key ||
-        (resident.pins == 0 && resident.priority < entry.priority)) {
+        (resident.pins == 0 && resident.priority < priority)) {
       evictable += resident.stored_bytes;
     }
   }
@@ -155,8 +130,7 @@ bool SubBlockBuffer::PutEntry(std::uint64_t key, Entry entry) {
     ++evictions_;
   }
   used_ += bytes;
-  if (!entry.frame.empty()) ++frame_puts_;
-  entries_.emplace(key, std::move(entry));
+  entries_.emplace(key, Entry{std::move(block), bytes, priority});
   return true;
 }
 
@@ -199,8 +173,6 @@ SubBlockBuffer::Counters SubBlockBuffer::counters() const {
   c.evictions = evictions_;
   c.rejected_puts = rejected_;
   c.pinned_rejected_puts = pinned_rejected_;
-  c.frame_hits = frame_hits_;
-  c.frame_puts = frame_puts_;
   return c;
 }
 
@@ -219,8 +191,6 @@ void SubBlockBuffer::PublishMetrics(obs::MetricsRegistry& metrics) const {
       .Set(static_cast<double>(c.rejected_puts));
   metrics.GetGauge("buffer.pinned_rejected_puts")
       .Set(static_cast<double>(c.pinned_rejected_puts));
-  metrics.GetGauge("buffer.frame_hits").Set(static_cast<double>(c.frame_hits));
-  metrics.GetGauge("buffer.frame_puts").Set(static_cast<double>(c.frame_puts));
 }
 
 }  // namespace graphsd::core

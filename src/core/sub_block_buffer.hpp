@@ -6,19 +6,12 @@
 // evicted when space is needed. Priorities are updated after the block is
 // processed in the first half of the round, as the paper describes.
 //
-// Entries come in two shapes (DESIGN.md §14):
-//   * decoded: `block` holds the edges (and weights when loaded) ready to
-//     consume — a hit costs nothing beyond the pointer;
-//   * compressed: `frame` holds the undecoded GSDF frame and `block` only
-//     the raw weights (they are stored uncompressed on disk). A hit hands
-//     the frame back to the consumer, which decodes it on its own thread —
-//     decode time lands on the compute side of the overlap accounting, and
-//     the cache holds ~the codec ratio more sub-blocks per byte.
-// Capacity is charged at each entry's *stored* footprint (frame + block
-// bytes); the bytes-saved counters credit hits with the entry's *served*
-// bytes (the decoded view a hit avoids re-reading). Every accounting site
-// uses the same stored_bytes figure, so `size_bytes()` always equals the
-// sum over residents (see AuditUsedBytes).
+// Every entry is a decoded sub-block (edges, and weights when loaded), so a
+// hit costs nothing beyond the pointer; compressed datasets are decoded
+// before their blocks are offered (DESIGN.md §14). Capacity is charged at
+// each entry's decoded footprint, and a hit credits the same figure to
+// bytes_saved. Every accounting site uses that one stored_bytes figure, so
+// `size_bytes()` always equals the sum over residents (see AuditUsedBytes).
 //
 // Thread safety: every method is safe to call from any thread — one
 // internal mutex guards the map, the byte budget and all counters, so
@@ -32,7 +25,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "partition/grid_dataset.hpp"
 
@@ -64,10 +56,8 @@ class SubBlockBuffer {
         buffer_ = other.buffer_;
         key_ = other.key_;
         block_ = other.block_;
-        frame_ = other.frame_;
         other.buffer_ = nullptr;
         other.block_ = nullptr;
-        other.frame_ = nullptr;
       }
       return *this;
     }
@@ -80,34 +70,22 @@ class SubBlockBuffer {
     const partition::SubBlock* operator->() const noexcept { return block_; }
     explicit operator bool() const noexcept { return block_ != nullptr; }
 
-    /// True when the pinned entry stores an undecoded frame: the edges live
-    /// in frame() and the block holds only the weights. The consumer copies
-    /// the frame out and decodes it on its own thread (decode-on-hit).
-    bool compressed() const noexcept {
-      return frame_ != nullptr && !frame_->empty();
-    }
-    /// The entry's undecoded GSDF frame (empty for decoded entries).
-    const std::vector<std::uint8_t>& frame() const noexcept { return *frame_; }
-
     /// Drops the pin early (before scope exit). Safe on an empty pin.
     void Release() noexcept {
       if (buffer_ != nullptr && block_ != nullptr) buffer_->Unpin(key_);
       buffer_ = nullptr;
       block_ = nullptr;
-      frame_ = nullptr;
     }
 
    private:
     friend class SubBlockBuffer;
     Pin(SubBlockBuffer* buffer, std::uint64_t key,
-        const partition::SubBlock* block,
-        const std::vector<std::uint8_t>* frame)
-        : buffer_(buffer), key_(key), block_(block), frame_(frame) {}
+        const partition::SubBlock* block)
+        : buffer_(buffer), key_(key), block_(block) {}
 
     SubBlockBuffer* buffer_ = nullptr;
     std::uint64_t key_ = 0;
     const partition::SubBlock* block_ = nullptr;
-    const std::vector<std::uint8_t>* frame_ = nullptr;
   };
 
   bool enabled() const noexcept { return capacity_ > 0; }
@@ -136,7 +114,7 @@ class SubBlockBuffer {
   /// path.
   bool Contains(std::uint32_t i, std::uint32_t j) const;
 
-  /// Inserts decoded block (i,j) with `priority` (active-edge count). The
+  /// Inserts block (i,j) with `priority` (active-edge count). The
   /// insert is feasibility-checked first: if the entry cannot fit even
   /// after evicting every strictly-lower-priority unpinned entry (plus the
   /// same-key entry being replaced), it is rejected with the cache
@@ -148,16 +126,6 @@ class SubBlockBuffer {
   bool Put(std::uint32_t i, std::uint32_t j, partition::SubBlock block,
            std::uint64_t priority);
 
-  /// Inserts a compressed entry: the undecoded frame plus the raw weights
-  /// already in `payload.block` (edges stay in the frame). Capacity is
-  /// charged at the stored size (frame + weights); `served_bytes` is the
-  /// decoded-view size credited to bytes_saved on each hit. Falls back to
-  /// a decoded Put when the payload carries no frame (raw datasets). Same
-  /// feasibility and eviction rules as Put.
-  bool PutFrame(std::uint32_t i, std::uint32_t j,
-                partition::SubBlockPayload payload, std::uint64_t served_bytes,
-                std::uint64_t priority);
-
   /// Re-scores an existing entry (no-op when absent).
   void UpdatePriority(std::uint32_t i, std::uint32_t j, std::uint64_t priority);
 
@@ -168,7 +136,6 @@ class SubBlockBuffer {
   void Clear();
 
   /// Visits every cached entry as fn(i, j, block) under the buffer lock.
-  /// Compressed entries pass their weights-only block (edges undecoded).
   /// `fn` must not call back into the buffer (single non-recursive mutex).
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
@@ -183,13 +150,10 @@ class SubBlockBuffer {
   /// lock acquisition for the whole sweep — the FCIU round's post-first-half
   /// rescoring path (ForEachEntry + per-entry UpdatePriority would deadlock
   /// on the non-recursive mutex and interleave with concurrent Puts).
-  /// Compressed entries keep their existing priority: their edges are
-  /// undecoded, so an edge-inspecting callback has nothing to score.
   template <typename Fn>
   void Rescore(Fn&& fn) {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [key, entry] : entries_) {
-      if (!entry.frame.empty()) continue;
       entry.priority = fn(static_cast<std::uint32_t>(key >> 32),
                           static_cast<std::uint32_t>(key & 0xffffffffu),
                           entry.block);
@@ -207,10 +171,6 @@ class SubBlockBuffer {
     std::uint64_t evictions = 0;
     std::uint64_t rejected_puts = 0;
     std::uint64_t pinned_rejected_puts = 0;
-    // Compressed-entry traffic (subsets of hits / accepted puts): hits
-    // served as an undecoded frame, and frame entries inserted.
-    std::uint64_t frame_hits = 0;
-    std::uint64_t frame_puts = 0;
   };
   Counters counters() const;
 
@@ -218,9 +178,8 @@ class SubBlockBuffer {
   std::uint64_t misses() const { return counters().misses; }
   std::uint64_t bytes_saved() const { return counters().bytes_saved; }
   /// On-disk bytes a hit avoided re-reading (frame + weight files for
-  /// compressed blocks; equals bytes_saved for raw datasets). Decoded
-  /// entries differ from bytes_saved exactly by the compression savings;
-  /// frame entries serve the on-disk shape directly.
+  /// compressed blocks; equals bytes_saved for raw datasets). It differs
+  /// from bytes_saved exactly by the compression savings.
   std::uint64_t disk_bytes_saved() const { return counters().disk_bytes_saved; }
   std::uint64_t evictions() const { return counters().evictions; }
   std::uint64_t rejected_puts() const { return counters().rejected_puts; }
@@ -229,8 +188,6 @@ class SubBlockBuffer {
   std::uint64_t pinned_rejected_puts() const {
     return counters().pinned_rejected_puts;
   }
-  std::uint64_t frame_hits() const { return counters().frame_hits; }
-  std::uint64_t frame_puts() const { return counters().frame_puts; }
 
   /// Publishes the current counters as `buffer.*` gauges (snapshot
   /// semantics: safe to call repeatedly, last write wins).
@@ -238,10 +195,8 @@ class SubBlockBuffer {
 
  private:
   struct Entry {
-    partition::SubBlock block;        // decoded; weights-only when framed
-    std::vector<std::uint8_t> frame;  // non-empty = compressed entry
-    std::uint64_t stored_bytes = 0;   // capacity charge (frame + block)
-    std::uint64_t served_bytes = 0;   // decoded-view bytes one hit saves
+    partition::SubBlock block;
+    std::uint64_t stored_bytes = 0;  // capacity charge, block.SizeBytes()
     std::uint64_t priority = 0;
     std::uint32_t pins = 0;
   };
@@ -249,7 +204,6 @@ class SubBlockBuffer {
     return (static_cast<std::uint64_t>(i) << 32) | j;
   }
 
-  bool PutEntry(std::uint64_t key, Entry entry);
   void Unpin(std::uint64_t key);
 
   mutable std::mutex mutex_;
@@ -262,8 +216,6 @@ class SubBlockBuffer {
   std::uint64_t evictions_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t pinned_rejected_ = 0;
-  std::uint64_t frame_hits_ = 0;
-  std::uint64_t frame_puts_ = 0;
   std::unordered_map<std::uint64_t, Entry> entries_;
 };
 

@@ -65,8 +65,10 @@ std::string ToRunReportJson(const core::ExecutionReport& report,
   json.Field("overlapped", report.overlapped_seconds);
   json.EndObject();
   json.Field("overlap_io", report.overlap_io);
-  json.Field("apply_serialization_seconds",
-             report.apply_serialization_seconds);
+  // Always 0 since one consumer applies every pass; kept only because
+  // perfbench/run.py --trace 1 reads it. The benchmark change that drops
+  // core.apply_serialization_s from perfbench removes this key.
+  json.Field("apply_serialization_seconds", 0.0);
 
   json.Key("cost_model");
   json.BeginObject();
@@ -92,8 +94,6 @@ std::string ToRunReportJson(const core::ExecutionReport& report,
                                 static_cast<double>(lookups));
   json.Field("bytes_saved", report.buffer_bytes_saved);
   json.Field("disk_bytes_saved", report.buffer_disk_bytes_saved);
-  json.Field("frame_hits", report.buffer_frame_hits);
-  json.Field("frame_puts", report.buffer_frame_puts);
   json.EndObject();
 
   json.Key("semi_external");

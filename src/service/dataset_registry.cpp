@@ -71,8 +71,6 @@ core::SubBlockBuffer::Counters DatasetRegistry::TotalBufferCounters() const {
     total.evictions += c.evictions;
     total.rejected_puts += c.rejected_puts;
     total.pinned_rejected_puts += c.pinned_rejected_puts;
-    total.frame_hits += c.frame_hits;
-    total.frame_puts += c.frame_puts;
   }
   return total;
 }

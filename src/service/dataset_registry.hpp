@@ -44,10 +44,6 @@ struct RegistryOptions {
   /// open; a corrupt dataset is refused once instead of failing queries
   /// midway, and the verdict is cached with the entry.
   bool verify_on_open = true;
-  /// Cache compressed sub-blocks as raw GSDF frames in the shared buffer
-  /// (decode-on-hit); only meaningful for compressed datasets, a no-op
-  /// otherwise. See DESIGN.md §14.
-  bool cache_compressed = false;
 };
 
 struct DatasetEntry {

@@ -544,7 +544,6 @@ void QueryServer::ExecuteBatch(PendingRun leader,
     // only pay off in semi-external rounds but recording them is cheap.
     options.shared_summaries = entry->summaries.get();
   }
-  options.cache_compressed = options_.registry.cache_compressed;
   options.max_iterations = admission_.EffectiveIterationCap(req);
   options.deadline_seconds = admission_.EffectiveDeadline(req);
   options.cancel = &shutdown_;

@@ -223,10 +223,6 @@ Result<std::optional<Divergence>> RunTrial(
   options.prefetch_depth = config.prefetch_depth;
   options.record_per_round = false;
   options.semi_external = semi;
-  // Semantics-neutral cache shape change: compressed datasets keep raw
-  // frames in the buffer and decode on hit. Always on so every trial also
-  // differentially covers the decode-on-hit path.
-  options.cache_compressed = true;
   // Bound a diverging engine instead of letting a convergence bug spin: a
   // correct engine needs at most 2*oracle+1 waves (cross-iteration
   // activation stealing; see the iteration invariant below) plus slack for
@@ -635,7 +631,6 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
     options.overlap_io = false;
     options.max_iterations = 1000;
     options.semi_external = semi;
-    options.cache_compressed = true;
     if (config.model != "auto") {
       const RoundModelChoice forced = config.model == "on_demand"
                                           ? RoundModelChoice::kOnDemand

@@ -1,6 +1,6 @@
 // BlockSource acquisition paths that executor-level tests cannot pin down
 // deterministically: a block evicted between issue and consume, and a
-// compressed buffer entry decoded on hit.
+// buffer hit on a compressed dataset.
 #include "core/block_source.hpp"
 
 #include <gtest/gtest.h>
@@ -81,8 +81,7 @@ TEST(BlockSource, EvictedBetweenIssueAndConsumeReloadsOnce) {
   EXPECT_EQ(fx.ReadBytes(), before);
 
   fx.buffer.Erase(i, j);  // evicted before the consumer gets to it
-  BlockSource::Block block =
-      ValueOrDie(source.Acquire(stream, i, j, /*keep_frame=*/false));
+  BlockSource::Block block = ValueOrDie(source.Acquire(stream, i, j));
   EXPECT_FALSE(block.from_buffer());
   EXPECT_TRUE(block.offerable());
   EXPECT_EQ(block->edges, expect.edges);
@@ -93,25 +92,20 @@ TEST(BlockSource, EvictedBetweenIssueAndConsumeReloadsOnce) {
   EXPECT_EQ(fx.buffer.misses(), 1u);
   EXPECT_EQ(fx.buffer.hits(), 0u);
 
-  // The reloaded block is offered back decoded.
+  // The reloaded block is offered back.
   source.Offer(i, j, std::move(block), /*priority=*/1);
   SubBlockBuffer::Pin cached = fx.buffer.Get(i, j, /*require_weights=*/true);
   ASSERT_TRUE(cached);
-  EXPECT_FALSE(cached.compressed());
+  EXPECT_EQ(cached->edges, expect.edges);
 }
 
-TEST(BlockSource, CompressedHitIsDecodedOnHitAndNeverOfferedBack) {
+TEST(BlockSource, CompressedHitIsPinnedAndNeverOfferedBack) {
   Fixture fx("varint-delta");
   ASSERT_TRUE(fx.dataset->compressed());
-  fx.ctx.cache_compressed = true;
   const auto [i, j] = fx.Secondary();
   const partition::SubBlock expect =
       ValueOrDie(fx.dataset->LoadSubBlock(i, j, /*load_weights=*/false));
-  partition::SubBlockPayload frame =
-      ValueOrDie(fx.dataset->FetchSubBlock(i, j, /*load_weights=*/false));
-  ASSERT_FALSE(frame.frame.empty());
-  ASSERT_TRUE(fx.buffer.PutFrame(i, j, std::move(frame), expect.SizeBytes(),
-                                 /*priority=*/1));
+  ASSERT_TRUE(fx.buffer.Put(i, j, expect, /*priority=*/1));
   const std::uint64_t stored = fx.buffer.size_bytes();
 
   BlockSource source(fx.ctx, /*need_weights=*/false, /*trace_iteration=*/0);
@@ -125,24 +119,22 @@ TEST(BlockSource, CompressedHitIsDecodedOnHitAndNeverOfferedBack) {
     BlockSource::Stream stream = source.Open({{i, j}});
     BlockSource::Block block =
         from_stream
-            ? ValueOrDie(source.Acquire(stream, i, j, /*keep_frame=*/true))
-            : ValueOrDie(source.Acquire(i, j, partition::SubBlockPayload{},
-                                        /*keep_frame=*/true));
-    EXPECT_FALSE(block.from_buffer());
-    EXPECT_TRUE(block.resident);
+            ? ValueOrDie(source.Acquire(stream, i, j))
+            : ValueOrDie(source.Acquire(i, j, partition::SubBlockPayload{}));
+    // The hit serves the decoded entry in place: nothing is read or decoded.
+    EXPECT_TRUE(block.from_buffer());
     EXPECT_FALSE(block.offerable());
-    EXPECT_TRUE(block.frame.empty());
     EXPECT_EQ(block->edges, expect.edges);
-    EXPECT_EQ(fx.dataset->decode_stats().frames_decoded, frames + 1);
+    EXPECT_EQ(fx.dataset->decode_stats().frames_decoded, frames);
     EXPECT_EQ(fx.ReadBytes(), before);
+    EXPECT_EQ(fx.buffer.pinned_count(), 1u);
 
     source.Offer(i, j, std::move(block), /*priority=*/1000);
     const SubBlockBuffer::Counters after = fx.buffer.counters();
     EXPECT_EQ(after.hits, counters.hits + 1);
-    EXPECT_EQ(after.frame_hits, counters.frame_hits + 1);
     EXPECT_EQ(after.misses, counters.misses);
-    EXPECT_EQ(after.frame_puts, counters.frame_puts);
     EXPECT_EQ(after.rejected_puts, counters.rejected_puts);
+    EXPECT_EQ(fx.buffer.pinned_count(), 0u);
     EXPECT_EQ(fx.buffer.size_bytes(), stored);
     EXPECT_EQ(fx.buffer.entry_count(), 1u);
   }
@@ -158,7 +150,7 @@ TEST(BlockSource, AcquireTracesTheWaitOnTheLoader) {
   const auto [i, j] = fx.Secondary();
   BlockSource source(fx.ctx, /*need_weights=*/false, /*trace_iteration=*/7);
   BlockSource::Stream stream = source.Open({{i, j}});
-  ValueOrDie(source.Acquire(stream, i, j, /*keep_frame=*/false));
+  ValueOrDie(source.Acquire(stream, i, j));
   std::vector<obs::TraceEvent> waits;
   std::vector<obs::TraceEvent> reads;
   for (const obs::TraceEvent& event : trace.Events()) {

@@ -1,5 +1,5 @@
 // Tests for GSCK checkpoint frames and the two-slot store: field-exact
-// round trips, version 1 compatibility, corruption detection (magic,
+// round trips, version 1 and 2 compatibility, corruption detection (magic,
 // version, truncation, bit flips, trailing garbage), slot alternation, and
 // LoadLatest's fallback semantics.
 #include "core/checkpoint.hpp"
@@ -33,7 +33,8 @@ Checkpoint SampleCheckpoint(std::uint32_t iteration = 7) {
   cp.arrays = {{1, 2, 3, 4, 5}, {10, 20, 30, 40, 50}};
   cp.active = {0, 2, 4};
   cp.preact = {1, 3};
-  // The v1 totals below are the ones kGoldenV1Frame was encoded from.
+  // The totals below are the ones kGoldenV1Frame (v1 fields) and
+  // kGoldenV2Frame were encoded from.
   RunTotals& t = cp.totals;
   t.rounds = 9;
   t.degraded_rounds = 1;
@@ -67,11 +68,8 @@ Checkpoint SampleCheckpoint(std::uint32_t iteration = 7) {
   t.semi_rounds = 6;
   t.blocks_skipped = 31;
   t.blocks_skipped_bytes = 8192;
-  t.buffer_frame_hits = 4;
-  t.buffer_frame_puts = 8;
   t.io.vectored_reads = 16;
   t.io.bounce_reads = 110;
-  t.apply_serialization_seconds = 0.015625;
   return cp;
 }
 
@@ -210,21 +208,20 @@ TEST(CheckpointFrame, DecodesVersionOneFrame) {
         if (field++ >= kCheckpointV1Fields) value = 0;
       },
       expect.totals);
-  EXPECT_EQ(field, kCheckpointV1Fields + 8);
+  EXPECT_EQ(field, kCheckpointV1Fields + 5);
   ExpectEqual(expect, decoded);
   EXPECT_EQ(decoded.totals.semi_rounds, 0u);
   EXPECT_EQ(decoded.totals.blocks_skipped, 0u);
   EXPECT_EQ(decoded.totals.blocks_skipped_bytes, 0u);
-  EXPECT_EQ(decoded.totals.buffer_frame_hits, 0u);
-  EXPECT_EQ(decoded.totals.buffer_frame_puts, 0u);
   EXPECT_EQ(decoded.totals.io.vectored_reads, 0u);
   EXPECT_EQ(decoded.totals.io.bounce_reads, 0u);
-  EXPECT_EQ(decoded.totals.apply_serialization_seconds, 0.0);
 }
 
 TEST(CheckpointFrame, DecodesVersionTwoFrame) {
   const std::vector<std::uint8_t> frame = GoldenV2Frame();
   ASSERT_EQ(frame[4], 2u);
+  // The three fields v3 dropped are read and discarded in place, so the
+  // fields on either side of them land where they belong.
   const Checkpoint decoded = ValueOrDie(DecodeCheckpoint(frame));
   ExpectEqual(SampleCheckpoint(), decoded);
   EXPECT_EQ(decoded.totals.io.vectored_reads, 16u);
@@ -233,16 +230,23 @@ TEST(CheckpointFrame, DecodesVersionTwoFrame) {
 
 TEST(CheckpointFrame, VersionFieldSetsThePayloadLength) {
   // The CRC covers only the payload, so relabelling a frame's version keeps
-  // it CRC-clean: a v1 payload read as v2 is truncated, a v2 payload read
-  // as v1 has trailing bytes.
-  std::vector<std::uint8_t> v1_as_v2 = GoldenV1Frame();
-  v1_as_v2[4] = 2;
-  EXPECT_EQ(DecodeCheckpoint(v1_as_v2).status().code(),
-            StatusCode::kCorruptData);
-  std::vector<std::uint8_t> v2_as_v1 = EncodeCheckpoint(SampleCheckpoint());
-  v2_as_v1[4] = 1;
-  EXPECT_EQ(DecodeCheckpoint(v2_as_v1).status().code(),
-            StatusCode::kCorruptData);
+  // it CRC-clean. A shorter payload read as a longer version is truncated;
+  // a longer one read as a shorter version has trailing bytes.
+  const auto relabelled = [](std::vector<std::uint8_t> frame,
+                             std::uint8_t version) {
+    frame[4] = version;
+    return DecodeCheckpoint(frame).status().code();
+  };
+  const std::vector<std::uint8_t> v1 = GoldenV1Frame();
+  const std::vector<std::uint8_t> v2 = GoldenV2Frame();
+  const std::vector<std::uint8_t> v3 = EncodeCheckpoint(SampleCheckpoint());
+  ASSERT_EQ(v3[4], 3u);
+  EXPECT_EQ(relabelled(v1, 2), StatusCode::kCorruptData);
+  EXPECT_EQ(relabelled(v1, 3), StatusCode::kCorruptData);
+  EXPECT_EQ(relabelled(v2, 1), StatusCode::kCorruptData);
+  EXPECT_EQ(relabelled(v2, 3), StatusCode::kCorruptData);
+  EXPECT_EQ(relabelled(v3, 1), StatusCode::kCorruptData);
+  EXPECT_EQ(relabelled(v3, 2), StatusCode::kCorruptData);
 }
 
 TEST(CheckpointFrame, RoundTripsGatherWithoutFrontiers) {

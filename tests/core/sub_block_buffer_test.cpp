@@ -15,6 +15,12 @@ partition::SubBlock MakeBlock(std::size_t num_edges) {
   return block;
 }
 
+partition::SubBlock MakeWeightedBlock(std::size_t num_edges) {
+  partition::SubBlock block = MakeBlock(num_edges);
+  block.weights.resize(num_edges, Weight{1});
+  return block;
+}
+
 TEST(SubBlockBuffer, DisabledBufferRejectsEverything) {
   SubBlockBuffer buffer(0);
   EXPECT_FALSE(buffer.enabled());
@@ -223,6 +229,25 @@ TEST(SubBlockBuffer, WeightsCountTowardCapacity) {
 
 // --- pinning (shared buffer tier, DESIGN.md §13) ---------------------------
 
+TEST(SubBlockBuffer, WeightlessEntryMissesWeightedGet) {
+  // Edges cached by a weightless SCIU pass must not satisfy a weighted
+  // FCIU consumer; a weightless Get still hits, and so does a weighted Get
+  // on an entry without edges (nothing to weigh).
+  SubBlockBuffer buffer(1 << 20);
+  ASSERT_TRUE(buffer.Put(1, 0, MakeBlock(8), 1));
+  ASSERT_TRUE(buffer.Put(2, 0, partition::SubBlock{}, 1));
+  ASSERT_TRUE(buffer.Put(3, 0, MakeWeightedBlock(8), 1));
+  EXPECT_FALSE(buffer.Get(1, 0, /*require_weights=*/true));
+  EXPECT_EQ(buffer.misses(), 1u);
+  EXPECT_TRUE(buffer.Get(1, 0));
+  EXPECT_TRUE(buffer.Get(2, 0, /*require_weights=*/true));
+  SubBlockBuffer::Pin pin = buffer.Get(3, 0, /*require_weights=*/true);
+  ASSERT_TRUE(pin);
+  EXPECT_EQ(pin->weights.size(), 8u);
+  EXPECT_EQ(buffer.hits(), 3u);
+  EXPECT_EQ(buffer.misses(), 1u);
+}
+
 TEST(SubBlockBufferPin, PinnedEntryIsNeverEvicted) {
   SubBlockBuffer buffer(2 * 10 * sizeof(Edge));
   ASSERT_TRUE(buffer.Put(1, 0, MakeBlock(10), /*priority=*/1));  // coldest
@@ -305,100 +330,6 @@ TEST(SubBlockBufferPin, MovedFromPinDoesNotDoubleUnpin) {
   EXPECT_EQ(buffer.pinned_count(), 0u);
 }
 
-// --- compressed frame entries (decode-on-hit, DESIGN.md §14) ---------------
-
-partition::SubBlockPayload MakeFramePayload(std::size_t frame_bytes,
-                                            std::size_t num_weights) {
-  partition::SubBlockPayload payload;
-  payload.frame.resize(frame_bytes, 0xab);
-  payload.block.weights.resize(num_weights, Weight{1});
-  return payload;
-}
-
-TEST(SubBlockBufferFrame, PutFrameServesUndecodedFrameOnHit) {
-  SubBlockBuffer buffer(1 << 20);
-  partition::SubBlockPayload payload = MakeFramePayload(64, 8);
-  const std::uint64_t served = 8 * sizeof(Edge) + 8 * sizeof(Weight);
-  ASSERT_TRUE(buffer.PutFrame(1, 0, std::move(payload), served, 5));
-  EXPECT_EQ(buffer.frame_puts(), 1u);
-
-  SubBlockBuffer::Pin pin = buffer.Get(1, 0, /*require_weights=*/true);
-  ASSERT_TRUE(pin);
-  EXPECT_TRUE(pin.compressed());
-  EXPECT_EQ(pin.frame().size(), 64u);
-  EXPECT_EQ(pin.frame()[0], 0xab);
-  EXPECT_TRUE(pin->edges.empty());  // edges live in the frame
-  EXPECT_EQ(pin->weights.size(), 8u);
-  EXPECT_EQ(buffer.hits(), 1u);
-  EXPECT_EQ(buffer.frame_hits(), 1u);
-  // A hit saves the decoded view's bytes, not the stored footprint.
-  EXPECT_EQ(buffer.bytes_saved(), served);
-}
-
-TEST(SubBlockBufferFrame, CapacityChargedAtStoredNotServedBytes) {
-  // The stored footprint (frame + weights) is ~half the decoded view here;
-  // the entry must fit a capacity the decoded block would overflow.
-  const std::uint64_t stored = 16 + 8 * sizeof(Weight);
-  const std::uint64_t served = 8 * sizeof(Edge) + 8 * sizeof(Weight);
-  ASSERT_LT(stored, served);
-  SubBlockBuffer buffer(stored);
-  ASSERT_TRUE(buffer.PutFrame(1, 0, MakeFramePayload(16, 8), served, 1));
-  EXPECT_EQ(buffer.size_bytes(), stored);
-  EXPECT_EQ(buffer.AuditUsedBytes(), stored);
-}
-
-TEST(SubBlockBufferFrame, PutFrameWithoutFrameFallsBackToDecodedEntry) {
-  SubBlockBuffer buffer(1 << 20);
-  partition::SubBlockPayload payload;
-  payload.block = MakeBlock(6);  // raw dataset: no frame attached
-  ASSERT_TRUE(buffer.PutFrame(2, 0, std::move(payload),
-                              /*served_bytes=*/6 * sizeof(Edge), 1));
-  EXPECT_EQ(buffer.frame_puts(), 0u);
-  SubBlockBuffer::Pin pin = buffer.Get(2, 0);
-  ASSERT_TRUE(pin);
-  EXPECT_FALSE(pin.compressed());
-  EXPECT_EQ(pin->edges.size(), 6u);
-  EXPECT_EQ(buffer.frame_hits(), 0u);
-}
-
-TEST(SubBlockBufferFrame, WeightlessFrameEntryMissesWeightedGet) {
-  // A frame cached by a weightless SCIU pass must not satisfy a weighted
-  // FCIU consumer: the weights are simply not there to decode.
-  SubBlockBuffer buffer(1 << 20);
-  ASSERT_TRUE(buffer.PutFrame(1, 0, MakeFramePayload(64, 0),
-                              /*served_bytes=*/8 * sizeof(Edge), 1));
-  EXPECT_FALSE(buffer.Get(1, 0, /*require_weights=*/true));
-  EXPECT_EQ(buffer.misses(), 1u);
-  SubBlockBuffer::Pin pin = buffer.Get(1, 0);
-  ASSERT_TRUE(pin);
-  EXPECT_TRUE(pin.compressed());
-}
-
-TEST(SubBlockBufferFrame, RescoreLeavesFrameEntriesAtPutTimePriority) {
-  // Rescore can only score decoded edges, so the frame entry keeps its
-  // put-time priority (7) while the decoded entry is bumped to 99. Insert
-  // pressure between the two must then evict the frame entry.
-  SubBlockBuffer tight(32 + 4 * sizeof(Edge));
-  ASSERT_TRUE(tight.PutFrame(1, 0, MakeFramePayload(32, 0), 100, 7));
-  ASSERT_TRUE(tight.Put(2, 0, MakeBlock(4), 7));
-  tight.Rescore([](std::uint32_t, std::uint32_t,
-                   const partition::SubBlock&) -> std::uint64_t { return 99; });
-  ASSERT_TRUE(tight.Put(3, 0, MakeBlock(4), /*priority=*/50));
-  EXPECT_FALSE(tight.Contains(1, 0));
-  EXPECT_TRUE(tight.Contains(2, 0));
-  EXPECT_EQ(tight.AuditUsedBytes(), tight.size_bytes());
-}
-
-TEST(SubBlockBufferFrame, ReplacingFrameEntryReleasesStoredBytes) {
-  SubBlockBuffer buffer(1 << 20);
-  ASSERT_TRUE(buffer.PutFrame(1, 0, MakeFramePayload(128, 4), 200, 5));
-  const std::uint64_t first = buffer.size_bytes();
-  ASSERT_TRUE(buffer.PutFrame(1, 0, MakeFramePayload(32, 0), 100, 5));
-  EXPECT_LT(buffer.size_bytes(), first);
-  EXPECT_EQ(buffer.AuditUsedBytes(), buffer.size_bytes());
-  EXPECT_EQ(buffer.evictions(), 0u);
-}
-
 // --- concurrency stress (counters exact, pins protective; TSan-clean) ------
 
 TEST(SubBlockBufferConcurrency, CountersExactUnderConcurrentGetPut) {
@@ -457,10 +388,11 @@ TEST(SubBlockBufferConcurrency, CountersExactUnderConcurrentGetPut) {
   EXPECT_EQ(buffer.AuditUsedBytes(), buffer.size_bytes());
 }
 
-TEST(SubBlockBufferConcurrency, AuditHoldsUnderMixedFrameAndDecodedChurn) {
-  // Same stress shape but alternating decoded Puts and compressed PutFrames
-  // (distinct stored/served figures) so a unit mix-up between the two entry
-  // shapes cannot hide: the audit must still match after the churn.
+TEST(SubBlockBufferConcurrency, AuditHoldsUnderMixedSizeDecodedChurn) {
+  // Same stress shape but with entries of three sizes, with and without
+  // weights, read by weighted and weightless Gets, so a byte-accounting
+  // slip between entry sizes or a weights mix-up cannot hide: the audit
+  // must still match after the churn.
   SubBlockBuffer buffer(6 * 16 * sizeof(Edge));
   constexpr int kThreads = 4;
   constexpr int kOps = 300;
@@ -473,18 +405,16 @@ TEST(SubBlockBufferConcurrency, AuditHoldsUnderMixedFrameAndDecodedChurn) {
         const std::uint64_t priority = static_cast<std::uint64_t>(op % 40);
         switch (op % 4) {
           case 0:
-            buffer.Put(i, 0, MakeBlock(16), priority);
+            buffer.Put(i, 0, MakeBlock(8 + 8 * (op % 3)), priority);
             break;
           case 1:
-            buffer.PutFrame(i, 0, MakeFramePayload(48, 16),
-                            /*served_bytes=*/16 * sizeof(Edge) +
-                                16 * sizeof(Weight),
-                            priority);
+            buffer.Put(i, 0, MakeWeightedBlock(16), priority);
             break;
           default: {
-            SubBlockBuffer::Pin pin = buffer.Get(i, 0);
-            if (pin && pin.compressed()) {
-              ASSERT_EQ(pin.frame().size(), 48u);
+            const bool weighted = op % 4 == 3;
+            SubBlockBuffer::Pin pin = buffer.Get(i, 0, weighted);
+            if (pin && weighted) {
+              ASSERT_EQ(pin->weights.size(), pin->edges.size());
             }
             break;
           }

@@ -97,7 +97,7 @@ test -f "$OBS_DIR/ck_int/checkpoint.0.gsck" \
 "$CLI" difftest --kill-resume --seeds 2 --seed0 77 > /dev/null 2>&1
 echo "lifecycle smoke: OK"
 
-echo "== tier 1: semi-external smoke (--mode semi / --cache-compressed) =="
+echo "== tier 1: semi-external smoke (--mode semi, raw and varint-delta) =="
 # Sparse-frontier workload (SSSP on a 64x64 grid: a long diagonal wavefront
 # touches few intervals per round, so the scheduler's third cost C_m wins
 # naturally): semi mode must actually elide sub-block I/O via the skip
@@ -120,18 +120,18 @@ assert semi["rounds"] > 0, semi
 assert semi["blocks_skipped"] > 0, semi
 assert semi["blocks_skipped_bytes"] > 0, semi
 PYEOF
-# Compressed dataset + frame cache: decode-on-hit entries must appear and
-# the answers must still match the default engine bit for bit.
+# Compressed dataset: semi rounds decode varint-delta frames and the
+# answers must still match the default engine bit for bit.
 "$CLI" preprocess --input "$OBS_DIR/grid.bin" --out "$OBS_DIR/ds_grid_vd" \
     --p 4 --codec varint-delta > /dev/null
 "$CLI" run --dataset "$OBS_DIR/ds_grid_vd" --algo sssp --root 0 --threads 1 \
-    --mode semi --cache-compressed --values-out "$OBS_DIR/sssp_semi_vd.txt" \
+    --mode semi --values-out "$OBS_DIR/sssp_semi_vd.txt" \
     --report-json "$OBS_DIR/report_semi_vd.json" > /dev/null
 cmp "$OBS_DIR/sssp_default.txt" "$OBS_DIR/sssp_semi_vd.txt"
 python3 - "$OBS_DIR/report_semi_vd.json" <<'PYEOF'
 import json, sys
-buf = json.load(open(sys.argv[1]))["buffer"]
-assert buf["frame_puts"] > 0, buf
+comp = json.load(open(sys.argv[1]))["compression"]
+assert comp["frames_decoded"] > 0, comp
 PYEOF
 echo "semi-external smoke: OK"
 
@@ -241,17 +241,15 @@ echo "== tier 1: bench gate unit tests =="
 (cd "$ROOT" && python3 -m unittest discover -s tools -p 'test_*.py')
 
 echo "== tier 1: byte and round regression gate (bench_trajectory) =="
-# Bytes moved, rounds, iterations, semi-external skips, frame-cache traffic
-# and SSD scheduling decisions are deterministic, so a fresh snapshot must
-# match the newest pinned BENCH_*.json exactly. bench_trajectory also exits
-# 1 when one of its wall-time acceptances (checkpoint overhead, service
-# batching) misses on this host; those are not part of
-# this gate, so only other exit codes (a crash) fail here. Its other exit-1
-# cause, a failed service query, is caught by the gate's failure counts.
+# Bytes moved, rounds, iterations, semi-external skips and SSD scheduling
+# decisions are deterministic, so a fresh snapshot must match the newest
+# pinned BENCH_*.json exactly. bench_trajectory's own acceptances are all
+# deterministic too (no failed service query, the semi-external byte
+# reduction, an SSD SCIU round), so it must exit 0.
 RC=0
 (cd "$OBS_DIR" && "$ROOT/build/tools/bench_trajectory" "$OBS_DIR/bench.json" \
     > "$OBS_DIR/bench.log" 2>&1) || RC=$?
-test "$RC" -le 1
+test "$RC" -eq 0
 python3 "$ROOT/tools/bench_gate.py" "$OBS_DIR/bench.json"
 echo "bench gate: OK"
 

@@ -61,6 +61,18 @@ cmp "$WORK/dist.txt" "$WORK/dist_ext.txt"
     --compute-threads 4 --values-out "$WORK/pr_ct.txt" > "$WORK/run_pr_ct" 2>&1
 cmp "$WORK/pr.txt" "$WORK/pr_ct.txt"
 
+# The compressed-frame cache is gone: both commands refuse its flag.
+if "$CLI" run --dataset "$WORK/ds" --algo bfs --root 0 --cache-compressed \
+    > "$WORK/run_cc" 2>&1; then
+  exit 1
+fi
+grep -q "unknown flag --cache-compressed" "$WORK/run_cc"
+if "$CLI" serve --socket "$WORK/cc.sock" --cache-compressed \
+    > "$WORK/serve_cc" 2>&1; then
+  exit 1
+fi
+grep -q "unknown flag --cache-compressed" "$WORK/serve_cc"
+
 # Flipping one payload byte must be detected by verify AND by run —
 # a corrupted dataset may never produce a silent wrong answer.
 SB=""

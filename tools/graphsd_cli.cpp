@@ -292,9 +292,6 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("mode", "auto",
                "auto | semi: semi keeps vertex state RAM-resident and adds "
                "skip-summary selective streaming as a third scheduler choice");
-  flags.Define("cache-compressed", "false",
-               "cache compressed GSDF frames in the sub-block buffer "
-               "(decode-on-hit; no effect on raw datasets)");
   flags.Define("prefetch-depth", "1",
                "async read look-ahead in fetch units (0 = synchronous I/O)");
   flags.Define("no-overlap-io", "false",
@@ -380,7 +377,6 @@ int CmdRun(int argc, const char* const* argv) {
       std::fprintf(stderr, "unknown --mode %s (auto | semi)\n", mode.c_str());
       return 1;
     }
-    options.cache_compressed = flags.GetBool("cache-compressed");
     options.prefetch_depth =
         CheckedCast<std::size_t>(flags.GetInt("prefetch-depth"));
     options.overlap_io = !flags.GetBool("no-overlap-io");
@@ -613,9 +609,6 @@ int CmdServe(int argc, const char* const* argv) {
                "admission: per-query deadline cap (also the default)");
   flags.Define("no-verify-on-open", "false",
                "skip dataset checksum verification at first open");
-  flags.Define("cache-compressed", "false",
-               "cache compressed GSDF frames in the shared buffer "
-               "(decode-on-hit; no effect on raw datasets)");
   flags.Define("scratch-dir", "",
                "per-run scratch root (default: <socket>.scratch)");
   DefineDeviceFlag(flags);
@@ -629,7 +622,6 @@ int CmdServe(int argc, const char* const* argv) {
   options.registry.prefetch_depth =
       CheckedCast<std::size_t>(flags.GetInt("prefetch-depth"));
   options.registry.verify_on_open = !flags.GetBool("no-verify-on-open");
-  options.registry.cache_compressed = flags.GetBool("cache-compressed");
   options.limits.max_queue = CheckedCast<std::size_t>(flags.GetInt("max-queue"));
   options.limits.max_iterations =
       CheckedCast<std::uint32_t>(flags.GetInt("max-iterations"));

@@ -26,7 +26,7 @@ BASELINE = {
             {"dataset": "web", "algo": "SSSP", "semi_bytes": 2048,
              "semi_rounds": 7, "semi_total_seconds": 0.25},
         ],
-        "compressed_cell": {"frame_hits": 4},
+        "compressed_cell": {"decoded_cache_read_bytes": 4096},
     },
     "ssd_scheduling": {
         "cells": [{"dataset": "grid", "models_hdd": "SSF",
