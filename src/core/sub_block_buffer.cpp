@@ -6,7 +6,7 @@ namespace graphsd::core {
 
 // unordered_map never invalidates references to mapped values on insert or
 // rehash, so a Pin's block pointer stays valid for exactly as long as
-// their entry stays in the map — which the pin count guarantees.
+// its entry stays in the map — which the pin count guarantees.
 
 std::uint64_t SubBlockBuffer::size_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);

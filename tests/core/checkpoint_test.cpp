@@ -131,7 +131,8 @@ std::vector<std::uint8_t> GoldenV1Frame() {
 // encoder. Its totals include three fields later versions dropped, all
 // nonzero here: buffer_frame_hits = 4, buffer_frame_puts = 8 and
 // apply_serialization_seconds = 0.015625.
-constexpr std::uint8_t kGoldenV2Frame[] = {    0x47, 0x53, 0x43, 0x4b, 0x02, 0x00, 0x00, 0x00, 0xa5, 0x01, 0x00, 0x00,
+constexpr std::uint8_t kGoldenV2Frame[] = {
+    0x47, 0x53, 0x43, 0x4b, 0x02, 0x00, 0x00, 0x00, 0xa5, 0x01, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x91, 0xd6, 0xc3, 0xb2, 0x00, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde,
     0x04, 0x00, 0x00, 0x00, 0x73, 0x73, 0x73, 0x70, 0x00, 0x07, 0x00, 0x00,

@@ -61,7 +61,8 @@ cmp "$WORK/dist.txt" "$WORK/dist_ext.txt"
     --compute-threads 4 --values-out "$WORK/pr_ct.txt" > "$WORK/run_pr_ct" 2>&1
 cmp "$WORK/pr.txt" "$WORK/pr_ct.txt"
 
-# The compressed-frame cache is gone: both commands refuse its flag.
+# The sub-block buffer has one entry shape: neither command takes a flag to
+# cache compressed frames.
 if "$CLI" run --dataset "$WORK/ds" --algo bfs --root 0 --cache-compressed \
     > "$WORK/run_cc" 2>&1; then
   exit 1
