@@ -19,7 +19,6 @@
 #include "util/bitset.hpp"
 #include "util/crc32c.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -214,21 +213,6 @@ void BM_SchedulerEvaluate(benchmark::State& state) {
   (void)io::RemoveTree("/tmp/graphsd_micro_sched");
 }
 BENCHMARK(BM_SchedulerEvaluate);
-
-void BM_ParallelForOverhead(benchmark::State& state) {
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::uint64_t> data(1 << 16, 1);
-  for (auto _ : state) {
-    std::atomic<std::uint64_t> sum{0};
-    pool.ParallelFor(0, data.size(), 4096, [&](std::size_t b, std::size_t e) {
-      std::uint64_t local = 0;
-      for (std::size_t i = b; i < e; ++i) local += data[i];
-      sum.fetch_add(local);
-    });
-    benchmark::DoNotOptimize(sum.load());
-  }
-}
-BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(4);
 
 }  // namespace
 

@@ -5,7 +5,6 @@ namespace {
 
 core::EngineOptions ToEngineOptions(const HusGraphEngine::Options& options) {
   core::EngineOptions out;
-  out.num_threads = options.num_threads;
   out.max_iterations = options.max_iterations;
   out.record_per_round = options.record_per_round;
   out.scratch_dir = options.scratch_dir;

@@ -20,7 +20,6 @@ namespace graphsd::baselines {
 class LumosEngine {
  public:
   struct Options {
-    std::size_t num_threads = 0;
     std::uint32_t max_iterations = UINT32_MAX;
     bool record_per_round = true;
     std::string scratch_dir;

@@ -108,7 +108,7 @@ Result<BlockSource::Block> BlockSource::Reload(std::uint32_t i,
 
 void BlockSource::Offer(std::uint32_t i, std::uint32_t j, Block block,
                         std::uint64_t priority) const {
-  if (block.offerable()) {
+  if (!block.from_buffer()) {
     ctx_.buffer->Put(i, j, std::move(block.local), priority);
   }
 }

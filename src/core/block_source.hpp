@@ -34,9 +34,8 @@ class BlockSource {
       return pin ? *pin : local;
     }
     const partition::SubBlock* operator->() const noexcept { return &**this; }
+    /// False when the block came from disk, i.e. Offer() would insert it.
     bool from_buffer() const noexcept { return static_cast<bool>(pin); }
-    /// True when the block came from disk, i.e. Offer() would insert it.
-    bool offerable() const noexcept { return !pin; }
   };
 
   /// `need_weights` selects whether blocks carry their weights (a hit on
@@ -61,8 +60,8 @@ class BlockSource {
   Result<Block> Acquire(std::uint32_t i, std::uint32_t j,
                         partition::SubBlockPayload fetched);
 
-  /// Donates an offerable block to the buffer with `priority`; no-op for
-  /// blocks the buffer already holds.
+  /// Donates a block read from disk to the buffer with `priority`; no-op
+  /// for a buffer hit (`from_buffer()`).
   void Offer(std::uint32_t i, std::uint32_t j, Block block,
              std::uint64_t priority) const;
 

@@ -13,15 +13,14 @@
 #include "util/clock.hpp"
 #include "util/logging.hpp"
 #include "util/str_format.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphsd::core {
 
-/// One engine run's lifecycle, shared by push and gather runs: the worker
-/// pool, the buffer, prefetch pipeline and skip summaries (private, or the
-/// caller's shared tier — DESIGN.md §13), the executors' ExecContext, the
-/// run token with its deadline, checkpoint store and async writer, resume
-/// and restore, periodic and final checkpoints (DESIGN.md §12), and the
+/// One engine run's lifecycle, shared by push and gather runs: the buffer,
+/// prefetch pipeline and skip summaries (private, or the caller's shared
+/// tier — DESIGN.md §13), the executors' ExecContext, the run token with
+/// its deadline, checkpoint store and async writer, resume and restore,
+/// periodic and final checkpoints (DESIGN.md §12), and the
 /// end-of-run folding of buffer/decode counters and metrics into the
 /// report. RunPush and RunGather keep only their round loops.
 class GraphSDEngine::RunScope {
@@ -38,7 +37,6 @@ class GraphSDEngine::RunScope {
         active_(active),
         preact_(preact),
         values_path_(engine.ValuesPath(program)),
-        pool_(options_.num_threads),
         store_(options_.checkpoint_dir),
         writer_(&store_) {
     const auto& manifest = dataset_.manifest();
@@ -83,7 +81,6 @@ class GraphSDEngine::RunScope {
     }
 
     ctx_.dataset = &dataset_;
-    ctx_.pool = &pool_;
     ctx_.buffer = buffer_;
     ctx_.prefetch = prefetch_;
     ctx_.trace = options_.trace;
@@ -102,8 +99,8 @@ class GraphSDEngine::RunScope {
     external_before_ = ExternalCounters();
   }
 
-  // The pool, token and checkpoint writer are referenced by address from
-  // threads and from `ctx_`.
+  // The token and checkpoint writer are referenced by address from threads
+  // and from `ctx_`.
   RunScope(const RunScope&) = delete;
   RunScope& operator=(const RunScope&) = delete;
 
@@ -417,7 +414,6 @@ class GraphSDEngine::RunScope {
   Frontier* active_;
   Frontier* preact_;
   const std::string values_path_;
-  ThreadPool pool_;
   std::unique_ptr<SubBlockBuffer> local_buffer_;
   SubBlockBuffer* buffer_ = nullptr;
   CancellationToken token_;

@@ -46,9 +46,6 @@ class SkipSummaryStore;
 enum class RoundModelChoice : std::uint8_t { kAuto, kOnDemand, kFull, kSemi };
 
 struct EngineOptions {
-  /// Engine pool workers (0 = hardware concurrency). The pool preverifies
-  /// SCIU checksums; edge application always runs on the consumer thread.
-  std::size_t num_threads = 0;
   /// Cross-iteration value computation (SCIU step 3 / FCIU second half).
   bool enable_cross_iteration = true;
   /// State-aware scheduling: allow the on-demand I/O model at all.

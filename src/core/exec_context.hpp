@@ -12,13 +12,11 @@
 #include "obs/trace.hpp"
 #include "partition/grid_dataset.hpp"
 #include "util/cancellation.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphsd::core {
 
 struct ExecContext {
   const partition::GridDataset* dataset = nullptr;
-  ThreadPool* pool = nullptr;
   /// May be a disabled (capacity 0) buffer; never null.
   SubBlockBuffer* buffer = nullptr;
   /// Asynchronous read pipeline. May be null or disabled (depth 0), in

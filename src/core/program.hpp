@@ -20,11 +20,12 @@
 //
 // Single-writer rule. The executors hand edges to a program one pass at a
 // time through `ApplySpan`, and one consumer thread applies every pass, in
-// file order; the engine pool only preverifies checksums and the loader
-// only reads and decodes. The contribution arrays a pass reads are sealed
-// before it starts. A combine therefore updates dst with plain loads and
-// stores — no atomics, no compare-exchange — and float reductions are
-// bit-identical at any thread count.
+// file order. The only other engine thread is the prefetch loader, which
+// reads, verifies and decodes but never touches vertex state. The
+// contribution arrays a pass reads are sealed before it starts. A combine
+// therefore updates dst with plain loads and stores — no atomics, no
+// compare-exchange — and float reductions are bit-identical at any
+// prefetch depth.
 //
 // Programs derive from PushKernel<Derived> / GatherKernel<Derived>, which
 // implement the span loop once per program with the combine inlined. A

@@ -54,26 +54,6 @@ Status SciuExecutor::EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
   return Status::Ok();
 }
 
-Status SciuExecutor::PreverifySubBlocks(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& coords,
-    bool need_weights) {
-  const auto& manifest = ctx_.dataset->manifest();
-  if (!manifest.has_checksums || coords.empty()) return Status::Ok();
-  std::vector<Status> results(coords.size());
-  ctx_.pool->ParallelFor(0, coords.size(), 1,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t k = b; k < e; ++k) {
-                             results[k] = EnsureSubBlockVerified(
-                                 coords[k].first, coords[k].second,
-                                 need_weights);
-                           }
-                         });
-  for (Status& status : results) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::Ok();
-}
-
 Status SciuExecutor::FetchPass(std::uint32_t i, std::uint32_t j,
                                const IntervalActives& actives,
                                bool need_weights, bool resident,
@@ -274,12 +254,6 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
     }
   }
 
-  // Hash every planned sub-block's checksums across the pool up front
-  // instead of serially inside the first FetchPass that touches it.
-  // Verification I/O is unaccounted, so bytes and scheduler decisions are
-  // untouched; under corruption the first plan-order error still wins.
-  GRAPHSD_RETURN_IF_ERROR(PreverifySubBlocks(plan_coords, need_weights));
-
   // Compressed passes acquire their decoded blocks through the shared
   // BlockSource; block weights are never needed (weight ranges are read
   // raw by FetchPass).
@@ -305,7 +279,7 @@ Status SciuExecutor::RunIteration(const PushProgram& program,
       GRAPHSD_ASSIGN_OR_RETURN(
           BlockSource::Block block,
           blocks.Acquire(i, j, std::move(payload.fetched)));
-      if (!block.offerable()) {
+      if (block.from_buffer()) {
         ctx_.buffer->UpdatePriority(i, j, active_edges);
       }
       // Copy the active runs out of the decoded block, rebasing `runs` into

@@ -85,35 +85,26 @@ class SciuExecutor {
 
   /// Ranged reads cannot verify checksums per request, so the first time a
   /// run touches sub-block (i, j) its payload files are CRC-verified in
-  /// full. The verification reads use raw (unaccounted) I/O: they are not
-  /// part of the paper's I/O economics.
+  /// full. Called at the top of FetchPass, so it runs on the loader thread
+  /// (inline at prefetch depth 0) and the first corrupt sub-block in plan
+  /// order fails its pass. The verification reads use raw (unaccounted)
+  /// I/O: they are not part of the paper's I/O economics.
   Status EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
                                 bool need_weights);
 
-  /// CRC-verifies every not-yet-verified pass of the sweep across the
-  /// engine pool before the stream starts, so the loader's serialized
-  /// FetchPass calls find `verified_` already set and spend no time
-  /// hashing. A one-worker pool runs it inline. Distinct (i, j) slots make
-  /// the concurrent `verified_` writes race-free; the ParallelFor barrier
-  /// publishes them to the loader.
-  /// Returns the first failure in plan order (the same error the serialized
-  /// path would have surfaced first). Byte-neutral: verification I/O is
-  /// unaccounted.
-  Status PreverifySubBlocks(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& coords,
-      bool need_weights);
-
-  /// Reads one pass: index offsets per group, then the coalesced edge runs,
-  /// in exactly the synchronous order. Runs on the loader thread when
-  /// prefetching (tasks are serialized, so `verified_` needs no lock),
-  /// inline otherwise. `resident` tells a compressed pass the decoded block
-  /// was cached at issue time, so the frame read is elided.
+  /// Reads one pass: verification on first touch, index offsets per group,
+  /// then the coalesced edge runs, in exactly the synchronous order. Runs
+  /// on the loader thread when prefetching, inline otherwise; either way
+  /// one thread at a time, so `verified_` needs no lock. `resident` tells a
+  /// compressed pass the decoded block was cached at issue time, so the
+  /// frame read is elided.
   Status FetchPass(std::uint32_t i, std::uint32_t j,
                    const IntervalActives& actives, bool need_weights,
                    bool resident, SciuPassPayload& out);
 
   ExecContext ctx_;
-  std::vector<std::uint8_t> verified_;  // per sub-block slot
+  /// Per sub-block slot: verified this run. Written only by FetchPass.
+  std::vector<std::uint8_t> verified_;
   /// Iteration label for trace spans recorded by FetchPass. Set before the
   /// sweep's fetch units are planned and stable until the stream drains, so
   /// the loader thread reads it race-free.

@@ -41,11 +41,11 @@ struct SubBlock {
 
 /// A sub-block mid-load: the bytes read from disk before decode. For raw
 /// datasets `block` is already complete and `frame` stays empty; for
-/// compressed datasets `frame` holds the undecoded GSDF frame. Splitting
-/// fetch (I/O, runs on the prefetch loader thread) from decode (pure
-/// compute, runs on the consuming thread) keeps the loader busy with disk
-/// work while decode time is charged to the compute side of the overlap
-/// accounting.
+/// compressed datasets `frame` holds the undecoded GSDF frame. Fetch and
+/// decode are separate steps so each caller picks where decode runs: every
+/// streamed block decodes in BlockSource's fetch unit, on the prefetch
+/// loader thread; only SCIU's compressed passes and synchronous reloads
+/// decode on the consuming thread.
 struct SubBlockPayload {
   SubBlock block;
   std::vector<std::uint8_t> frame;

@@ -534,7 +534,6 @@ void QueryServer::ExecuteBatch(PendingRun leader,
   }
 
   core::EngineOptions options;
-  options.num_threads = options_.engine_threads;
   options.prefetch_depth = options_.registry.prefetch_depth;
   options.buffer_capacity_bytes = options_.registry.buffer_capacity_bytes;
   if (options_.share_buffer) {

@@ -49,11 +49,9 @@ struct ServerOptions {
   /// verify-on-open).
   RegistryOptions registry;
   AdmissionLimits limits;
-  /// Engine-run worker threads (concurrent runs; each run additionally
-  /// parallelizes internally per `engine_threads`).
+  /// Engine-run worker threads (concurrent runs; each run applies its
+  /// edges on the worker that runs it).
   std::size_t workers = 2;
-  /// Worker threads inside each engine run (0 = hardware concurrency).
-  std::size_t engine_threads = 0;
   /// Share each dataset's SubBlockBuffer + PrefetchPipeline across runs.
   /// Off = every run builds the same private tier a one-shot CLI run would.
   bool share_buffer = true;

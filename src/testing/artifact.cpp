@@ -35,7 +35,6 @@ Status WriteArtifact(const ReproArtifact& a, const std::string& path) {
   out << "model " << a.model << "\n";
   out << "cross_iteration " << (a.cross_iteration ? 1 : 0) << "\n";
   out << "prefetch_depth " << a.prefetch_depth << "\n";
-  out << "threads " << a.threads << "\n";
   out << "fault " << FaultName(a.fault) << "\n";
   out << "vertices " << a.graph.num_vertices() << "\n";
   out << "edges " << a.graph.num_edges() << "\n";
@@ -140,8 +139,8 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
       a.prefetch_depth =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (key == "threads") {
-      a.threads =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      // Older files record an engine pool size. The pool only verified
+      // checksums, so the value cannot change a replay.
     } else if (key == "compute_threads") {
       // Older files record a destination-shard count. Sharded apply was
       // bit-identical to serial, so the value cannot change a replay.
@@ -172,7 +171,6 @@ Result<ReproArtifact> ReadArtifact(const std::string& path) {
                          std::to_string(edge_count) + ", found " +
                          std::to_string(edges.size()));
   }
-  if (a.threads == 0) return Malformed(path, line_no, "threads must be >= 1");
   if (a.p == 0) return Malformed(path, line_no, "p must be >= 1");
 
   a.graph = EdgeList(vertices);

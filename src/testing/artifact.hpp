@@ -19,7 +19,6 @@
 //   model auto|on_demand|full
 //   cross_iteration 0|1
 //   prefetch_depth <u32>
-//   threads <u32>
 //   fault none|drop_max_edge
 //   vertices <u32>
 //   edges <u64>
@@ -27,8 +26,9 @@
 //   e <src> <dst> [<weight>]   # weight in C hex-float (%a) — exact
 //   end
 //
-// Older files may also carry a destination-shard-count line, which
-// ReadArtifact accepts and ignores.
+// Older files may also carry an engine thread-count line (`threads`) or a
+// destination-shard-count line (`compute_threads`), which ReadArtifact
+// accepts and ignores.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,6 @@ struct ReproArtifact {
   std::string model = "auto";  // auto | on_demand | full
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
-  std::uint32_t threads = 1;
   EngineFault fault = EngineFault::kNone;
   EdgeList graph{0};
 };

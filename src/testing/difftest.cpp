@@ -33,15 +33,11 @@ using core::PushProgram;
 using core::RoundModelChoice;
 using core::VertexState;
 
-// Fixed-iteration gather (PageRank at N threads): only floating-point
-// reassociation separates engine from oracle — tight tolerance.
-constexpr double kRelTol = 1e-9;
-constexpr double kAbsTol = 1e-12;
-// Sum-threshold push (PR-Delta, PPR) in non-bitwise configs: execution
-// order decides *which* sub-epsilon residuals are abandoned unpushed, so
-// final values differ by up to ~n·ε/(1-d) ≈ 1e-6 at the harness's graph
-// sizes; a real bug (lost edge, bad accumulate) shifts values by orders of
-// magnitude more.
+// The only tolerance comparison: sum-threshold push (PR-Delta, PPR) with
+// cross-iteration on. Execution order decides *which* sub-epsilon residuals
+// are abandoned unpushed, so final values differ by up to ~n·ε/(1-d) ≈
+// 1e-6 at the harness's graph sizes; a real bug (lost edge, bad accumulate)
+// shifts values by orders of magnitude more.
 constexpr double kRelTolThreshold = 1e-6;
 constexpr double kAbsTolThreshold = 2e-6;
 
@@ -182,9 +178,6 @@ Result<std::optional<Divergence>> RunTrial(
       config.model != "full" && config.model != "semi") {
     return InvalidArgumentError("bad trial model: " + config.model);
   }
-  if (config.threads == 0) {
-    return InvalidArgumentError("trial threads must be >= 1");
-  }
 
   // Oracle: the unwrapped program under textbook BSP.
   auto oracle_program = MakeProgram(config.algo, root);
@@ -218,7 +211,6 @@ Result<std::optional<Divergence>> RunTrial(
   const bool cross = config.cross_iteration && !semi;
 
   EngineOptions options;
-  options.num_threads = config.threads;
   options.enable_cross_iteration = cross;
   options.prefetch_depth = config.prefetch_depth;
   options.record_per_round = false;
@@ -238,9 +230,7 @@ Result<std::optional<Divergence>> RunTrial(
 
   // Frontier probe: only meaningful at plain-BSP boundaries.
   const AlgoSpec& algo = *spec;
-  const bool compare_frontiers =
-      push && !cross && (algo.cls == AlgoClass::kMonotone ||
-                         config.threads == 1);
+  const bool compare_frontiers = push && !cross;
   std::map<std::uint32_t, std::vector<VertexId>> engine_frontiers;
   if (compare_frontiers) {
     options.frontier_probe = [&engine_frontiers](std::uint32_t next_iteration,
@@ -268,7 +258,7 @@ Result<std::optional<Divergence>> RunTrial(
       iterations_bounded = cross;
       break;
     case AlgoClass::kSumThreshold:
-      iterations_equal = config.threads == 1 && !cross;
+      iterations_equal = !cross;
       break;
     case AlgoClass::kFixedIteration:
       iterations_equal = true;
@@ -297,22 +287,15 @@ Result<std::optional<Divergence>> RunTrial(
   }
 
   // Value invariant.
-  const bool bitwise =
-      algo.cls == AlgoClass::kMonotone ||
-      (algo.cls == AlgoClass::kSumThreshold && config.threads == 1 &&
-       !cross) ||
-      (algo.cls == AlgoClass::kFixedIteration && config.threads == 1);
-  const double rel_tol =
-      algo.cls == AlgoClass::kSumThreshold ? kRelTolThreshold : kRelTol;
-  const double abs_tol =
-      algo.cls == AlgoClass::kSumThreshold ? kAbsTolThreshold : kAbsTol;
+  const bool bitwise = algo.cls != AlgoClass::kSumThreshold || !cross;
   const VertexState* state = engine.state();
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const double oracle_value = oracle->values[v];
     const double engine_value = engine_program->ValueOf(*state, v);
     const bool same =
         bitwise ? BitwiseEqual(oracle_value, engine_value)
-                : WithinTolerance(oracle_value, engine_value, rel_tol, abs_tol);
+                : WithinTolerance(oracle_value, engine_value,
+                                  kRelTolThreshold, kAbsTolThreshold);
     if (!same) {
       d.invariant = "value";
       d.vertex = v;
@@ -365,7 +348,6 @@ Result<bool> StillDiverges(const ReproArtifact& artifact, const EdgeList& graph,
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
-  config.threads = artifact.threads;
   config.fault = artifact.fault;
   auto divergence = RunTrial(graph, root, *built->dataset, config);
   GRAPHSD_RETURN_IF_ERROR(divergence.status());
@@ -459,7 +441,6 @@ Result<std::optional<Divergence>> ReplayArtifact(
   config.model = artifact.model;
   config.cross_iteration = artifact.cross_iteration;
   config.prefetch_depth = artifact.prefetch_depth;
-  config.threads = artifact.threads;
   config.fault = artifact.fault;
   return RunTrial(artifact.graph, artifact.root, *built->dataset, config);
 }
@@ -515,7 +496,7 @@ class TripPushProgram final : public PushProgram {
 
 // Gather counterpart: trips after the N-th MakeContribution call. Gather
 // runs have no frontier probe, so this is the deterministic kill mechanism
-// for them (at one thread the call sequence is fixed).
+// for them (the consumer's call sequence is fixed).
 class TripGatherProgram final : public GatherProgram {
  public:
   TripGatherProgram(std::unique_ptr<GatherProgram> inner,
@@ -615,13 +596,12 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
   const std::string checkpoint_dir = scratch_dir + "/ck";
   (void)io::RemoveTree(checkpoint_dir);  // stale slots from a prior trial
 
-  // One thread, overlap off: the scheduler sees only modeled (deterministic)
-  // costs, so the killed and resumed segments replay the uninterrupted run
-  // exactly and every algorithm class is bitwise-comparable.
+  // Overlap off: the scheduler sees only modeled (deterministic) costs, so
+  // the killed and resumed segments replay the uninterrupted run exactly and
+  // every algorithm class is bitwise-comparable.
   const auto make_options = [&config]() {
     const bool semi = config.model == "semi";
     EngineOptions options;
-    options.num_threads = 1;
     // Semi rounds are plain BSP; forcing cross off keeps the killed and
     // resumed segments on identical wave boundaries (gather runs, which
     // ignore the semi override, keep the requested bit).
@@ -859,12 +839,11 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
   }
 
   constexpr std::uint32_t kDepths[] = {0, 1, 4};
-  constexpr std::uint32_t kThreads[] = {1, 4};
   constexpr std::uint32_t kIntervals[] = {1, 2, 4, 8};
   const char* kModels[] = {"on_demand", "full", "semi", "auto"};
 
   SweepSummary summary;
-  std::uint64_t rotation = 0;  // spreads depth/threads/cross per combo
+  std::uint64_t rotation = 0;  // spreads depth/cross per combo
 
   for (std::uint32_t s = 0; s < options.num_seeds; ++s) {
     const std::uint64_t seed = options.seed0 + s;
@@ -898,8 +877,7 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           config.algo = algo.name;
           config.model = model;
           config.prefetch_depth = kDepths[rotation % 3];
-          config.threads = kThreads[(rotation / 3) % 2];
-          config.cross_iteration = ((rotation / 6) % 2) == 1;
+          config.cross_iteration = ((rotation / 3) % 2) == 1;
           if (options.fault != EngineFault::kNone && algo.push) {
             config.fault = options.fault;
           }
@@ -923,7 +901,6 @@ Result<SweepSummary> RunSweep(const SweepOptions& options) {
           artifact.model = config.model;
           artifact.cross_iteration = config.cross_iteration;
           artifact.prefetch_depth = config.prefetch_depth;
-          artifact.threads = config.threads;
           artifact.fault = config.fault;
           artifact.graph = graph_case.list;
           GRAPHSD_RETURN_IF_ERROR(MinimizeArtifact(

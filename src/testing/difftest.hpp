@@ -4,26 +4,24 @@
 // configuration and checks the DESIGN.md §11 invariants against
 // RunReferenceBsp:
 //
-//   * value equality     — bitwise (monotone algorithms always; others at
-//                          one thread with cross-iteration off) or within
-//                          rel 1e-9 / abs 1e-12 tolerance;
-//   * iteration counts   — equal to the oracle (monotone with
-//                          cross-iteration off, fixed-budget gather always;
-//                          sum-threshold at one thread with cross off), or
+//   * value equality     — bitwise (monotone and fixed-iteration algorithms
+//                          always; sum-threshold with cross-iteration off)
+//                          or within rel 1e-6 / abs 2e-6 tolerance;
+//   * iteration counts   — equal to the oracle (monotone and sum-threshold
+//                          with cross-iteration off, fixed-budget gather
+//                          always), or
 //                          within [1, 2·oracle + 1] (monotone with
 //                          cross-iteration on: pre-execution can both
 //                          accelerate and delay wave counts — see
 //                          program_factory.hpp);
 //   * frontier equality  — the frontier set entering every BSP iteration,
-//                          whenever the engine is plain-BSP-faithful
-//                          (cross-iteration off and the class makes the
-//                          activation set deterministic).
+//                          on every push trial with cross-iteration off.
 //
 // A *sweep* generates seeded graph cases, builds each across raw and
 // varint-delta datasets with varying P, and runs every registered
 // algorithm through forced-SCIU / forced-FCIU / scheduler-auto
-// configurations with rotating prefetch depth, thread count and
-// cross-iteration setting. The first divergence is minimized (ddmin over
+// configurations with rotating prefetch depth and cross-iteration
+// setting. The first divergence is minimized (ddmin over
 // edges, then vertex-range shrink) and persisted as a replayable artifact.
 #pragma once
 
@@ -52,7 +50,6 @@ struct TrialConfig {
   std::string model = "auto";
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;
-  std::uint32_t threads = 1;
   /// Deliberate engine-side fault (push algorithms only) for harness
   /// self-tests.
   EngineFault fault = EngineFault::kNone;
@@ -127,8 +124,8 @@ Result<SweepSummary> RunSweep(const SweepOptions& options);
 // engine against the BSP oracle, a kill-resume trial compares the engine
 // against *itself* — an uninterrupted run vs a run that is cooperatively
 // killed (checkpointing every iteration), optionally has its newest
-// checkpoint slot damaged, and then resumes from disk. All runs execute at
-// one thread with overlap-aware accounting off, so both segments are
+// checkpoint slot damaged, and then resumes from disk. All runs execute
+// with overlap-aware accounting off, so both segments are
 // bit-deterministic and the final values must match the uninterrupted run
 // bitwise for every algorithm class.
 

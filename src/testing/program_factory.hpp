@@ -13,12 +13,12 @@
 //                     column-end sealing can chain values through
 //                     ascending intervals, finishing early).
 //   kSumThreshold   — consumable-sum programs with an activation threshold
-//                     (PR-Delta, PPR). Bitwise + iteration-equal at one
-//                     thread with cross-iteration off; fixpoint-equal
-//                     within float tolerance otherwise.
+//                     (PR-Delta, PPR). Bitwise + iteration-equal with
+//                     cross-iteration off; fixpoint-equal within float
+//                     tolerance with it on.
 //   kFixedIteration — budget-driven gather programs (PageRank). Iteration
-//                     counts always equal the budget; values bitwise at one
-//                     thread, tolerance at N.
+//                     counts always equal the budget; values always
+//                     bitwise.
 #pragma once
 
 #include <memory>

@@ -9,11 +9,11 @@
 //
 // Because the real engine's column-major grid traversal delivers each
 // destination its contributions in ascending source order (and its
-// single-thread reduction order is therefore identical to this loop), the
-// oracle's final values are *bitwise* comparable for every algorithm at
-// num_threads = 1 with cross-iteration off, and for monotone/idempotent
-// algorithms (BFS, CC, SSSP, widest path) under every configuration. The
-// invariant classes are spelled out in DESIGN.md §11.
+// single-consumer reduction order is therefore identical to this loop), the
+// oracle's final values are *bitwise* comparable for every algorithm with
+// cross-iteration off, and for monotone/idempotent algorithms (BFS, CC,
+// SSSP, widest path) and fixed-iteration PageRank under every
+// configuration. The invariant classes are spelled out in DESIGN.md §11.
 #pragma once
 
 #include <cstdint>

@@ -7,12 +7,12 @@
 
 namespace graphsd {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t workers) {
+  if (workers == 0) {
+    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -43,98 +43,6 @@ void ThreadPool::Wait() {
     std::exception_ptr pending = std::exchange(first_exception_, nullptr);
     lock.unlock();
     std::rethrow_exception(pending);
-  }
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t total = end - begin;
-  if (workers_.size() <= 1 || total <= grain) {
-    fn(begin, end);
-    return;
-  }
-  // Completion and exception delivery are scoped to this call's chunks via
-  // a per-call batch: waiting on the pool-wide Wait() here would drain
-  // unrelated previously-submitted tasks and could steal (or receive) their
-  // first-exception slot. The batch is a chunk-claiming latch: helpers and
-  // the *caller itself* pull chunks from a shared cursor, so a ParallelFor
-  // issued from inside a pool task cannot deadlock behind workers that are
-  // themselves blocked in ParallelFor — the caller simply runs the chunks
-  // queued helpers never reached.
-  struct Batch {
-    const std::function<void(std::size_t, std::size_t)>* fn;
-    std::size_t begin;
-    std::size_t end;
-    std::size_t grain;
-    std::size_t num_chunks;
-    std::atomic<std::size_t> next;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr first_exception;
-  };
-  // `(total - 1) / grain + 1` never overflows, unlike the textbook
-  // `(total + grain - 1) / grain` (total is >= 1 here).
-  const std::size_t num_chunks = (total - 1) / grain + 1;
-  auto batch = std::make_shared<Batch>();
-  batch->fn = &fn;
-  batch->begin = begin;
-  batch->end = end;
-  batch->grain = grain;
-  batch->num_chunks = num_chunks;
-  batch->next.store(0, std::memory_order_relaxed);
-  batch->remaining = num_chunks;
-
-  // Dereferencing `*b.fn` is safe exactly when a claim succeeds: an
-  // unfinished chunk keeps `remaining` above zero, which keeps the caller
-  // (and the caller-owned `fn`) alive. A helper that wakes after the cursor
-  // is exhausted touches only the shared_ptr-owned batch.
-  //
-  // The cursor claims chunk *indices*, not offsets: an offset cursor
-  // advanced by `grain` past a range ending near SIZE_MAX wraps around and
-  // re-claims (and re-executes) chunks. Index arithmetic stays in range:
-  // `idx * grain <= total - 1`, so `begin + idx * grain < end`, and the
-  // chunk end is formed by comparing the remaining span against the grain
-  // instead of computing `chunk + grain` (which can also wrap).
-  const auto run_chunks = [](Batch& b) {
-    for (;;) {
-      const std::size_t idx = b.next.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= b.num_chunks) return;
-      const std::size_t chunk = b.begin + idx * b.grain;
-      const std::size_t chunk_end =
-          b.end - chunk > b.grain ? chunk + b.grain : b.end;
-      std::exception_ptr thrown;
-      try {
-        (*b.fn)(chunk, chunk_end);
-      } catch (...) {
-        thrown = std::current_exception();
-      }
-      // Record and notify under the lock: once the waiter observes
-      // remaining == 0 and reacquires the mutex it may rethrow and return,
-      // so the notifier must be done with the exception slot by the time
-      // the lock releases.
-      std::lock_guard<std::mutex> lock(b.mutex);
-      if (thrown != nullptr && b.first_exception == nullptr) {
-        b.first_exception = thrown;
-      }
-      if (--b.remaining == 0) b.done.notify_all();
-    }
-  };
-
-  // The caller counts as one runner; extra helpers beyond the chunk count
-  // would only wake, find the cursor exhausted and exit.
-  const std::size_t helpers = std::min(workers_.size(), num_chunks - 1);
-  for (std::size_t t = 0; t < helpers; ++t) {
-    Submit([batch, run_chunks] { run_chunks(*batch); });
-  }
-  run_chunks(*batch);
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done.wait(lock, [&batch] { return batch->remaining == 0; });
-  if (batch->first_exception != nullptr) {
-    std::rethrow_exception(batch->first_exception);
   }
 }
 

@@ -36,7 +36,6 @@ struct Fixture {
     dataset = std::make_unique<partition::GridDataset>(
         ValueOrDie(partition::GridDataset::Open(*device, dir.Sub("ds"))));
     ctx.dataset = dataset.get();
-    ctx.pool = &pool;
     ctx.buffer = &buffer;
     ctx.prefetch = &prefetch;
   }
@@ -60,7 +59,6 @@ struct Fixture {
   TempDir dir;
   std::unique_ptr<io::Device> device;
   std::unique_ptr<partition::GridDataset> dataset;
-  ThreadPool pool{1};
   SubBlockBuffer buffer{1 << 24};
   io::PrefetchPipeline prefetch{1};
   ExecContext ctx;
@@ -83,7 +81,6 @@ TEST(BlockSource, EvictedBetweenIssueAndConsumeReloadsOnce) {
   fx.buffer.Erase(i, j);  // evicted before the consumer gets to it
   BlockSource::Block block = ValueOrDie(source.Acquire(stream, i, j));
   EXPECT_FALSE(block.from_buffer());
-  EXPECT_TRUE(block.offerable());
   EXPECT_EQ(block->edges, expect.edges);
   EXPECT_EQ(block->weights, expect.weights);
   // One synchronous reload, accounted exactly once.
@@ -123,7 +120,6 @@ TEST(BlockSource, CompressedHitIsPinnedAndNeverOfferedBack) {
             : ValueOrDie(source.Acquire(i, j, partition::SubBlockPayload{}));
     // The hit serves the decoded entry in place: nothing is read or decoded.
     EXPECT_TRUE(block.from_buffer());
-    EXPECT_FALSE(block.offerable());
     EXPECT_EQ(block->edges, expect.edges);
     EXPECT_EQ(fx.dataset->decode_stats().frames_decoded, frames);
     EXPECT_EQ(fx.ReadBytes(), before);

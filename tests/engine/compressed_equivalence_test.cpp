@@ -33,16 +33,14 @@ struct PrefetchConfig {
   const char* name;
   std::size_t depth;
   bool overlap;
-  std::size_t threads;  // engine pool size
 };
 
-// Thread counts rotate {1, 2, 8} across the configurations so loader
-// decode and the pool's checksum preverify run under real parallelism
-// while every comparison stays bitwise against the serial reference.
+// At depth > 0 the loader fetches and decodes beside the consumer, while
+// every comparison stays bitwise against the synchronous reference.
 constexpr PrefetchConfig kConfigs[] = {
-    {"sync_serial", 0, false, 1},   {"sync_overlap_flag", 0, true, 8},
-    {"depth1_serial", 1, false, 2}, {"depth1_overlap", 1, true, 8},
-    {"depth4_serial", 4, false, 1}, {"depth4_overlap", 4, true, 2},
+    {"sync_serial", 0, false},   {"sync_overlap_flag", 0, true},
+    {"depth1_serial", 1, false}, {"depth1_overlap", 1, true},
+    {"depth4_serial", 4, false}, {"depth4_overlap", 4, true},
 };
 
 struct RunObservation {
@@ -55,9 +53,6 @@ struct RunObservation {
 
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
-  // One consumer applies every pass in file order at any thread count, so
-  // bitwise comparison holds under real parallelism too.
-  options.num_threads = config.threads;
   options.prefetch_depth = config.depth;
   options.overlap_io = config.overlap;
   return options;

@@ -43,7 +43,6 @@ constexpr EngineConfig kEngineConfigs[] = {
 
 core::EngineOptions MakeOptions(const EngineConfig& config) {
   core::EngineOptions options;
-  options.num_threads = 1;  // fixed reduction order: values compare bitwise
   options.force_on_demand = config.force_on_demand;
   options.enable_selective = config.enable_selective;
   options.prefetch_depth = config.prefetch_depth;

@@ -1,5 +1,5 @@
 // Equivalence tests: every engine configuration (update models, ablations,
-// buffering, thread counts, forced I/O models) must compute identical
+// buffering, prefetch depth, forced I/O models) must compute identical
 // results — the optimizations are about I/O, never about answers.
 #include <gtest/gtest.h>
 
@@ -49,8 +49,8 @@ std::vector<ConfigCase> AllConfigs() {
   }
   {
     core::EngineOptions o;
-    o.num_threads = 4;
-    configs.push_back({"four_threads", o});
+    o.prefetch_depth = 0;
+    configs.push_back({"sync_io", o});
   }
   {
     core::EngineOptions o;

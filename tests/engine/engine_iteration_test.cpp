@@ -25,7 +25,6 @@ namespace {
 
 core::EngineOptions BaseOptions() {
   core::EngineOptions options;
-  options.num_threads = 1;
   options.record_per_round = true;
   return options;
 }

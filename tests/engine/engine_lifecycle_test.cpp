@@ -34,11 +34,10 @@ class EngineLifecycleTest : public ::testing::Test {
     t_ = MakeDataset(GenerateRmat(o), dir_.Sub("ds"), 3);
   }
 
-  /// Deterministic lifecycle options: one thread and serial accounting, so
-  /// killed + resumed replays the uninterrupted run bit-for-bit.
+  /// Deterministic lifecycle options: serial accounting, so killed +
+  /// resumed replays the uninterrupted run bit-for-bit.
   core::EngineOptions Opts() const {
     core::EngineOptions options;
-    options.num_threads = 1;
     options.overlap_io = false;
     return options;
   }
@@ -333,11 +332,10 @@ TEST_F(EngineLifecycleTest, ConcurrentCancellationDuringBufferedPrefetch) {
   for (int rep = 0; rep < 10; ++rep) {
     CancellationToken token;
     core::EngineOptions options;
-    options.num_threads = 4;
     options.prefetch_depth = 4;
     options.enable_selective = false;  // FCIU rounds keep the buffer hot
     options.cancel = &token;
-    // Checkpointing makes the race three-way: compute threads, the async
+    // Checkpointing makes the race three-way: the loader, the async
     // checkpoint writer and the killer all overlap the cancellation drain.
     options.checkpoint_dir = CheckpointDir() + std::to_string(rep);
     core::GraphSDEngine engine(*t_.dataset, options);
@@ -349,7 +347,9 @@ TEST_F(EngineLifecycleTest, ConcurrentCancellationDuringBufferedPrefetch) {
     const auto report = ValueOrDie(engine.Run(pr));
     killer.join();
     EXPECT_LE(report.iterations, 50u);
-    if (!report.cancelled) EXPECT_EQ(report.iterations, 50u);
+    if (!report.cancelled) {
+      EXPECT_EQ(report.iterations, 50u);
+    }
   }
 }
 

@@ -1,4 +1,5 @@
-// Stress tests: larger graphs, real thread parallelism, repeated runs.
+// Stress tests: larger graphs, a loader thread beside the consumer, repeated
+// runs.
 #include <gtest/gtest.h>
 
 #include "algos/widest_path.hpp"
@@ -27,26 +28,27 @@ class EngineStressTest : public ::testing::Test {
   TestDataset t_;
 };
 
+// Depth 0 runs on one thread; any other depth adds the loader thread.
 TEST_F(EngineStressTest, SsspIdenticalAcrossThreadCounts) {
   const auto reference = ReferenceSssp(t_.graph, 0);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t depth : {0u, 1u, 4u}) {
     core::EngineOptions options;
-    options.num_threads = threads;
+    options.prefetch_depth = depth;
     core::GraphSDEngine engine(*t_.dataset, options);
     algos::Sssp sssp(0);
     (void)ValueOrDie(engine.Run(sssp));
-    SCOPED_TRACE(threads);
+    SCOPED_TRACE(depth);
     ExpectValuesNear(Values(sssp, *engine.state()), reference, 1e-9);
   }
 }
 
 TEST_F(EngineStressTest, CcLabelsBitIdenticalAcrossRepeatedParallelRuns) {
-  // Min-combines are order-independent, so even racy schedules must land on
-  // identical labels run after run.
+  // Runs with a four-deep loader must land on identical labels run after
+  // run.
   TempDir dir2;
   TestDataset sym = MakeDataset(Symmetrize(t_.graph), dir2.Sub("sym"), 8);
   core::EngineOptions options;
-  options.num_threads = 4;
+  options.prefetch_depth = 4;
   std::vector<VertexId> first;
   for (int run = 0; run < 3; ++run) {
     core::GraphSDEngine engine(*sym.dataset, options);
@@ -65,16 +67,16 @@ TEST_F(EngineStressTest, CcLabelsBitIdenticalAcrossRepeatedParallelRuns) {
 }
 
 TEST_F(EngineStressTest, PageRankStableAcrossThreadCounts) {
-  // Double addition reorders under parallelism; values must agree to fp
-  // round-off, not bit-exactness.
+  // The reference sums in a different order than the grid does; values
+  // must agree to fp round-off, not bit-exactness.
   const auto reference = ReferencePageRank(t_.graph, 8);
-  for (const std::size_t threads : {1u, 4u}) {
+  for (const std::size_t depth : {0u, 4u}) {
     core::EngineOptions options;
-    options.num_threads = threads;
+    options.prefetch_depth = depth;
     core::GraphSDEngine engine(*t_.dataset, options);
     algos::PageRank pr(8);
     (void)ValueOrDie(engine.Run(pr));
-    SCOPED_TRACE(threads);
+    SCOPED_TRACE(depth);
     ExpectValuesNear(Values(pr, *engine.state()), reference, 1e-10);
   }
 }
@@ -82,7 +84,6 @@ TEST_F(EngineStressTest, PageRankStableAcrossThreadCounts) {
 TEST_F(EngineStressTest, WidestPathAtScale) {
   const auto reference = ReferenceWidestPath(t_.graph, 0);
   core::EngineOptions options;
-  options.num_threads = 4;
   core::GraphSDEngine engine(*t_.dataset, options);
   algos::WidestPath widest(0);
   (void)ValueOrDie(engine.Run(widest));
@@ -91,10 +92,10 @@ TEST_F(EngineStressTest, WidestPathAtScale) {
 
 TEST_F(EngineStressTest, ModeledIoIsDeterministicAcrossRuns) {
   // The virtual clock depends only on the request sequence, which is
-  // deterministic for a fixed dataset and options — even multithreaded,
-  // since loads are issued from the driver thread.
+  // deterministic for a fixed dataset and options — even with a loader
+  // thread, which performs the reads in plan order.
   core::EngineOptions options;
-  options.num_threads = 4;
+  options.prefetch_depth = 4;
   double first = -1;
   for (int run = 0; run < 2; ++run) {
     core::GraphSDEngine engine(*t_.dataset, options);

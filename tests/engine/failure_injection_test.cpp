@@ -99,7 +99,6 @@ TEST_F(FailureInjectionTest, MissingSubBlockFileFailsTheRun) {
 TEST_F(FailureInjectionTest, MissingIndexDegradesToFullStreaming) {
   core::EngineOptions options;
   options.force_on_demand = true;
-  options.num_threads = 1;
 
   // Baseline values on the intact dataset.
   std::vector<double> want;

@@ -30,7 +30,6 @@ std::vector<VertexId> PickRoots(VertexId n) {
 std::vector<double> RunSolo(const TestDataset& td, core::Program& program,
                             const std::string& scratch) {
   core::EngineOptions options;
-  options.num_threads = 2;
   options.scratch_dir = scratch;
   EXPECT_TRUE(io::MakeDirectories(scratch).ok());
   core::GraphSDEngine engine(*td.dataset, options);
@@ -49,7 +48,6 @@ void CheckMonotoneAlgo(const std::string& algo) {
     auto multi = algos::MakeMultiSourceProgram(algo, roots);
     ASSERT_NE(multi, nullptr);
     core::EngineOptions options;
-    options.num_threads = 2;
     options.scratch_dir = tmp.Sub("multi");
     ASSERT_TRUE(io::MakeDirectories(options.scratch_dir).ok());
     core::GraphSDEngine engine(*td.dataset, options);
@@ -102,7 +100,6 @@ TEST(MultiSource, PprLanesMatchSoloWithinTolerance) {
     auto multi = algos::MakeMultiSourceProgram("ppr", roots, epsilon);
     ASSERT_NE(multi, nullptr);
     core::EngineOptions options;
-    options.num_threads = 2;
     options.scratch_dir = tmp.Sub("multi");
     ASSERT_TRUE(io::MakeDirectories(options.scratch_dir).ok());
     core::GraphSDEngine engine(*td.dataset, options);

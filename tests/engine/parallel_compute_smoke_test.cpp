@@ -1,19 +1,18 @@
 // TSan smoke for the concurrency around the serial apply: the loader's
-// fetch and frame decode, the engine pool's SCIU checksum preverify and the
-// prefetch look-ahead, all running next to the one consumer thread that
-// applies every pass. Each program runs on a varint-delta dataset with
-// eight engine threads and a four-deep prefetch, and must reproduce the
-// one-thread synchronous run bitwise:
+// fetch, frame decode, SCIU checksum verification and the prefetch
+// look-ahead, all running next to the one consumer thread that applies
+// every pass. Each program runs on a varint-delta dataset with a four-deep
+// prefetch, and must reproduce the synchronous (depth 0) run bitwise:
 //   * SSSP under each executor — SCIU (on-demand), FCIU (full streaming)
 //     and semi-external;
 //   * PageRank (gather, two-iteration FCIU), PR-Delta, CC and the batched
 //     MultiBfs, covering the accumulate kernel, the float-sum and min-label
 //     push kernels and the multi-lane kernel.
-// A TSan report here means a loader or pool thread touched state the
-// consumer owns. The test names predate serial apply: "EightShards" now
-// means eight engine threads. Registered in tests/CMakeLists.txt as
+// A TSan report here means the loader thread touched state the consumer
+// owns. The test names predate serial apply: "EightShards" now means the
+// four-deep loader. Registered in tests/CMakeLists.txt as
 // tsan_parallel_compute_smoke so the thread-sanitized CI tier covers the
-// loader and pool without paying for the full suite.
+// loader without paying for the full suite.
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -63,10 +62,8 @@ class ParallelComputeSmoke : public ::testing::Test {
 
   std::vector<double> RunWith(const ProgramFactory& make,
                               core::RoundModelChoice forced,
-                              std::size_t threads,
                               std::size_t prefetch_depth) {
     core::EngineOptions options;
-    options.num_threads = threads;
     options.prefetch_depth = prefetch_depth;
     options.semi_external = forced == core::RoundModelChoice::kSemi;
     if (forced != core::RoundModelChoice::kAuto) {
@@ -78,15 +75,15 @@ class ParallelComputeSmoke : public ::testing::Test {
     return AllValues(*program, *engine.state());
   }
 
-  void ExpectEightThreadsBitIdentical(const ProgramFactory& make,
-                                      core::RoundModelChoice forced) {
-    const std::vector<double> serial = RunWith(make, forced, 1, 0);
-    const std::vector<double> threaded = RunWith(make, forced, 8, 4);
-    ASSERT_EQ(threaded.size(), serial.size());
-    for (std::size_t v = 0; v < threaded.size(); ++v) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(threaded[v]),
+  void ExpectLoaderBitIdentical(const ProgramFactory& make,
+                                core::RoundModelChoice forced) {
+    const std::vector<double> serial = RunWith(make, forced, 0);
+    const std::vector<double> prefetched = RunWith(make, forced, 4);
+    ASSERT_EQ(prefetched.size(), serial.size());
+    for (std::size_t v = 0; v < prefetched.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(prefetched[v]),
                 std::bit_cast<std::uint64_t>(serial[v]))
-          << "value " << v << ": " << threaded[v] << " vs " << serial[v];
+          << "value " << v << ": " << prefetched[v] << " vs " << serial[v];
     }
   }
 
@@ -99,25 +96,25 @@ class ParallelComputeSmoke : public ::testing::Test {
 };
 
 TEST_F(ParallelComputeSmoke, SciuEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kOnDemand);
+  ExpectLoaderBitIdentical(MakeSssp, core::RoundModelChoice::kOnDemand);
 }
 
 TEST_F(ParallelComputeSmoke, FciuEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kFull);
+  ExpectLoaderBitIdentical(MakeSssp, core::RoundModelChoice::kFull);
 }
 
 TEST_F(ParallelComputeSmoke, SemiEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(MakeSssp, core::RoundModelChoice::kSemi);
+  ExpectLoaderBitIdentical(MakeSssp, core::RoundModelChoice::kSemi);
 }
 
 TEST_F(ParallelComputeSmoke, PageRankEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(
+  ExpectLoaderBitIdentical(
       [] { return std::make_unique<algos::PageRank>(4); },
       core::RoundModelChoice::kAuto);
 }
 
 TEST_F(ParallelComputeSmoke, PageRankDeltaEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(
+  ExpectLoaderBitIdentical(
       [] {
         return std::make_unique<algos::PageRankDelta>(1e-6, 0.85, 6);
       },
@@ -125,13 +122,13 @@ TEST_F(ParallelComputeSmoke, PageRankDeltaEightShardsBitIdentical) {
 }
 
 TEST_F(ParallelComputeSmoke, ConnectedComponentsEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(
+  ExpectLoaderBitIdentical(
       [] { return std::make_unique<algos::ConnectedComponents>(); },
       core::RoundModelChoice::kOnDemand);
 }
 
 TEST_F(ParallelComputeSmoke, MultiBfsEightShardsBitIdentical) {
-  ExpectEightThreadsBitIdentical(
+  ExpectLoaderBitIdentical(
       [] {
         return std::make_unique<algos::MultiBfs>(
             std::vector<VertexId>{0, 1, 2, 3});

@@ -37,21 +37,18 @@ struct PrefetchConfig {
   const char* name;
   std::size_t depth;
   bool overlap;
-  std::size_t threads;  // engine pool size
 };
 
 // The first entry is the reference: fully synchronous, serial charging,
-// single-threaded. The thread axis rotates {1, 2, 8} across the prefetch
-// configurations so the sweep also proves the engine pool's checksum
-// preverify invisible: bit-identical values and identical byte traffic at
-// every thread count.
+// one thread. The others run a loader thread beside the consumer; values
+// stay bit-identical and byte traffic identical at every depth.
 constexpr PrefetchConfig kConfigs[] = {
-    {"sync_serial", 0, false, 1},
-    {"sync_overlap_flag", 0, true, 2},  // flag without a pipeline is inert
-    {"depth1_serial", 1, false, 8},
-    {"depth1_overlap", 1, true, 1},
-    {"depth4_serial", 4, false, 2},
-    {"depth4_overlap", 4, true, 8},
+    {"sync_serial", 0, false},
+    {"sync_overlap_flag", 0, true},  // flag without a pipeline is inert
+    {"depth1_serial", 1, false},
+    {"depth1_overlap", 1, true},
+    {"depth4_serial", 4, false},
+    {"depth4_overlap", 4, true},
 };
 
 /// Everything a run exposes that prefetching must not change.
@@ -66,10 +63,6 @@ struct RunObservation {
 
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
-  // One consumer applies every pass in file order at any thread count, so
-  // the bitwise comparison sweeps real thread counts too; the reference
-  // stays the single-threaded synchronous path.
-  options.num_threads = config.threads;
   options.prefetch_depth = config.depth;
   options.overlap_io = config.overlap;
   return options;

@@ -33,11 +33,10 @@ class ResilienceTest : public ::testing::Test {
 
   void TearDown() override { t_.device->set_fault_injector(nullptr); }
 
-  /// Single-threaded engine options for deterministic replay. `on_demand`
-  /// picks the SCIU (true) or FCIU (false) I/O model.
+  /// Engine options for deterministic replay. `on_demand` picks the SCIU
+  /// (true) or FCIU (false) I/O model.
   static core::EngineOptions Opts(bool on_demand) {
     core::EngineOptions options;
-    options.num_threads = 1;
     if (on_demand) {
       options.force_on_demand = true;
     } else {

@@ -156,7 +156,6 @@ TEST(SemiExternalCompressed, BufferHitsServeSameValuesAsRawDataset) {
     TestDataset t =
         MakeDataset(testing::MakeWebCase(), dir.Sub("ds_" + codec), 4, codec);
     core::EngineOptions options = SemiOptions();
-    options.num_threads = 1;
     options.model_override = [](std::uint32_t) {
       return core::RoundModelChoice::kSemi;
     };
@@ -168,7 +167,7 @@ TEST(SemiExternalCompressed, BufferHitsServeSameValuesAsRawDataset) {
   };
   const auto compressed = run("varint-delta");
   const auto raw = run("none");
-  // One thread and one round model: the apply order is identical, so the
+  // One consumer and one round model: the apply order is identical, so the
   // codec cannot perturb even the floating-point stream.
   ASSERT_EQ(compressed.size(), raw.size());
   for (std::size_t v = 0; v < compressed.size(); ++v) {

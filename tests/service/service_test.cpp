@@ -53,7 +53,6 @@ struct ServiceFixture {
     options.registry.device = "posix";
     options.registry.verify_on_open = false;  // built in-process just now
     options.workers = 2;
-    options.engine_threads = 2;
     return options;
   }
 
@@ -61,7 +60,6 @@ struct ServiceFixture {
   std::vector<std::string> SoloHexValues(core::Program& program,
                                          const std::string& scratch) {
     core::EngineOptions options;
-    options.num_threads = 2;
     options.scratch_dir = tmp.Sub(scratch);
     EXPECT_OK(io::MakeDirectories(options.scratch_dir));
     core::GraphSDEngine engine(*td.dataset, options);
@@ -398,7 +396,9 @@ TEST(ServiceTest, ShutdownDrainsInFlightQueries) {
     ASSERT_TRUE(response.GetBool("ok")) << line;
     const std::uint64_t exit_code = response.GetUint("exit_code", 99);
     EXPECT_TRUE(exit_code == 0 || exit_code == 130) << line;
-    if (response.GetBool("cancelled")) EXPECT_EQ(exit_code, 130u);
+    if (response.GetBool("cancelled")) {
+      EXPECT_EQ(exit_code, 130u);
+    }
   }
 
   server.Wait();  // must return: the token is tripped

@@ -107,7 +107,6 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   artifact.model = "on_demand";
   artifact.cross_iteration = true;
   artifact.prefetch_depth = 4;
-  artifact.threads = 4;
   artifact.fault = EngineFault::kDropMaxEdge;
   EdgeList graph(5);
   graph.AddEdge(0, 1, 0.125f);
@@ -129,7 +128,6 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   EXPECT_EQ(loaded.model, artifact.model);
   EXPECT_EQ(loaded.cross_iteration, artifact.cross_iteration);
   EXPECT_EQ(loaded.prefetch_depth, artifact.prefetch_depth);
-  EXPECT_EQ(loaded.threads, artifact.threads);
   EXPECT_EQ(loaded.fault, artifact.fault);
   ASSERT_EQ(loaded.graph.num_edges(), artifact.graph.num_edges());
   ASSERT_EQ(loaded.graph.num_vertices(), artifact.graph.num_vertices());
@@ -141,10 +139,10 @@ TEST(DifftestArtifact, RoundTripsExactly) {
   }
 }
 
-// Artifacts written before apply went serial carry a destination-shard
-// count. The writer no longer emits it; the reader accepts and ignores it,
-// and the artifact still replays its divergence.
-TEST(DifftestArtifact, ReadsAndReplaysLegacyComputeThreadsLine) {
+// Writes a replayable fault artifact, splices `legacy_line` in after its
+// prefetch_depth line, and checks the reader accepts and ignores the line:
+// the artifact still loads and replays its divergence.
+void ExpectLegacyLineIgnored(const std::string& legacy_line) {
   ScratchDir scratch = ValueOrDie(ScratchDir::Create());
   ReproArtifact artifact;
   artifact.algo = "bfs";
@@ -152,28 +150,40 @@ TEST(DifftestArtifact, ReadsAndReplaysLegacyComputeThreadsLine) {
   artifact.codec = "varint-delta";
   artifact.p = 2;
   artifact.model = "full";
-  artifact.threads = 4;
+  artifact.prefetch_depth = 1;
   artifact.fault = EngineFault::kDropMaxEdge;
   artifact.graph = GeneratePath(6);
 
   const std::string path = scratch.path() + "/legacy.txt";
   ASSERT_OK(WriteArtifact(artifact, path));
   std::string text = ValueOrDie(io::ReadFileToString(path));
-  ASSERT_EQ(text.find("compute_threads"), std::string::npos);
-  const std::string threads_line = "threads 4\n";
-  const std::size_t at = text.find(threads_line);
+  const std::string key = legacy_line.substr(0, legacy_line.find(' ') + 1);
+  ASSERT_EQ(text.find("\n" + key), std::string::npos);
+  const std::string anchor = "prefetch_depth 1\n";
+  const std::size_t at = text.find(anchor);
   ASSERT_NE(at, std::string::npos);
-  text.insert(at + threads_line.size(), "compute_threads 8\n");
+  text.insert(at + anchor.size(), legacy_line + "\n");
   ASSERT_OK(io::WriteStringToFile(path, text));
 
   const ReproArtifact loaded = ValueOrDie(ReadArtifact(path));
-  EXPECT_EQ(loaded.threads, artifact.threads);
+  EXPECT_EQ(loaded.prefetch_depth, artifact.prefetch_depth);
   EXPECT_EQ(loaded.fault, artifact.fault);
   EXPECT_EQ(loaded.graph.num_edges(), artifact.graph.num_edges());
   const auto replayed =
       ValueOrDie(ReplayArtifact(loaded, scratch.path() + "/replay"));
   ASSERT_TRUE(replayed.has_value())
       << "legacy artifact did not reproduce the divergence";
+}
+
+// Artifacts written before apply went serial carry a destination-shard
+// count.
+TEST(DifftestArtifact, ReadsAndReplaysLegacyComputeThreadsLine) {
+  ExpectLegacyLineIgnored("compute_threads 8");
+}
+
+// Artifacts written while the engine had a worker pool carry its size.
+TEST(DifftestArtifact, ReadsAndReplaysLegacyThreadsLine) {
+  ExpectLegacyLineIgnored("threads 4");
 }
 
 TEST(DifftestArtifact, RejectsMalformedFiles) {
@@ -213,7 +223,6 @@ TEST(DifftestMinimizer, ShrinksFaultRepro) {
   artifact.codec = "none";
   artifact.p = 2;
   artifact.model = "auto";
-  artifact.threads = 1;
   artifact.fault = EngineFault::kDropMaxEdge;
   artifact.graph = graph;
 

@@ -73,7 +73,7 @@ TEST(NonFiniteGuards, WidestPathRejectsNonFiniteBottleneck) {
   EXPECT_EQ(widest.ValueOf(state, 1), static_cast<double>(kFloatMax));
 }
 
-// Runs every forced-model / cross-iteration / thread combination of one
+// Runs every forced-model / cross-iteration combination of one
 // algorithm over `graph` through the differential harness; any divergence
 // from the oracle (values are compared bitwise for these monotone
 // algorithms) fails the test.
@@ -84,19 +84,15 @@ void ExpectAllTrialsMatchOracle(const EdgeList& graph, VertexId root,
       ValueOrDie(BuildCaseDataset(graph, "none", 2, scratch.path() + "/ds"));
   for (const char* model : {"auto", "on_demand", "full"}) {
     for (bool cross : {false, true}) {
-      for (std::uint32_t threads : {1u, 4u}) {
-        TrialConfig config;
-        config.algo = algo;
-        config.model = model;
-        config.cross_iteration = cross;
-        config.threads = threads;
-        const auto divergence =
-            ValueOrDie(RunTrial(graph, root, *built.dataset, config));
-        EXPECT_FALSE(divergence.has_value())
-            << algo << " model=" << model << " cross=" << cross
-            << " threads=" << threads << ": "
-            << DescribeDivergence(*divergence);
-      }
+      TrialConfig config;
+      config.algo = algo;
+      config.model = model;
+      config.cross_iteration = cross;
+      const auto divergence =
+          ValueOrDie(RunTrial(graph, root, *built.dataset, config));
+      EXPECT_FALSE(divergence.has_value())
+          << algo << " model=" << model << " cross=" << cross << ": "
+          << DescribeDivergence(*divergence);
     }
   }
 }

@@ -1,14 +1,7 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <future>
-#include <limits>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,174 +22,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 TEST(ThreadPool, WaitOnIdlePoolReturnsImmediately) {
   ThreadPool pool(2);
   pool.Wait();  // must not hang
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, hits.size(), 37, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(5, 5, 10, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, ParallelForSingleThreadRunsInline) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.ParallelFor(0, 10, 100,
-                   [&](std::size_t, std::size_t) { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(ThreadPool, ParallelForGrainLargerThanRangeRunsOneChunk) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  std::size_t seen_begin = 99, seen_end = 0;
-  pool.ParallelFor(3, 10, 1000, [&](std::size_t b, std::size_t e) {
-    calls.fetch_add(1);
-    seen_begin = b;
-    seen_end = e;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(seen_begin, 3u);
-  EXPECT_EQ(seen_end, 10u);
-}
-
-TEST(ThreadPool, ParallelForZeroGrainTreatedAsOne) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(0, hits.size(), 0, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForInvertedRangeIsEmpty) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(10, 5, 4, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-// Property sweep: every (range length, grain, offset) combination must
-// partition [begin, end) into contiguous, ordered, exactly-once chunks of
-// at most `grain` items each.
-TEST(ThreadPool, ParallelForPartitionProperty) {
-  ThreadPool pool(4);
-  for (std::size_t total : {1u, 2u, 3u, 7u, 8u, 63u, 64u, 65u, 1000u}) {
-    for (std::size_t grain : {1u, 2u, 3u, 5u, 8u, 63u, 64u, 65u, 4096u}) {
-      for (std::size_t begin : {0u, 1u, 17u}) {
-        const std::size_t end = begin + total;
-        std::mutex m;
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        pool.ParallelFor(begin, end, grain, [&](std::size_t b, std::size_t e) {
-          ASSERT_LT(b, e);
-          ASSERT_LE(e - b, std::max<std::size_t>(1, grain));
-          std::lock_guard<std::mutex> lock(m);
-          chunks.emplace_back(b, e);
-        });
-        std::sort(chunks.begin(), chunks.end());
-        ASSERT_FALSE(chunks.empty());
-        EXPECT_EQ(chunks.front().first, begin);
-        EXPECT_EQ(chunks.back().second, end);
-        for (std::size_t i = 1; i < chunks.size(); ++i) {
-          // Contiguous and non-overlapping: each chunk starts where the
-          // previous one ended.
-          EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
-        }
-      }
-    }
-  }
-}
-
-// Regression: the chunk cursor used to advance by raw offsets, so a range
-// ending near SIZE_MAX wrapped the cursor around zero once helpers raced
-// past the end — re-claiming (and re-executing) chunks, some of them outside
-// the requested range entirely.
-TEST(ThreadPool, ParallelForRangeEndingAtSizeMax) {
-  ThreadPool pool(4);
-  const std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  const std::size_t begin = kMax - 1000;
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.ParallelFor(begin, kMax, 7, [&](std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_FALSE(chunks.empty());
-  EXPECT_EQ(chunks.front().first, begin);
-  EXPECT_EQ(chunks.back().second, kMax);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
-  }
-}
-
-// Regression: `(total + grain - 1) / grain` overflowed for ranges spanning
-// nearly the whole size_t space, producing a zero chunk count.
-TEST(ThreadPool, ParallelForHugeRangeHugeGrain) {
-  ThreadPool pool(2);
-  const std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  std::atomic<int> calls{0};
-  std::size_t seen_begin = 1, seen_end = 0;
-  // total = kMax, grain = kMax / 2 + 1 -> two chunks on the threaded path
-  // would overflow the old rounding; with total <= grain it must still run
-  // the whole range in one inline call.
-  pool.ParallelFor(0, kMax, kMax, [&](std::size_t b, std::size_t e) {
-    calls.fetch_add(1);
-    seen_begin = b;
-    seen_end = e;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(seen_begin, 0u);
-  EXPECT_EQ(seen_end, kMax);
-  // Threaded path: a grain of kMax/4 splits the same range into a handful
-  // of chunks whose count the old rounding computed as zero.
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.ParallelFor(0, kMax, kMax / 4, [&](std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_EQ(chunks.size(), 5u);
-  EXPECT_EQ(chunks.front().first, 0u);
-  EXPECT_EQ(chunks.back().second, kMax);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].first, chunks[i - 1].second);
-  }
-}
-
-TEST(ThreadPool, ParallelForSumMatchesSequential) {
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> data(10000);
-  std::iota(data.begin(), data.end(), 1);
-  std::atomic<std::uint64_t> sum{0};
-  pool.ParallelFor(0, data.size(), 128, [&](std::size_t b, std::size_t e) {
-    std::uint64_t local = 0;
-    for (std::size_t i = b; i < e; ++i) local += data[i];
-    sum.fetch_add(local);
-  });
-  EXPECT_EQ(sum.load(), 10000ull * 10001 / 2);
-}
-
-TEST(ThreadPool, ReusableAcrossManyParallelFors) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(0, 64, 8, [&](std::size_t b, std::size_t e) {
-      total.fetch_add(static_cast<int>(e - b));
-    });
-  }
-  EXPECT_EQ(total.load(), 50 * 64);
 }
 
 TEST(ThreadPool, ZeroThreadRequestDefaultsToAtLeastOne) {
@@ -247,154 +72,6 @@ TEST(ThreadPool, WaitDrainsAllTasksBeforeRethrowing) {
   }
   EXPECT_THROW(pool.Wait(), std::runtime_error);
   EXPECT_EQ(completed.load(), 16);
-}
-
-TEST(ThreadPool, ParallelForRethrowsChunkException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(0, 1024, 8,
-                                [](std::size_t b, std::size_t) {
-                                  if (b == 512) {
-                                    throw std::runtime_error("chunk failed");
-                                  }
-                                }),
-               std::runtime_error);
-  // Later ParallelFor batches are unaffected.
-  std::atomic<int> total{0};
-  pool.ParallelFor(0, 64, 8, [&](std::size_t b, std::size_t e) {
-    total.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, ParallelForDoesNotStealSubmitException) {
-  // Regression: ParallelFor used to share the pool-wide exception slot, so
-  // it could swallow a concurrent Submit() task's exception and leave the
-  // later Wait() reporting success.
-  ThreadPool pool(4);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] {
-    gate.wait();
-    throw std::runtime_error("submit failed");
-  });
-  std::atomic<int> total{0};
-  pool.ParallelFor(0, 256, 8, [&](std::size_t b, std::size_t e) {
-    total.fetch_add(static_cast<int>(e - b));
-  });  // must not rethrow — its own chunks all succeeded
-  EXPECT_EQ(total.load(), 256);
-  release.set_value();
-  // The Submit task's failure still belongs to Wait().
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForExceptionNotDeliveredToLaterWait) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(0, 256, 8,
-                                [](std::size_t b, std::size_t) {
-                                  if (b == 128) {
-                                    throw std::runtime_error("chunk failed");
-                                  }
-                                }),
-               std::runtime_error);
-  pool.Wait();  // the chunk exception was consumed by ParallelFor itself
-}
-
-TEST(ThreadPool, ParallelForCompletesWhileSubmitTaskStillRuns) {
-  // Batch-scoped completion: ParallelFor waits on its own chunks only, not
-  // on unrelated queued work.
-  ThreadPool pool(4);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::atomic<bool> submit_done{false};
-  pool.Submit([gate, &submit_done] {
-    gate.wait();
-    submit_done.store(true);
-  });
-  std::atomic<int> total{0};
-  pool.ParallelFor(0, 512, 16, [&](std::size_t b, std::size_t e) {
-    total.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(total.load(), 512);
-  EXPECT_FALSE(submit_done.load());  // the blocked task was not waited on
-  release.set_value();
-  pool.Wait();
-  EXPECT_TRUE(submit_done.load());
-}
-
-TEST(ThreadPool, InterleavedParallelForsKeepExceptionsSeparate) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<int> ok{0};
-    pool.Submit([&ok] { ok.fetch_add(1); });
-    EXPECT_THROW(pool.ParallelFor(0, 64, 4,
-                                  [](std::size_t b, std::size_t) {
-                                    if (b == 32) {
-                                      throw std::runtime_error("boom");
-                                    }
-                                  }),
-                 std::runtime_error);
-    pool.Wait();  // only the healthy Submit task: no rethrow
-    EXPECT_EQ(ok.load(), 1);
-  }
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // Regression: a ParallelFor issued from inside a pool worker used to
-  // block on chunks queued behind workers that were themselves blocked in
-  // ParallelFor — at pool size 2 the inner calls starved each other. The
-  // caller now claims and runs its own batch's chunks while waiting.
-  ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  pool.ParallelFor(0, 8, 1, [&](std::size_t, std::size_t) {
-    pool.ParallelFor(0, 8, 1, [&](std::size_t b, std::size_t e) {
-      inner_total.fetch_add(static_cast<int>(e - b));
-    });
-  });
-  EXPECT_EQ(inner_total.load(), 8 * 8);
-}
-
-TEST(ThreadPool, ParallelForFromSubmittedTaskDoesNotDeadlock) {
-  // Every worker occupied by a Submit task that itself calls ParallelFor:
-  // no free worker ever picks the nested chunks up, so the nested callers
-  // must drain them inline.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&] {
-      pool.ParallelFor(0, 32, 1, [&](std::size_t b, std::size_t e) {
-        total.fetch_add(static_cast<int>(e - b));
-      });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(total.load(), 4 * 32);
-}
-
-TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
-  ThreadPool pool(2);
-  std::atomic<int> outer_failures{0};
-  pool.ParallelFor(0, 4, 1, [&](std::size_t, std::size_t) {
-    try {
-      pool.ParallelFor(0, 4, 1, [](std::size_t b, std::size_t) {
-        if (b == 2) throw std::runtime_error("inner chunk failed");
-      });
-    } catch (const std::runtime_error&) {
-      outer_failures.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(outer_failures.load(), 4);
-  pool.Wait();  // nested exceptions were all consumed by their own batches
-}
-
-TEST(ThreadPool, SingleWorkerParallelForPropagatesInlineException) {
-  // With one worker ParallelFor runs inline; the exception must surface the
-  // same way it does on the threaded path.
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.ParallelFor(0, 16, 4,
-                                [](std::size_t, std::size_t) {
-                                  throw std::runtime_error("inline failure");
-                                }),
-               std::runtime_error);
 }
 
 }  // namespace

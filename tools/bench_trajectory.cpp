@@ -139,7 +139,6 @@ ServiceCell RunServiceCell(const PreparedDataset& dataset, bool sharing,
   // enough to be invisible next to an engine run.
   options.batch_linger_ms = 25;
   options.workers = 2;
-  options.engine_threads = 2;
   service::QueryServer server(options);
   if (Status st = server.Start(); !st.ok()) {
     GRAPHSD_LOG_ERROR("service bench: %s", st.ToString().c_str());

@@ -55,7 +55,7 @@ echo "compressed smoke: OK"
 echo "== tier 1: differential harness smoke (graphsd difftest) =="
 # A bounded randomized sweep: every registered algorithm against the
 # in-memory oracle, across raw + varint-delta datasets and forced-model /
-# prefetch / thread / cross-iteration configurations. Nonzero exit on any
+# prefetch / cross-iteration configurations. Nonzero exit on any
 # divergence; the minimized repro artifact lands in the artifact dir.
 "$CLI" difftest --seeds 6 --seed0 211 --artifact-dir "$OBS_DIR/repro" \
     > /dev/null
@@ -63,23 +63,22 @@ echo "difftest smoke: OK"
 
 echo "== tier 1: run lifecycle smoke (checkpoint / resume / Ctrl-C) =="
 # Deadline-cancelled checkpointed run -> exit 130 -> --resume completes to
-# values bit-identical to an uninterrupted run (--threads 1 pins the float
-# accumulation order).
-"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 --threads 1 \
+# values bit-identical to an uninterrupted run.
+"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 \
     --values-out "$OBS_DIR/pr_full.txt" > /dev/null
 RC=0
-"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$OBS_DIR/ck" --deadline-seconds 0.005 \
     > /dev/null 2>&1 || RC=$?
 test "$RC" = "130"
-"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$OBS_DIR/ck" --resume true \
     --values-out "$OBS_DIR/pr_resumed.txt" > /dev/null
 cmp "$OBS_DIR/pr_full.txt" "$OBS_DIR/pr_resumed.txt"
 # Ctrl-C: SIGINT trips the cooperative token; the run rolls back to the
 # last committed boundary, writes a final checkpoint and exits 130.
 "$CLI" run --dataset "$OBS_DIR/ds" --algo pr --iterations 100000 \
-    --threads 1 --checkpoint-dir "$OBS_DIR/ck_int" \
+    --checkpoint-dir "$OBS_DIR/ck_int" \
     > "$OBS_DIR/run_int.log" 2>&1 &
 RUN_PID=$!
 sleep 1
@@ -102,14 +101,14 @@ echo "== tier 1: semi-external smoke (--mode semi, raw and varint-delta) =="
 # touches few intervals per round, so the scheduler's third cost C_m wins
 # naturally): semi mode must actually elide sub-block I/O via the skip
 # summaries, report semi rounds, and agree bit-exactly with the default
-# engine (--threads 1 pins the apply order).
+# engine.
 "$CLI" generate --type grid --rows 64 --cols 64 --max-weight 9 \
     --out "$OBS_DIR/grid.bin" > /dev/null
 "$CLI" preprocess --input "$OBS_DIR/grid.bin" --out "$OBS_DIR/ds_grid" \
     --p 4 > /dev/null
-"$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 \
     --values-out "$OBS_DIR/sssp_default.txt" > /dev/null
-"$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds_grid" --algo sssp --root 0 \
     --mode semi --values-out "$OBS_DIR/sssp_semi.txt" \
     --report-json "$OBS_DIR/report_semi.json" > /dev/null
 cmp "$OBS_DIR/sssp_default.txt" "$OBS_DIR/sssp_semi.txt"
@@ -124,7 +123,7 @@ PYEOF
 # answers must still match the default engine bit for bit.
 "$CLI" preprocess --input "$OBS_DIR/grid.bin" --out "$OBS_DIR/ds_grid_vd" \
     --p 4 --codec varint-delta > /dev/null
-"$CLI" run --dataset "$OBS_DIR/ds_grid_vd" --algo sssp --root 0 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds_grid_vd" --algo sssp --root 0 \
     --mode semi --values-out "$OBS_DIR/sssp_semi_vd.txt" \
     --report-json "$OBS_DIR/report_semi_vd.json" > /dev/null
 cmp "$OBS_DIR/sssp_default.txt" "$OBS_DIR/sssp_semi_vd.txt"
@@ -141,13 +140,13 @@ echo "== tier 1: SSD scheduling smoke (--device sim:ssd / real:ssd) =="
 # handful of 60us seeks, the scheduler must flip at least one round to SCIU
 # and log the decision (model "S") with its cost inputs in the report. The
 # same workload then runs on the real:ssd backend (O_DIRECT + batched
-# preadv, SSD scheduler economics, wall-clock time) with eight engine
-# threads and must produce bit-identical values.
+# preadv, SSD scheduler economics, wall-clock time) and must produce
+# bit-identical values.
 "$CLI" generate --type grid --rows 256 --cols 256 --max-weight 9 \
     --out "$OBS_DIR/grid_ssd.bin" > /dev/null
 "$CLI" preprocess --input "$OBS_DIR/grid_ssd.bin" --out "$OBS_DIR/ds_ssd" \
     --p 4 > /dev/null
-"$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 --threads 1 \
+"$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 \
     --device sim:ssd --values-out "$OBS_DIR/sssp_ssd_sim.txt" \
     --report-json "$OBS_DIR/report_ssd.json" > /dev/null
 python3 - "$OBS_DIR/report_ssd.json" <<'PYEOF'
@@ -160,7 +159,7 @@ for r in doc["per_round"]:
     if r["model"] in ("S", "F"):
         assert r["cost_on_demand"] > 0 and r["cost_full"] > 0, r
 PYEOF
-"$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 --threads 8 \
+"$CLI" run --dataset "$OBS_DIR/ds_ssd" --algo sssp --root 0 \
     --device real:ssd --values-out "$OBS_DIR/sssp_ssd_real.txt" > /dev/null
 cmp "$OBS_DIR/sssp_ssd_sim.txt" "$OBS_DIR/sssp_ssd_real.txt"
 echo "ssd scheduling smoke: OK"
@@ -170,17 +169,15 @@ echo "== tier 1: hot-path smoke (hardware CRC32C, atomic-free kernels) =="
 # CRC32C, and one consumer thread runs every apply through the programs'
 # single-writer kernels while the loader reads and decodes frames. On the
 # varint-delta copy of the smoke dataset, PR (gather) and PR-Delta (push)
-# must give the same bytes at 1 and 4 engine threads and with synchronous
-# (depth 0) or prefetched (depth 1) reads; the dataset must verify, and one
-# flipped edge byte must fail verification.
+# must give the same bytes with synchronous (depth 0) or prefetched (depth
+# 1 and 4) reads; the dataset must verify, and one flipped edge byte must
+# fail verification.
 for ALGO in pr prd; do
-  for T in 1 4; do
-    for D in 0 1; do
-      "$CLI" run --dataset "$OBS_DIR/ds_vd" --algo "$ALGO" --device real:ssd \
-          --threads "$T" --prefetch-depth "$D" \
-          --values-out "$OBS_DIR/hot_${ALGO}_${T}_$D.txt" > /dev/null
-      cmp "$OBS_DIR/hot_${ALGO}_1_0.txt" "$OBS_DIR/hot_${ALGO}_${T}_$D.txt"
-    done
+  for D in 0 1 4; do
+    "$CLI" run --dataset "$OBS_DIR/ds_vd" --algo "$ALGO" --device real:ssd \
+        --prefetch-depth "$D" --values-out "$OBS_DIR/hot_${ALGO}_$D.txt" \
+        > /dev/null
+    cmp "$OBS_DIR/hot_${ALGO}_0.txt" "$OBS_DIR/hot_${ALGO}_$D.txt"
   done
 done
 "$CLI" verify --dataset "$OBS_DIR/ds" > /dev/null

@@ -5,7 +5,8 @@
 set -e
 CLI="$1"
 WORK="$(mktemp -d /tmp/graphsd_cli_test_XXXXXX)"
-trap 'rm -rf "$WORK"' EXIT
+SERVE_PID=""
+trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null; fi; rm -rf "$WORK"' EXIT
 
 "$CLI" generate --type web --vertices 2048 --avg-degree 8 --max-weight 9 \
     --out "$WORK/g.bin" > "$WORK/log" 2>&1
@@ -53,13 +54,37 @@ grep -q '"metrics"' "$WORK/report.json"
     --values-out "$WORK/dist_ext.txt" > "$WORK/run2" 2>&1
 cmp "$WORK/dist.txt" "$WORK/dist_ext.txt"
 
-# --compute-threads is accepted and ignored (perfbench's pr-full command
-# line still passes it): the run must succeed with byte-identical values.
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 --threads 4 \
+# --threads and --compute-threads are accepted and ignored (perfbench's
+# command lines still pass them): the runs must succeed with values
+# byte-identical to a run without either flag.
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 \
     --values-out "$WORK/pr.txt" > "$WORK/run_pr" 2>&1
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 --threads 4 \
+    --values-out "$WORK/pr_t.txt" > "$WORK/run_pr_t" 2>&1
+cmp "$WORK/pr.txt" "$WORK/pr_t.txt"
 "$CLI" run --dataset "$WORK/ds" --algo pr --iterations 10 --threads 4 \
     --compute-threads 4 --values-out "$WORK/pr_ct.txt" > "$WORK/run_pr_ct" 2>&1
 cmp "$WORK/pr.txt" "$WORK/pr_ct.txt"
+
+# serve accepts and ignores --engine-threads the same way: the daemon
+# starts, answers, and exits 0 on a shutdown request.
+SOCK="$WORK/et.sock"
+"$CLI" serve --socket "$SOCK" --engine-threads 2 --no-verify-on-open \
+    > "$WORK/serve_et" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 50); do
+  test -S "$SOCK" && break
+  sleep 0.1
+done
+test -S "$SOCK"
+"$CLI" query --socket "$SOCK" --dataset "$WORK/ds" --algo bfs --root 0 \
+    > "$WORK/q_et.json"
+grep -q '"ok":true' "$WORK/q_et.json"
+"$CLI" query --socket "$SOCK" --op shutdown > /dev/null
+RC=0
+wait "$SERVE_PID" || RC=$?
+SERVE_PID=""
+test "$RC" = "0"
 
 # The sub-block buffer has one entry shape: neither command takes a flag to
 # cache compressed frames.
@@ -103,17 +128,15 @@ grep -q "GraphSD/ppr" "$WORK/run4"
 # Run lifecycle (DESIGN.md §12): a deadline-cancelled checkpointed run
 # exits 130 (the shell's 128+SIGINT convention) with a partial report, and
 # --resume completes it to values bit-identical to an uninterrupted run.
-# --threads 1 on all three: engine-vs-engine bitwise comparison needs a
-# deterministic float accumulation order.
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --values-out "$WORK/pr_full.txt" > "$WORK/run_full" 2>&1
 RC=0
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$WORK/ck" --deadline-seconds 0.005 \
     > "$WORK/run_killed" 2>&1 || RC=$?
 test "$RC" = "130"
 grep -q "CANCELLED (deadline exceeded)" "$WORK/run_killed"
-"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 --threads 1 \
+"$CLI" run --dataset "$WORK/ds" --algo pr --iterations 200 \
     --checkpoint-dir "$WORK/ck" --resume true \
     --values-out "$WORK/pr_resumed.txt" > "$WORK/run_resumed" 2>&1
 cmp "$WORK/pr_full.txt" "$WORK/pr_resumed.txt"

@@ -282,7 +282,9 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("iterations", "10", "pr: iteration count");
   flags.Define("epsilon", "1e-9", "prd: residual activation threshold");
   flags.Define("root", "0", "sssp/bfs: source vertex");
-  flags.Define("threads", "0", "worker threads (0 = hardware)");
+  flags.Define("threads", "0",
+               "ignored: a run is one consumer thread plus one loader "
+               "thread; still accepted because perfbench/run.py passes it");
   flags.Define("compute-threads", "0",
                "ignored: edge application is serial on one consumer thread; "
                "still accepted because perfbench/run.py passes it");
@@ -366,7 +368,6 @@ int CmdRun(int argc, const char* const* argv) {
   graphsd::CancellationToken interrupt_token;
   if (engine_kind == "graphsd") {
     core::EngineOptions options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
     options.enable_cross_iteration = !flags.GetBool("no-cross-iteration");
     options.enable_selective = !flags.GetBool("no-selective");
     options.enable_buffering = !flags.GetBool("no-buffer");
@@ -398,15 +399,11 @@ int CmdRun(int argc, const char* const* argv) {
     report = gsd->Run(*program);
     state = gsd->state();
   } else if (engine_kind == "hus") {
-    baselines::HusGraphEngine::Options options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    hus = std::make_unique<baselines::HusGraphEngine>(*dataset, options);
+    hus = std::make_unique<baselines::HusGraphEngine>(*dataset);
     report = hus->Run(*program);
     state = hus->state();
   } else if (engine_kind == "lumos") {
-    baselines::LumosEngine::Options options;
-    options.num_threads = CheckedCast<std::size_t>(flags.GetInt("threads"));
-    lumos = std::make_unique<baselines::LumosEngine>(*dataset, options);
+    lumos = std::make_unique<baselines::LumosEngine>(*dataset);
     report = lumos->Run(*program);
     state = lumos->state();
   } else {
@@ -512,11 +509,11 @@ int CmdDifftest(int argc, const char* const* argv) {
     if (!scratch.ok()) return Fail(scratch.status());
     auto divergence = testing::ReplayArtifact(*artifact, scratch->path());
     if (!divergence.ok()) return Fail(divergence.status());
-    std::printf("replay %s: algo=%s model=%s p=%u codec=%s threads=%u "
+    std::printf("replay %s: algo=%s model=%s p=%u codec=%s "
                 "cross=%d depth=%u fault=%s (%u vertices, %llu edges)\n",
                 replay.c_str(), artifact->algo.c_str(),
                 artifact->model.c_str(), artifact->p, artifact->codec.c_str(),
-                artifact->threads, artifact->cross_iteration ? 1 : 0,
+                artifact->cross_iteration ? 1 : 0,
                 artifact->prefetch_depth, testing::FaultName(artifact->fault),
                 artifact->graph.num_vertices(),
                 static_cast<unsigned long long>(artifact->graph.num_edges()));
@@ -589,7 +586,8 @@ int CmdServe(int argc, const char* const* argv) {
   flags.Define("socket", "/tmp/graphsd.sock", "unix socket path to listen on");
   flags.Define("workers", "2", "concurrent engine runs");
   flags.Define("engine-threads", "0",
-               "threads inside each engine run (0 = hardware)");
+               "ignored: each engine run applies on its worker thread; "
+               "still accepted because perfbench/run.py passes it");
   flags.Define("buffer-mb", "0",
                "shared sub-block buffer per dataset in MiB (0 = 5% of edges)");
   flags.Define("prefetch-depth", "1",
@@ -628,8 +626,6 @@ int CmdServe(int argc, const char* const* argv) {
   options.limits.max_deadline_seconds =
       flags.GetDouble("max-deadline-seconds");
   options.workers = CheckedCast<std::size_t>(flags.GetInt("workers"));
-  options.engine_threads =
-      CheckedCast<std::size_t>(flags.GetInt("engine-threads"));
   options.share_buffer = !flags.GetBool("no-share-buffer");
   options.enable_batching = !flags.GetBool("no-batching");
   options.max_batch = CheckedCast<std::uint32_t>(flags.GetInt("max-batch"));
