@@ -74,7 +74,7 @@ BENCHMARK(BM_Crc32c<Crc32cDispatched>)->Name("BM_Crc32c/dispatched");
 // The largest sub-block of an RMAT scale-16 graph, framed by the real grid
 // builder: its varint-delta payload and decoded size. Built once.
 struct DecodeInput {
-  std::vector<std::uint8_t> frame;
+  PooledArray<std::uint8_t> frame;
   std::size_t raw_bytes = 0;
 };
 

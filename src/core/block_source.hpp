@@ -2,7 +2,7 @@
 // the FCIU push and gather rounds, semi rounds and SCIU's compressed passes
 // fetch, acquire and offer edge blocks through one BlockSource. A fetch unit
 // is skipped at issue time when the buffer holds its block (counter-free
-// Contains). On a compressed dataset it also decodes, on the loader thread.
+// Contains). On a compressed dataset it also decodes, on the reader thread.
 // Every acquisition records the block's active-source skip summary.
 #pragma once
 

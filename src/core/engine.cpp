@@ -57,8 +57,8 @@ class GraphSDEngine::RunScope {
     }
     prefetch_ = options_.shared_prefetch;
     if (prefetch_ == nullptr) {
-      local_prefetch_ =
-          std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
+      local_prefetch_ = std::make_unique<io::PrefetchPipeline>(
+          options_.prefetch_depth, dataset_.device().reads_in_flight());
       prefetch_ = local_prefetch_.get();
     }
     // Skip summaries (DESIGN.md §14): shared store when the caller provides

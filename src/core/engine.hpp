@@ -67,10 +67,11 @@ struct EngineOptions {
   /// SCIU edge-retention budget for its cross-iteration step; 0 = same 5 %.
   std::uint64_t memory_budget_bytes = 0;
   /// Asynchronous prefetch: sub-blocks (FCIU) and coalesced edge runs
-  /// (SCIU) load on a dedicated loader thread up to this many fetch units
-  /// ahead of the applies. 0 = fully synchronous I/O. Results, I/O byte
-  /// counts and buffer hit/miss accounting are identical at any depth.
-  std::size_t prefetch_depth = 1;
+  /// (SCIU) load on dedicated reader threads (one on a modeled device,
+  /// io::Device::reads_in_flight() on a real one) up to this many fetch
+  /// units ahead of the applies. 0 = fully synchronous I/O. Results, I/O
+  /// byte counts and buffer hit/miss accounting are identical at any depth.
+  std::size_t prefetch_depth = 4;
   /// Overlap-aware accounting: charge each loading round max(compute, io)
   /// instead of compute + io, reflecting the pipeline's hiding of disk
   /// time behind compute. Takes effect only when the pipeline can actually
@@ -159,8 +160,8 @@ struct EngineOptions {
   SubBlockBuffer* shared_buffer = nullptr;
   /// Shared prefetch pipeline (non-owning; must outlive the run). When
   /// set, the run's read plan is submitted through it instead of a private
-  /// per-run pipeline, serializing disk access across concurrent runs on
-  /// one loader thread. The pipeline's cancellation token belongs to its
+  /// per-run pipeline, so concurrent runs share its readers and one
+  /// submission order. The pipeline's cancellation token belongs to its
   /// owner (the service installs its shutdown token); this run's own
   /// cancel/deadline still stops the run at fetch boundaries.
   io::PrefetchPipeline* shared_prefetch = nullptr;

@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -68,8 +69,8 @@ struct ApplyPass {
 
 /// The pass over all of `edges`, destinations restricted to
 /// [dst_begin, dst_end). `weights` ride along only when `need_weights`.
-inline ApplyPass EdgePass(const std::vector<Edge>& edges,
-                          const std::vector<Weight>& weights, bool need_weights,
+inline ApplyPass EdgePass(std::span<const Edge> edges,
+                          std::span<const Weight> weights, bool need_weights,
                           VertexId dst_begin, VertexId dst_end) {
   ApplyPass pass;
   pass.edges = edges.data();

@@ -23,7 +23,7 @@ Status SciuExecutor::EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
   const auto& manifest = dataset.manifest();
   if (!manifest.has_checksums) return Status::Ok();
   const std::size_t slot = manifest.SubBlockSlot(i, j);
-  if (verified_[slot]) return Status::Ok();
+  if (verified_[slot].load(std::memory_order_acquire)) return Status::Ok();
 
   const std::uint64_t edges = manifest.EdgesIn(i, j);
   const std::string& dir = dataset.dir();
@@ -50,7 +50,7 @@ Status SciuExecutor::EnsureSubBlockVerified(std::uint32_t i, std::uint32_t j,
     }
     return status;
   }
-  verified_[slot] = 1;
+  verified_[slot].store(true, std::memory_order_release);
   return Status::Ok();
 }
 

@@ -19,9 +19,10 @@
 // edge runs get read, in what order — depends only on the (const) active
 // frontier and the offsets those reads return, never on applied values. It
 // is therefore computed up front and executed pass-by-pass on the prefetch
-// pipeline's loader thread, overlapping ranged reads with edge application.
+// pipeline's reader threads, overlapping ranged reads with edge application.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -85,7 +86,7 @@ class SciuExecutor {
 
   /// Ranged reads cannot verify checksums per request, so the first time a
   /// run touches sub-block (i, j) its payload files are CRC-verified in
-  /// full. Called at the top of FetchPass, so it runs on the loader thread
+  /// full. Called at the top of FetchPass, so it runs on a reader thread
   /// (inline at prefetch depth 0) and the first corrupt sub-block in plan
   /// order fails its pass. The verification reads use raw (unaccounted)
   /// I/O: they are not part of the paper's I/O economics.
@@ -94,8 +95,9 @@ class SciuExecutor {
 
   /// Reads one pass: verification on first touch, index offsets per group,
   /// then the coalesced edge runs, in exactly the synchronous order. Runs
-  /// on the loader thread when prefetching, inline otherwise; either way
-  /// one thread at a time, so `verified_` needs no lock. `resident` tells a
+  /// on a reader thread when prefetching, inline otherwise. Passes of one
+  /// sweep may run concurrently on a real device's readers; each touches
+  /// only its own payload and its own `verified_` slot. `resident` tells a
   /// compressed pass the decoded block was cached at issue time, so the
   /// frame read is elided.
   Status FetchPass(std::uint32_t i, std::uint32_t j,
@@ -103,11 +105,12 @@ class SciuExecutor {
                    bool resident, SciuPassPayload& out);
 
   ExecContext ctx_;
-  /// Per sub-block slot: verified this run. Written only by FetchPass.
-  std::vector<std::uint8_t> verified_;
+  /// Per sub-block slot: verified this run. Written only by FetchPass, on
+  /// whichever reader thread runs the pass.
+  std::vector<std::atomic<bool>> verified_;
   /// Iteration label for trace spans recorded by FetchPass. Set before the
   /// sweep's fetch units are planned and stable until the stream drains, so
-  /// the loader thread reads it race-free.
+  /// the reader threads read it race-free.
   std::uint32_t trace_iteration_ = 0;
 };
 

@@ -8,7 +8,9 @@
 //
 // Every entry is a decoded sub-block (edges, and weights when loaded), so a
 // hit costs nothing beyond the pointer; compressed datasets are decoded
-// before their blocks are offered (DESIGN.md §14). Capacity is charged at
+// before their blocks are offered (DESIGN.md §14). An entry's payload lives
+// in buffers leased from the device's pool; evicting, replacing or
+// clearing the entry returns them (DESIGN.md §15). Capacity is charged at
 // each entry's decoded footprint, and a hit credits the same figure to
 // bytes_saved. Every accounting site uses that one stored_bytes figure, so
 // `size_bytes()` always equals the sum over residents (see AuditUsedBytes).

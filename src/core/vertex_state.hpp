@@ -47,10 +47,12 @@ class VertexState {
 
   /// Program-defined array `idx`.
   std::span<Slot> array(std::uint32_t idx) noexcept {
-    return program_arrays_[idx];
+    return {reinterpret_cast<Slot*>(program_arrays_[idx].data()),
+            num_vertices_};
   }
   std::span<const Slot> array(std::uint32_t idx) const noexcept {
-    return program_arrays_[idx];
+    return {reinterpret_cast<const Slot*>(program_arrays_[idx].data()),
+            num_vertices_};
   }
 
   std::span<Slot> contrib(ContribSlot slot) noexcept {
@@ -81,7 +83,9 @@ class VertexState {
  private:
   VertexId num_vertices_;
   std::uint32_t contrib_width_ = 1;
-  std::vector<std::vector<Slot>> program_arrays_;
+  // Page-aligned and padded to 4 KiB, so Load reads a direct-I/O state
+  // file straight in whenever an array starts on a 4 KiB file offset.
+  std::vector<AlignedBuffer> program_arrays_;
   std::vector<Slot> contrib_storage_[2];
   std::span<Slot> contrib_[2];
   std::vector<Slot> accum_storage_[2];

@@ -50,16 +50,17 @@ Status DeviceFile::BouncedRead(std::uint64_t offset,
                                std::uint64_t total) {
   const std::uint64_t begin = AlignDown(offset, kDirectIoAlignment);
   const std::uint64_t end = AlignUp(offset + total, kDirectIoAlignment);
-  bounce_.Reserve(end - begin);
-  GRAPHSD_ASSIGN_OR_RETURN(const std::size_t got,
-                           file_.ReadAtMost(begin, bounce_.span()));
+  BufferPool::Lease scratch = device_->pool().Acquire(end - begin);
+  GRAPHSD_ASSIGN_OR_RETURN(
+      const std::size_t got,
+      file_.ReadAtMost(begin, {scratch.data(), end - begin}));
   // The aligned covering range may run past EOF (final partial block); only
   // the caller's logical window must be fully present.
   if (begin + got < offset + total) {
     return IoError("short read at offset " + std::to_string(offset) + " in " +
                    file_.path());
   }
-  const std::uint8_t* src = bounce_.data() + (offset - begin);
+  const std::uint8_t* src = scratch.data() + (offset - begin);
   for (const std::span<std::uint8_t>& b : bufs) {
     std::memcpy(b.data(), src, b.size());
     src += b.size();
@@ -67,18 +68,31 @@ Status DeviceFile::BouncedRead(std::uint64_t offset,
   return Status::Ok();
 }
 
-Status DeviceFile::ReadAt(std::uint64_t offset, std::span<std::uint8_t> out) {
+Status DeviceFile::Read(std::uint64_t offset, std::span<std::uint8_t> out,
+                        std::size_t writable) {
   GRAPHSD_CHECK(device_ != nullptr);
+  GRAPHSD_CHECK(writable >= out.size());
   const AccessPattern pattern = (offset == last_read_end_)
                                     ? AccessPattern::kSequential
                                     : AccessPattern::kRandom;
+  // A direct read covers whole 4 KiB blocks; it needs them writable.
+  const std::size_t covered = AlignUp(out.size(), kDirectIoAlignment);
   const bool bounce =
-      file_.is_direct() && !DirectAligned(offset, out.data(), out.size());
+      file_.is_direct() &&
+      (covered > writable || !DirectAligned(offset, out.data(), covered));
   const std::span<std::uint8_t> one[] = {out};
   GRAPHSD_RETURN_IF_ERROR(device_->RunWithRetry(
-      FaultOp::kRead, file_.path(), [&] {
-        return bounce ? BouncedRead(offset, one, out.size())
-                      : file_.ReadAt(offset, out);
+      FaultOp::kRead, file_.path(), [&]() -> Status {
+        if (bounce) return BouncedRead(offset, one, out.size());
+        if (!file_.is_direct()) return file_.ReadAt(offset, out);
+        GRAPHSD_ASSIGN_OR_RETURN(
+            const std::size_t got,
+            file_.ReadAtMost(offset, {out.data(), covered}));
+        if (got < out.size()) {
+          return IoError("short read at offset " + std::to_string(offset) +
+                         " in " + file_.path());
+        }
+        return Status::Ok();
       }));
   last_read_end_ = offset + out.size();
   device_->AccountRead(pattern, out.size());
@@ -86,16 +100,30 @@ Status DeviceFile::ReadAt(std::uint64_t offset, std::span<std::uint8_t> out) {
   return Status::Ok();
 }
 
+Status DeviceFile::ReadAt(std::uint64_t offset, std::span<std::uint8_t> out) {
+  return Read(offset, out, out.size());
+}
+
+Status DeviceFile::ReadPadded(std::uint64_t offset, std::size_t size,
+                              std::span<std::uint8_t> padded) {
+  GRAPHSD_CHECK(size <= padded.size());
+  return Read(offset, padded.first(size), padded.size());
+}
+
 Status DeviceFile::ReadVAt(std::uint64_t offset,
                            std::span<const std::span<std::uint8_t>> bufs) {
   GRAPHSD_CHECK(device_ != nullptr);
   std::uint64_t total = 0;
-  for (const std::span<std::uint8_t>& b : bufs) total += b.size();
+  bool aligned = offset % kDirectIoAlignment == 0;
+  for (const std::span<std::uint8_t>& b : bufs) {
+    total += b.size();
+    aligned = aligned && DirectAligned(0, b.data(), b.size());
+  }
   if (total == 0) return Status::Ok();
   const AccessPattern pattern = (offset == last_read_end_)
                                     ? AccessPattern::kSequential
                                     : AccessPattern::kRandom;
-  const bool bounce = file_.is_direct();
+  const bool bounce = file_.is_direct() && !aligned;
   GRAPHSD_RETURN_IF_ERROR(device_->RunWithRetry(
       FaultOp::kRead, file_.path(), [&] {
         return bounce ? BouncedRead(offset, bufs, total)
@@ -214,6 +242,8 @@ void Device::PublishMetrics(obs::MetricsRegistry& metrics) const {
   set("device.eintr_absorbed", s.eintr_absorbed);
   set("device.vectored_reads", s.vectored_reads);
   set("device.bounce_reads", s.bounce_reads);
+  set("pool.resident_bytes", pool_.resident_bytes());
+  set("pool.free_bytes", pool_.free_bytes());
   metrics.GetGauge("device.clock_seconds").Set(clock_.Seconds());
 }
 

@@ -22,7 +22,7 @@
 #include "io/fault_injector.hpp"
 #include "io/file.hpp"
 #include "io/io_stats.hpp"
-#include "util/aligned_buffer.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/clock.hpp"
 
 namespace graphsd::obs {
@@ -63,21 +63,36 @@ struct DeviceOptions {
 
 class Device;
 
+/// Reads a real device keeps in flight. Two O_DIRECT readers of 1 MiB read
+/// up to 1.5x faster than one on a 4-vCPU ext4 host; four and eight were no
+/// faster than two (DESIGN.md §8).
+inline constexpr std::size_t kRealDeviceReaders = 2;
+
 /// A file opened through a Device. Movable; closes on destruction.
 class DeviceFile {
  public:
   DeviceFile() = default;
 
   /// Reads `out.size()` bytes at `offset`, with accounting. On a direct-I/O
-  /// file an unaligned offset/size/pointer detours through an aligned
+  /// file an unaligned offset/size/pointer detours through a pooled aligned
   /// bounce buffer transparently.
   Status ReadAt(std::uint64_t offset, std::span<std::uint8_t> out);
 
+  /// Reads `size` bytes at `offset` into the front of `padded`, an aligned
+  /// buffer padded to 4 KiB (a pooled lease, see util/buffer_pool.hpp, or an
+  /// AlignedBuffer's capacity) of at least `size` bytes. With an aligned
+  /// `offset` a direct-I/O file reads the 4 KiB-rounded range straight into
+  /// it, with no bounce: a final block cut short by end-of-file lands in
+  /// the padding. Accounted as a read of `size` bytes.
+  Status ReadPadded(std::uint64_t offset, std::size_t size,
+                    std::span<std::uint8_t> padded);
+
   /// Reads the contiguous range starting at `offset` scattered into `bufs`
   /// in order, accounted as ONE request of the summed size (sequential iff
-  /// it starts where the previous read on this file ended). Buffered files
-  /// submit a single preadv batch; direct-I/O files read the aligned
-  /// covering range into the bounce buffer and scatter from there.
+  /// it starts where the previous read on this file ended). Buffered files,
+  /// and direct-I/O files when the offset and every buffer are 4 KiB-
+  /// aligned, submit a single preadv batch; other direct-I/O requests read
+  /// the aligned covering range into a bounce buffer and scatter from there.
   Status ReadVAt(std::uint64_t offset,
                  std::span<const std::span<std::uint8_t>> bufs);
 
@@ -93,8 +108,14 @@ class DeviceFile {
  private:
   friend class Device;
 
+  /// One read request of `out.size()` bytes, `writable` >= out.size() of
+  /// them writable at out.data(): a direct read of the 4 KiB-rounded range
+  /// when it fits and is aligned, else a bounce on a direct-I/O file.
+  Status Read(std::uint64_t offset, std::span<std::uint8_t> out,
+              std::size_t writable);
+
   /// One attempt of a (possibly scattered) read of `total` logical bytes at
-  /// `offset` through the aligned bounce buffer: reads the block-aligned
+  /// `offset` through a pooled aligned bounce buffer: reads the block-aligned
   /// covering range, tolerating the EOF-short tail, then scatters the
   /// requested window into `bufs`.
   Status BouncedRead(std::uint64_t offset,
@@ -103,9 +124,6 @@ class DeviceFile {
 
   Device* device_ = nullptr;
   File file_;
-  // Scratch for direct-I/O alignment; grows to the largest covering range
-  // this file has needed and is reused across requests.
-  AlignedBuffer bounce_;
   // End offset of the last request, for sequential/random classification.
   std::uint64_t last_read_end_ = UINT64_MAX;
   std::uint64_t last_write_end_ = UINT64_MAX;
@@ -122,6 +140,17 @@ class Device {
   /// Traffic counters (bytes/ops by direction and pattern).
   IoStats& stats() noexcept { return stats_; }
   const IoStats& stats() const noexcept { return stats_; }
+
+  /// The aligned buffers this device's reads land in: payloads of the
+  /// datasets opened on it and direct-I/O bounce scratch.
+  BufferPool& pool() noexcept { return pool_; }
+
+  /// How many reads a prefetch pipeline over this device keeps in flight.
+  /// A device that charges virtual time is serial (one head position, one
+  /// clock), so it gets 1; a real device gets kRealDeviceReaders.
+  std::size_t reads_in_flight() const noexcept {
+    return options_.charge_virtual_time ? 1 : kRealDeviceReaders;
+  }
 
   /// Accumulated modeled I/O seconds.
   VirtualClock& clock() noexcept { return clock_; }
@@ -160,6 +189,7 @@ class Device {
   DeviceOptions options_;
   IoStats stats_;
   VirtualClock clock_;
+  BufferPool pool_;
 };
 
 /// A device that performs plain POSIX I/O with traffic accounting but no

@@ -1,14 +1,15 @@
 #include "io/prefetch.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 
 namespace graphsd::io {
 
-PrefetchPipeline::PrefetchPipeline(std::size_t depth) : depth_(depth) {
+PrefetchPipeline::PrefetchPipeline(std::size_t depth, std::size_t readers)
+    : depth_(depth) {
   if (depth_ == 0) return;
-  // One loader thread, always: see the header for why parallel loaders
-  // would break read-sequence parity with the synchronous path.
-  loader_ = std::make_unique<ThreadPool>(1);
+  loader_ = std::make_unique<ThreadPool>(std::max<std::size_t>(1, readers));
 }
 
 std::future<Status> PrefetchPipeline::Submit(std::function<Status()> task) {
@@ -23,6 +24,7 @@ std::future<Status> PrefetchPipeline::Submit(std::function<Status()> task) {
 
 void PrefetchPipeline::PublishMetrics(obs::MetricsRegistry& metrics) const {
   metrics.GetGauge("prefetch.depth").Set(static_cast<double>(depth_));
+  metrics.GetGauge("prefetch.readers").Set(static_cast<double>(readers()));
   metrics.GetGauge("prefetch.submitted")
       .Set(static_cast<double>(submitted_.load()));
   metrics.GetGauge("prefetch.skipped")

@@ -1,14 +1,19 @@
 // Asynchronous prefetch: overlap device reads with compute.
 //
-// A PrefetchPipeline is one dedicated loader thread plus its look-ahead
-// depth and `prefetch.*` counters. Fetch closures run ahead of the
-// consumer on the loader thread while the consumer applies edges, so disk
-// time hides behind compute time. The loader is deliberately a single
-// thread: the modeled device is serial (one head position, one virtual
-// clock), and a single worker executes tasks in submission order, which is
-// what makes the performed read sequence — and therefore byte counts,
-// sequential/random classification, and fault-injection behavior — exactly
-// match the synchronous path.
+// A PrefetchPipeline is a small set of dedicated reader threads plus its
+// look-ahead depth and `prefetch.*` counters. Fetch closures run ahead of
+// the consumer on the readers while the consumer applies edges, so disk
+// time hides behind compute time. Each reader runs whole fetch units (read,
+// CRC, decode); units start in submission order and are handed over in
+// plan order whatever order they finish in.
+//
+// A device that charges virtual time gets exactly one reader: the modeled
+// device is serial (one head position, one virtual clock), and a single
+// reader executes units in submission order, which is what makes the
+// performed read sequence — and therefore byte counts, sequential/random
+// classification, and fault-injection behavior — exactly match the
+// synchronous path. A real device gets Device::reads_in_flight() readers,
+// so that many reads overlap on the device itself (DESIGN.md §8).
 //
 // PrefetchStream<Payload> is the planning front-end the executors use: a
 // fixed, ordered plan of fetch units consumed strictly FIFO with a
@@ -18,13 +23,16 @@
 // pipeline the stream degrades to running each fetch inline at Take(),
 // i.e. the synchronous path is the same code minus the look-ahead.
 //
-// Failure and cancellation are scoped to the stream. Once one of its
-// fetches returns a non-OK Status, or its cancellation token has tripped,
-// the stream's later fetches are skipped and resolve to that status without
-// touching the device — exactly as a synchronous loop would never have
-// issued reads past its first failure. Other streams on the same pipeline,
-// concurrent or later (a full-streaming redo), are unaffected. A fetch that
-// throws rethrows at Take(), at any depth.
+// Failure and cancellation are scoped to the stream and ordered by the
+// plan. Once one of its fetches returns a non-OK Status, or its
+// cancellation token has tripped, the stream's fetches later in the plan
+// are skipped and resolve to that status without touching the device —
+// exactly as a synchronous loop would never have issued reads past its
+// first failure. A fetch earlier in the plan still runs and reports its own
+// status, so Take() surfaces the first failure in plan order at any reader
+// count. Other streams on the same pipeline, concurrent or later (a
+// full-streaming redo), are unaffected. A fetch that throws rethrows at
+// Take(), at any depth.
 #pragma once
 
 #include <atomic>
@@ -33,7 +41,9 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -50,25 +60,32 @@ namespace graphsd::io {
 class PrefetchPipeline {
  public:
   /// `depth` is the look-ahead window in fetch units; 0 disables the
-  /// pipeline entirely (no loader thread is started).
-  explicit PrefetchPipeline(std::size_t depth);
+  /// pipeline entirely (no reader thread is started). `readers` threads
+  /// (at least 1) run fetch units; see the header comment for how many a
+  /// device gets.
+  explicit PrefetchPipeline(std::size_t depth, std::size_t readers = 1);
 
   PrefetchPipeline(const PrefetchPipeline&) = delete;
   PrefetchPipeline& operator=(const PrefetchPipeline&) = delete;
 
   bool enabled() const noexcept { return loader_ != nullptr; }
   std::size_t depth() const noexcept { return depth_; }
+  /// Reader threads running fetch units (0 when disabled).
+  std::size_t readers() const noexcept {
+    return enabled() ? loader_->size() : 0;
+  }
 
-  /// Publishes depth and lifetime loader counters as `prefetch.*` gauges
-  /// (snapshot semantics: safe to call repeatedly, last write wins).
+  /// Publishes depth, reader count and lifetime loader counters as
+  /// `prefetch.*` gauges (snapshot semantics: safe to call repeatedly, last
+  /// write wins).
   void PublishMetrics(obs::MetricsRegistry& metrics) const;
 
  private:
   template <typename Payload>
   friend class PrefetchStream;
 
-  /// Schedules `task` on the loader thread; the future carries its Status
-  /// or its exception. Valid only when enabled().
+  /// Schedules `task` on a reader thread; the future carries its Status or
+  /// its exception. Valid only when enabled().
   std::future<Status> Submit(std::function<Status()> task);
 
   std::size_t depth_;
@@ -78,9 +95,9 @@ class PrefetchPipeline {
 };
 
 /// FIFO stream of planned fetches with bounded look-ahead. Single consumer
-/// thread; the loader thread only ever touches the payload a fetch closure
-/// was handed and the stream's first failure (publication happens-before
-/// Take() via the unit's future).
+/// thread; a reader thread only ever touches the payload a fetch closure
+/// was handed (publication happens-before Take() via the unit's future) and
+/// the stream's failure record, which a mutex guards.
 template <typename Payload>
 class PrefetchStream {
  public:
@@ -88,8 +105,9 @@ class PrefetchStream {
     /// Evaluated on the consumer thread when the unit is issued (which in
     /// synchronous mode is also when it is consumed). True = don't fetch.
     std::function<bool()> skip;
-    /// Performs the accounted reads and fills the payload. Runs on the
-    /// loader thread when prefetching, inline at Take() otherwise.
+    /// Performs the accounted reads and fills the payload. Runs on a
+    /// reader thread when prefetching (concurrently with other units when
+    /// the pipeline has several readers), inline at Take() otherwise.
     std::function<Status(Payload&)> fetch;
   };
 
@@ -128,10 +146,11 @@ class PrefetchStream {
     GRAPHSD_CHECK(consumed_ < plan_.size());
     Item item;
     if (pipeline_ == nullptr) {
-      Unit& unit = plan_[consumed_++];
+      const std::size_t index = consumed_++;
+      Unit& unit = plan_[index];
       if (unit.skip && unit.skip()) return item;
       item.fetched = true;
-      item.status = Fetch(unit.fetch, item.payload);
+      item.status = Fetch(index, unit.fetch, item.payload);
       return item;
     }
     Pending pending = std::move(window_.front());
@@ -157,29 +176,47 @@ class PrefetchStream {
 
   void FillWindow() {
     while (issued_ < plan_.size() && window_.size() < pipeline_->depth()) {
-      Unit& unit = plan_[issued_++];
+      const std::size_t index = issued_++;
+      Unit& unit = plan_[index];
       Pending pending;
       if (!(unit.skip && unit.skip())) {
         pending.payload = std::make_unique<Payload>();
         pending.done = pipeline_->Submit(
-            [this, fetch = std::move(unit.fetch),
-             out = pending.payload.get()] { return Fetch(fetch, *out); });
+            [this, index, fetch = std::move(unit.fetch),
+             out = pending.payload.get()] {
+              return Fetch(index, fetch, *out);
+            });
       }
       window_.push_back(std::move(pending));
     }
   }
 
-  /// Runs one fetch unless the stream has already failed or been
-  /// cancelled. Only one thread ever calls it per stream: the loader (in
-  /// plan order) when prefetching, the consumer otherwise.
-  Status Fetch(const std::function<Status(Payload&)>& fetch, Payload& out) {
-    if (failed_.ok() && cancel_ != nullptr) failed_ = cancel_->Check();
-    if (!failed_.ok()) {
-      if (pipeline_ != nullptr) ++pipeline_->skipped_;
-      return failed_;
+  /// Runs plan unit `index` unless a unit earlier in the plan has failed
+  /// or the stream was cancelled. Called by the readers when prefetching
+  /// (possibly several at once), by the consumer otherwise.
+  Status Fetch(std::size_t index,
+               const std::function<Status(Payload&)>& fetch, Payload& out) {
+    {
+      std::lock_guard<std::mutex> lock(failure_mutex_);
+      if (failed_at_ > index && cancel_ != nullptr) {
+        if (Status cancelled = cancel_->Check(); !cancelled.ok()) {
+          failed_at_ = index;
+          failed_ = cancelled;
+        }
+      }
+      if (failed_at_ <= index) {
+        if (pipeline_ != nullptr) ++pipeline_->skipped_;
+        return failed_;
+      }
     }
     Status status = fetch(out);
-    if (!status.ok()) failed_ = status;
+    if (!status.ok()) {
+      std::lock_guard<std::mutex> lock(failure_mutex_);
+      if (index < failed_at_) {
+        failed_at_ = index;
+        failed_ = status;
+      }
+    }
     return status;
   }
 
@@ -189,7 +226,13 @@ class PrefetchStream {
   std::size_t issued_ = 0;
   std::size_t consumed_ = 0;
   std::deque<Pending> window_;
-  Status failed_ = Status::Ok();  // first failure (or cancel) of any fetch
+  // The earliest plan index that failed (or saw the cancel), and its
+  // status; kNoFailure while every fetch so far succeeded.
+  static constexpr std::size_t kNoFailure =
+      std::numeric_limits<std::size_t>::max();
+  std::mutex failure_mutex_;
+  std::size_t failed_at_ = kNoFailure;
+  Status failed_ = Status::Ok();
 };
 
 }  // namespace graphsd::io

@@ -1,6 +1,7 @@
 #include "partition/grid_dataset.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "compress/frame.hpp"
 #include "util/clock.hpp"
@@ -14,12 +15,6 @@ std::span<std::uint8_t> AsWritableBytes(std::vector<T>& v) {
   return {reinterpret_cast<std::uint8_t*>(v.data()), v.size() * sizeof(T)};
 }
 
-template <typename T>
-std::span<const std::uint8_t> AsBytes(const std::vector<T>& v) {
-  return {reinterpret_cast<const std::uint8_t*>(v.data()),
-          v.size() * sizeof(T)};
-}
-
 // Compares a freshly loaded payload against its build-time CRC, counting the
 // mismatch in the device's stats so end-of-run reports surface it.
 Status VerifyCrc(io::Device& device, const std::string& path,
@@ -30,6 +25,20 @@ Status VerifyCrc(io::Device& device, const std::string& path,
   return CorruptDataError(path + ": CRC32C mismatch (stored " +
                           std::to_string(expected) + ", computed " +
                           std::to_string(actual) + ")");
+}
+
+// Reads the whole file at `path` into `out` (sized by the caller from the
+// manifest) straight from offset 0, then checks `crc` when the dataset
+// records checksums.
+template <typename T>
+Status ReadVerified(io::Device& device, const std::string& path,
+                    PooledArray<T>& out, std::optional<std::uint32_t> crc) {
+  GRAPHSD_ASSIGN_OR_RETURN(io::DeviceFile file,
+                           device.Open(path, io::OpenMode::kRead));
+  GRAPHSD_RETURN_IF_ERROR(
+      file.ReadPadded(0, out.size_bytes(), out.padded_bytes()));
+  if (!crc.has_value()) return Status::Ok();
+  return VerifyCrc(device, path, out.bytes(), *crc);
 }
 
 }  // namespace
@@ -195,15 +204,15 @@ Result<GridDataset> GridDataset::Open(io::Device& device,
     }
   }
 
-  dataset.degrees_.resize(dataset.manifest_.num_vertices);
-  GRAPHSD_ASSIGN_OR_RETURN(
-      io::DeviceFile file, device.Open(DegreesPath(dir), io::OpenMode::kRead));
-  GRAPHSD_RETURN_IF_ERROR(file.ReadAt(0, AsWritableBytes(dataset.degrees_)));
-  if (dataset.manifest_.has_checksums) {
-    GRAPHSD_RETURN_IF_ERROR(VerifyCrc(device, DegreesPath(dir),
-                                      AsBytes(dataset.degrees_),
-                                      dataset.manifest_.degrees_crc));
-  }
+  // Read through a pooled buffer so the direct read needs no bounce.
+  PooledArray<std::uint32_t> degrees(device.pool(),
+                                     dataset.manifest_.num_vertices);
+  GRAPHSD_RETURN_IF_ERROR(ReadVerified(
+      device, DegreesPath(dir), degrees,
+      dataset.manifest_.has_checksums
+          ? std::optional(dataset.manifest_.degrees_crc)
+          : std::nullopt));
+  dataset.degrees_.assign(degrees.begin(), degrees.end());
   return dataset;
 }
 
@@ -224,46 +233,35 @@ Result<SubBlockPayload> GridDataset::FetchSubBlock(std::uint32_t i,
   const std::uint64_t count = manifest_.EdgesIn(i, j);
   if (count == 0 && !compressed()) return payload;
 
-  {
-    GRAPHSD_ASSIGN_OR_RETURN(
-        io::DeviceFile file,
-        device_->Open(SubBlockEdgesPath(dir_, i, j), io::OpenMode::kRead));
-    if (compressed()) {
-      // The whole frame streams sequentially from offset 0; the file-level
-      // CRC (over the frame bytes) is checked here so torn reads surface
-      // on the I/O side, and the frame's own payload CRC again at decode.
-      payload.frame.resize(manifest_.EdgeFileBytes(i, j));
-      GRAPHSD_RETURN_IF_ERROR(file.ReadAt(0, payload.frame));
-      if (manifest_.has_checksums) {
-        GRAPHSD_RETURN_IF_ERROR(
-            VerifyCrc(*device_, SubBlockEdgesPath(dir_, i, j), payload.frame,
-                      manifest_.edge_crcs[manifest_.SubBlockSlot(i, j)]));
-      }
-      block.disk_bytes += payload.frame.size();
-    } else {
-      block.edges.resize(count);
-      GRAPHSD_RETURN_IF_ERROR(file.ReadAt(0, AsWritableBytes(block.edges)));
-      if (manifest_.has_checksums) {
-        GRAPHSD_RETURN_IF_ERROR(
-            VerifyCrc(*device_, SubBlockEdgesPath(dir_, i, j),
-                      AsBytes(block.edges),
-                      manifest_.edge_crcs[manifest_.SubBlockSlot(i, j)]));
-      }
-      block.disk_bytes += count * kEdgeBytes;
-    }
+  const std::size_t slot = manifest_.SubBlockSlot(i, j);
+  const auto crc = [&](const std::vector<std::uint32_t>& crcs) {
+    return manifest_.has_checksums ? std::optional(crcs[slot]) : std::nullopt;
+  };
+  // The whole frame (compressed) or edge array (raw) streams sequentially
+  // from offset 0. The file-level CRC is checked here so torn reads surface
+  // on the I/O side; a frame's own payload CRC is checked again at decode.
+  if (compressed()) {
+    payload.frame = PooledArray<std::uint8_t>(
+        device_->pool(), manifest_.EdgeFileBytes(i, j));
+    GRAPHSD_RETURN_IF_ERROR(ReadVerified(*device_,
+                                         SubBlockEdgesPath(dir_, i, j),
+                                         payload.frame,
+                                         crc(manifest_.edge_crcs)));
+    block.disk_bytes += payload.frame.size();
+  } else {
+    block.edges = PooledArray<Edge>(device_->pool(), count);
+    GRAPHSD_RETURN_IF_ERROR(ReadVerified(*device_,
+                                         SubBlockEdgesPath(dir_, i, j),
+                                         block.edges,
+                                         crc(manifest_.edge_crcs)));
+    block.disk_bytes += count * kEdgeBytes;
   }
   if (load_weights && weighted() && count > 0) {
-    block.weights.resize(count);
-    GRAPHSD_ASSIGN_OR_RETURN(
-        io::DeviceFile file,
-        device_->Open(SubBlockWeightsPath(dir_, i, j), io::OpenMode::kRead));
-    GRAPHSD_RETURN_IF_ERROR(file.ReadAt(0, AsWritableBytes(block.weights)));
-    if (manifest_.has_checksums) {
-      GRAPHSD_RETURN_IF_ERROR(
-          VerifyCrc(*device_, SubBlockWeightsPath(dir_, i, j),
-                    AsBytes(block.weights),
-                    manifest_.weight_crcs[manifest_.SubBlockSlot(i, j)]));
-    }
+    block.weights = PooledArray<Weight>(device_->pool(), count);
+    GRAPHSD_RETURN_IF_ERROR(ReadVerified(*device_,
+                                         SubBlockWeightsPath(dir_, i, j),
+                                         block.weights,
+                                         crc(manifest_.weight_crcs)));
     block.disk_bytes += count * kWeightBytes;
   }
   return payload;
@@ -275,9 +273,11 @@ Status GridDataset::DecodeSubBlock(std::uint32_t i, std::uint32_t j,
   GRAPHSD_CHECK(i < p() && j < p());
   const std::uint64_t count = manifest_.EdgesIn(i, j);
   WallTimer timer;
-  payload.block.edges.resize(count);
+  payload.block.edges = PooledArray<Edge>(device_->pool(), count);
   const Status status = compress::DecodeFrameInto(
-      payload.frame, AsWritableBytes(payload.block.edges));
+      payload.frame.bytes(),
+      {reinterpret_cast<std::uint8_t*>(payload.block.edges.data()),
+       payload.block.edges.size_bytes()});
   if (!status.ok()) {
     device_->stats().RecordChecksumFailure();
     return CorruptDataError(SubBlockEdgesPath(dir_, i, j) + ": " +
@@ -292,7 +292,6 @@ Status GridDataset::DecodeSubBlock(std::uint32_t i, std::uint32_t j,
       static_cast<std::uint64_t>(timer.Seconds() * 1e9),
       std::memory_order_relaxed);
   payload.frame.clear();
-  payload.frame.shrink_to_fit();
   return Status::Ok();
 }
 
@@ -310,22 +309,19 @@ DecodeStats GridDataset::decode_stats() const noexcept {
   return s;
 }
 
-Result<std::vector<std::uint32_t>> GridDataset::LoadIndex(
+Result<PooledArray<std::uint32_t>> GridDataset::LoadIndex(
     std::uint32_t i, std::uint32_t j) const {
   GRAPHSD_CHECK(i < p() && j < p());
   if (!manifest_.has_index) {
     return NotFoundError("dataset '" + manifest_.name + "' has no index");
   }
-  std::vector<std::uint32_t> index(manifest_.IntervalSize(i) + 1);
-  GRAPHSD_ASSIGN_OR_RETURN(
-      io::DeviceFile file,
-      device_->Open(SubBlockIndexPath(dir_, i, j), io::OpenMode::kRead));
-  GRAPHSD_RETURN_IF_ERROR(file.ReadAt(0, AsWritableBytes(index)));
-  if (manifest_.has_checksums) {
-    GRAPHSD_RETURN_IF_ERROR(
-        VerifyCrc(*device_, SubBlockIndexPath(dir_, i, j), AsBytes(index),
-                  manifest_.index_crcs[manifest_.SubBlockSlot(i, j)]));
-  }
+  PooledArray<std::uint32_t> index(device_->pool(),
+                                   manifest_.IntervalSize(i) + 1);
+  GRAPHSD_RETURN_IF_ERROR(ReadVerified(
+      *device_, SubBlockIndexPath(dir_, i, j), index,
+      manifest_.has_checksums
+          ? std::optional(manifest_.index_crcs[manifest_.SubBlockSlot(i, j)])
+          : std::nullopt));
   return index;
 }
 

@@ -20,13 +20,15 @@
 #include "graph/types.hpp"
 #include "io/device.hpp"
 #include "partition/manifest.hpp"
+#include "util/buffer_pool.hpp"
 
 namespace graphsd::partition {
 
-/// An in-memory copy of one sub-block's payload.
+/// An in-memory copy of one sub-block's payload, in buffers leased from the
+/// device's pool (util/buffer_pool.hpp). Destroying the block returns them.
 struct SubBlock {
-  std::vector<Edge> edges;
-  std::vector<Weight> weights;  // empty when unweighted or not requested
+  PooledArray<Edge> edges;
+  PooledArray<Weight> weights;  // empty when unweighted or not requested
 
   /// On-disk bytes this block was loaded from (frame + weight file when
   /// compressed; equals SizeBytes() for raw datasets). Lets the
@@ -41,14 +43,14 @@ struct SubBlock {
 
 /// A sub-block mid-load: the bytes read from disk before decode. For raw
 /// datasets `block` is already complete and `frame` stays empty; for
-/// compressed datasets `frame` holds the undecoded GSDF frame. Fetch and
-/// decode are separate steps so each caller picks where decode runs: every
-/// streamed block decodes in BlockSource's fetch unit, on the prefetch
-/// loader thread; only SCIU's compressed passes and synchronous reloads
-/// decode on the consuming thread.
+/// compressed datasets `frame` holds the undecoded GSDF frame, which decode
+/// returns to the pool. Fetch and decode are separate steps so each caller
+/// picks where decode runs: every streamed block decodes in BlockSource's
+/// fetch unit, on a prefetch reader thread; only SCIU's compressed passes
+/// and synchronous reloads decode on the consuming thread.
 struct SubBlockPayload {
   SubBlock block;
-  std::vector<std::uint8_t> frame;
+  PooledArray<std::uint8_t> frame;
 };
 
 /// Cumulative decode-side counters of one dataset (monotonic across runs;
@@ -145,13 +147,14 @@ class GridDataset {
                                 bool load_weights) const;
 
   /// I/O half of LoadSubBlock: reads (and CRC-verifies) the sub-block's
-  /// files but leaves compressed frames undecoded. Safe to run on a loader
-  /// thread; no shared mutable state is touched.
+  /// files straight into pooled buffers, leaving compressed frames
+  /// undecoded. Safe to run on several reader threads at once; the only
+  /// shared state touched is the device's thread-safe counters and pool.
   Result<SubBlockPayload> FetchSubBlock(std::uint32_t i, std::uint32_t j,
                                         bool load_weights) const;
 
   /// Compute half: decodes `payload.frame` (if any) into `payload.block`
-  /// and releases the frame bytes. No-op for raw datasets. A decoded edge
+  /// and returns the frame's buffer to the pool. No-op for raw datasets. A decoded edge
   /// count that disagrees with the manifest yields kCorruptData.
   Status DecodeSubBlock(std::uint32_t i, std::uint32_t j,
                         SubBlockPayload& payload) const;
@@ -161,7 +164,7 @@ class GridDataset {
 
   /// Loads the per-source-vertex CSR index of sub-block (i, j):
   /// IntervalSize(i)+1 offsets. Requires manifest().has_index.
-  Result<std::vector<std::uint32_t>> LoadIndex(std::uint32_t i,
+  Result<PooledArray<std::uint32_t>> LoadIndex(std::uint32_t i,
                                                std::uint32_t j) const;
 
   /// Opens a selective reader for sub-block (i, j).

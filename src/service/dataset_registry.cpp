@@ -41,8 +41,8 @@ Result<DatasetEntry*> DatasetRegistry::GetOrOpen(const std::string& dir) {
           : std::max<std::uint64_t>(
                 1, entry->dataset->manifest().TotalEdgeBytes() / 20);
   entry->buffer = std::make_unique<core::SubBlockBuffer>(capacity);
-  entry->prefetch =
-      std::make_unique<io::PrefetchPipeline>(options_.prefetch_depth);
+  entry->prefetch = std::make_unique<io::PrefetchPipeline>(
+      options_.prefetch_depth, entry->device->reads_in_flight());
   // Skip summaries are dataset-static, so one store serves every query on
   // the entry: the first run to touch a sub-block publishes its summary and
   // all later runs skip I/O against it (DESIGN.md §14).

@@ -8,9 +8,11 @@
 //   * one pinned-aware SubBlockBuffer, so a sub-block loaded for one query
 //     serves every concurrent and subsequent query (the service's shared
 //     buffer tier),
-//   * one PrefetchPipeline, so all queries' reads funnel through a single
-//     loader thread — the modeled device is one serial disk, and a single
-//     submission order keeps its accounting meaningful under concurrency.
+//   * one PrefetchPipeline, so all queries' reads funnel through one set
+//     of readers in one submission order — a single reader on a modeled
+//     device (one serial disk, whose accounting that order keeps
+//     meaningful under concurrency), Device::reads_in_flight() on a real
+//     one.
 //
 // Entries are heap-allocated and never destroyed before shutdown, so
 // pointers handed to workers stay valid without further locking.
@@ -39,7 +41,7 @@ struct RegistryOptions {
   /// engine's default budget).
   std::uint64_t buffer_capacity_bytes = 0;
   /// Shared loader look-ahead; 0 disables prefetching (synchronous reads).
-  std::size_t prefetch_depth = 1;
+  std::size_t prefetch_depth = 4;
   /// Run a full frame verification (CRC walk of every sub-block) on first
   /// open; a corrupt dataset is refused once instead of failing queries
   /// midway, and the verdict is cached with the entry.

@@ -1,12 +1,56 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
+#include <utility>
 
 namespace graphsd {
 
 void CliFlags::Define(const std::string& name, const std::string& default_value,
                       const std::string& help) {
   flags_[name] = Flag{default_value, default_value, help};
+}
+
+void CliFlags::DefineInt(const std::string& name,
+                         const std::string& default_value,
+                         const std::string& help, std::int64_t max) {
+  Flag flag{default_value, default_value, help, Kind::kInt, max};
+  GRAPHSD_CHECK_MSG(Check(name, flag).ok(), "bad default for --" + name);
+  flags_[name] = std::move(flag);
+}
+
+void CliFlags::DefineDouble(const std::string& name,
+                            const std::string& default_value,
+                            const std::string& help) {
+  Flag flag{default_value, default_value, help, Kind::kDouble, 0};
+  GRAPHSD_CHECK_MSG(Check(name, flag).ok(), "bad default for --" + name);
+  flags_[name] = std::move(flag);
+}
+
+Status CliFlags::Check(const std::string& name, const Flag& flag) {
+  const std::string& v = flag.value;
+  const char* const end = v.data() + v.size();
+  if (flag.kind == Kind::kInt) {
+    std::int64_t parsed = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
+    if (v.empty() || ec != std::errc() || ptr != end || parsed < 0 ||
+        parsed > flag.max) {
+      return InvalidArgumentError("invalid value '" + v + "' for --" + name +
+                                  ": expected an integer in [0, " +
+                                  std::to_string(flag.max) + "]");
+    }
+  } else if (flag.kind == Kind::kDouble) {
+    double parsed = 0;
+    const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
+    if (v.empty() || ec != std::errc() || ptr != end ||
+        !std::isfinite(parsed) || parsed < 0) {
+      return InvalidArgumentError("invalid value '" + v + "' for --" + name +
+                                  ": expected a finite number >= 0");
+    }
+  }
+  return Status::Ok();
 }
 
 Status CliFlags::Parse(int argc, const char* const* argv) {
@@ -36,6 +80,7 @@ Status CliFlags::Parse(int argc, const char* const* argv) {
         value = "true";
       }
       it->second.value = value;
+      GRAPHSD_RETURN_IF_ERROR(Check(name, it->second));
       continue;
     }
     auto it = flags_.find(name);
@@ -43,6 +88,7 @@ Status CliFlags::Parse(int argc, const char* const* argv) {
       return InvalidArgumentError("unknown flag --" + name);
     }
     it->second.value = value;
+    GRAPHSD_RETURN_IF_ERROR(Check(name, it->second));
   }
   return Status::Ok();
 }

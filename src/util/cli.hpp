@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,7 +20,19 @@ class CliFlags {
   void Define(const std::string& name, const std::string& default_value,
               const std::string& help);
 
-  /// Parses argv. Returns an error on unknown or malformed flags.
+  /// Declares an integer flag: Parse rejects a value that is not a whole
+  /// base-10 integer in [0, max].
+  void DefineInt(const std::string& name, const std::string& default_value,
+                 const std::string& help,
+                 std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
+  /// Declares a real-valued flag: Parse rejects a value that is not a
+  /// whole finite number >= 0.
+  void DefineDouble(const std::string& name, const std::string& default_value,
+                    const std::string& help);
+
+  /// Parses argv. Returns kInvalidArgument naming the flag on an unknown
+  /// flag or a malformed or out-of-range numeric value.
   Status Parse(int argc, const char* const* argv);
 
   /// Accessors; the flag must have been defined.
@@ -37,11 +50,17 @@ class CliFlags {
   std::string Help(const std::string& program) const;
 
  private:
+  enum class Kind { kString, kInt, kDouble };
   struct Flag {
     std::string value;
     std::string default_value;
     std::string help;
+    Kind kind = Kind::kString;
+    std::int64_t max = 0;  // kInt only
   };
+
+  /// kInvalidArgument naming `name` unless `flag.value` suits its kind.
+  static Status Check(const std::string& name, const Flag& flag);
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -9,15 +10,22 @@
 namespace graphsd::core {
 namespace {
 
+BufferPool& Pool() {
+  static BufferPool pool;
+  return pool;
+}
+
 partition::SubBlock MakeBlock(std::size_t num_edges) {
   partition::SubBlock block;
-  block.edges.resize(num_edges, Edge{1, 2});
+  block.edges = PooledArray<Edge>(Pool(), num_edges);
+  std::fill(block.edges.begin(), block.edges.end(), Edge{1, 2});
   return block;
 }
 
 partition::SubBlock MakeWeightedBlock(std::size_t num_edges) {
   partition::SubBlock block = MakeBlock(num_edges);
-  block.weights.resize(num_edges, Weight{1});
+  block.weights = PooledArray<Weight>(Pool(), num_edges);
+  std::fill(block.weights.begin(), block.weights.end(), Weight{1});
   return block;
 }
 
@@ -218,13 +226,11 @@ TEST(SubBlockBuffer, DisabledBufferDoesNotCountRejections) {
 }
 
 TEST(SubBlockBuffer, WeightsCountTowardCapacity) {
-  partition::SubBlock block;
-  block.edges.resize(8);
-  block.weights.resize(8);
+  const partition::SubBlock block = MakeWeightedBlock(8);
   const std::uint64_t bytes = block.SizeBytes();
   EXPECT_EQ(bytes, 8 * sizeof(Edge) + 8 * sizeof(Weight));
   SubBlockBuffer tight(bytes - 1);
-  EXPECT_FALSE(tight.Put(0, 0, std::move(block), 1));
+  EXPECT_FALSE(tight.Put(0, 0, block, 1));
 }
 
 // --- pinning (shared buffer tier, DESIGN.md §13) ---------------------------

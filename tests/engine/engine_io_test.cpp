@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
+#include "obs/metrics.hpp"
 
 namespace graphsd {
 namespace {
@@ -189,6 +190,36 @@ TEST_F(EngineIoTest, RealSsdBackendMatchesPosixBitwise) {
       for (std::size_t v = 0; v < values.size(); ++v) {
         EXPECT_EQ(values[v], (*reference)[v]) << "vertex " << v;
       }
+    }
+  }
+}
+
+// The run report's gauges name the read path: one prefetch reader on a
+// modeled device and two on a real one, the payload pool's resident and
+// free bytes, and on real:ssd a full-streaming run (PageRank) that reads
+// every payload and state array straight in, with no bounce.
+TEST_F(EngineIoTest, GaugesReportReadersPoolBytesAndDirectReads) {
+  for (const char* kind : {"sim:scaled-hdd", "real:ssd"}) {
+    SCOPED_TRACE(kind);
+    auto device = ValueOrDie(io::MakeDeviceForKind(kind));
+    const auto ds =
+        ValueOrDie(partition::GridDataset::Open(*device, dir_.Sub("ds")));
+    TempDir scratch;
+    obs::MetricsRegistry metrics;
+    core::EngineOptions options;
+    options.scratch_dir = scratch.path();
+    options.metrics = &metrics;
+    core::GraphSDEngine engine(ds, options);
+    algos::PageRank pr(5);
+    (void)ValueOrDie(engine.Run(pr));
+    const bool real = std::string(kind) == "real:ssd";
+    EXPECT_EQ(metrics.GetGauge("prefetch.depth").value(), 4.0);
+    EXPECT_EQ(metrics.GetGauge("prefetch.readers").value(), real ? 2.0 : 1.0);
+    const double resident = metrics.GetGauge("pool.resident_bytes").value();
+    EXPECT_GT(resident, 0.0);
+    EXPECT_LE(metrics.GetGauge("pool.free_bytes").value(), resident);
+    if (real) {
+      EXPECT_EQ(metrics.GetGauge("device.bounce_reads").value(), 0.0);
     }
   }
 }

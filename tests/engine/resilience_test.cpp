@@ -34,9 +34,11 @@ class ResilienceTest : public ::testing::Test {
   void TearDown() override { t_.device->set_fault_injector(nullptr); }
 
   /// Engine options for deterministic replay. `on_demand` picks the SCIU
-  /// (true) or FCIU (false) I/O model.
+  /// (true) or FCIU (false) I/O model. Prefetch depth 4: on real:ssd the
+  /// pipeline's two readers both have reads in flight.
   static core::EngineOptions Opts(bool on_demand) {
     core::EngineOptions options;
+    options.prefetch_depth = 4;
     if (on_demand) {
       options.force_on_demand = true;
     } else {
@@ -62,8 +64,9 @@ class ResilienceTest : public ::testing::Test {
   }
 
   /// The dataset as `kind` reads it: the fixture's simulated device, or a
-  /// fresh real:ssd device whose read path adds O_DIRECT, aligned bounce
-  /// reads and vectored preadv batches.
+  /// fresh real:ssd device whose read path adds O_DIRECT reads straight into
+  /// pooled payloads, bounced ranged reads, vectored preadv batches and two
+  /// prefetch readers.
   struct Backend {
     std::unique_ptr<io::Device> owned_device;
     std::unique_ptr<partition::GridDataset> owned_dataset;
@@ -77,6 +80,7 @@ class ResilienceTest : public ::testing::Test {
     backend.dataset = t_.dataset.get();
     if (kind == "real:ssd") {
       backend.owned_device = ValueOrDie(io::MakeDeviceForKind(kind));
+      EXPECT_EQ(backend.owned_device->reads_in_flight(), 2u);
       backend.owned_dataset = std::make_unique<partition::GridDataset>(
           ValueOrDie(partition::GridDataset::Open(*backend.owned_device,
                                                   ds_dir_)));
@@ -86,16 +90,18 @@ class ResilienceTest : public ::testing::Test {
     return backend;
   }
 
-  /// Calls `run` on every device kind at prefetch depths 0 and 1 and
+  /// Calls `run` on every device kind at prefetch depths 0 and 4 and
   /// expects the checksum failures counted; on real:ssd the corrupt bytes
-  /// arrive through bounce reads.
+  /// arrive through direct reads into pooled payloads, never a bounce (an
+  /// on-demand run fails verification before any ranged read, and its
+  /// full-streaming replay reads whole files).
   void ExpectCorruptDataOnEveryDevice(bool on_demand,
                                       const std::function<void(
                                           const partition::GridDataset&,
                                           const core::EngineOptions&)>& run) {
     for (const std::string kind : {"sim:scaled-hdd", "real:ssd"}) {
       const Backend backend = Open(kind);
-      for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
+      for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
         SCOPED_TRACE(kind + " prefetch depth " + std::to_string(depth));
         core::EngineOptions options = Opts(on_demand);
         options.prefetch_depth = depth;
@@ -105,7 +111,7 @@ class ResilienceTest : public ::testing::Test {
             backend.device->stats().Snapshot() - before;
         EXPECT_GT(delta.checksum_failures, 0u);
         if (kind == "real:ssd") {
-          EXPECT_GT(delta.bounce_reads, 0u);
+          EXPECT_EQ(delta.bounce_reads, 0u);
         }
       }
     }
@@ -140,7 +146,7 @@ class ResilienceTest : public ::testing::Test {
 // rate must not change a single output bit on either I/O model, and the
 // retry counters must show the faults were actually hit and absorbed. Runs
 // on the simulated device and on real:ssd, whose read path adds O_DIRECT,
-// aligned bounce reads and vectored preadv batches.
+// bounced ranged reads, vectored preadv batches and two prefetch readers.
 TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
   for (const std::string kind : {"sim:scaled-hdd", "real:ssd"}) {
     const Backend backend = Open(kind);
@@ -183,10 +189,14 @@ TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
       EXPECT_GT(injector.faults_injected(), 0u);
       EXPECT_GT(delta.retries, 0u);
       if (kind == "real:ssd") {
-        // The faulted reads really went through the direct-I/O path.
-        EXPECT_GT(delta.bounce_reads, 0u);
+        // The faulted reads really went through the direct-I/O path: ranged
+        // on-demand reads into vectors bounce and batch; full streaming
+        // reads whole files straight into pooled payloads.
         if (on_demand) {
+          EXPECT_GT(delta.bounce_reads, 0u);
           EXPECT_GT(delta.vectored_reads, 0u);
+        } else {
+          EXPECT_EQ(delta.bounce_reads, 0u);
         }
       }
     }
@@ -195,7 +205,7 @@ TEST_F(ResilienceTest, TransientReadFaultsLeaveResultsBitIdentical) {
 
 // A flipped payload byte must fail the run with kCorruptData on the full
 // streaming path, synchronous or prefetched, including when real:ssd's
-// bounce read is what hands the corrupt bytes to the checksum...
+// direct read is what hands the corrupt bytes to the checksum...
 TEST_F(ResilienceTest, CorruptEdgePayloadFailsFullStreamingRun) {
   CorruptAllNonEmptyEdgeFiles();
   ExpectCorruptDataOnEveryDevice(

@@ -237,5 +237,42 @@ TEST(Device, DirectIoReadsBounceWhenUnaligned) {
   EXPECT_TRUE(std::equal(b.begin(), b.end(), expected.begin() + 65));
 }
 
+// A vectored read whose offset and buffers are all 4 KiB-aligned goes
+// straight to preadv on a direct-I/O file; any unaligned piece sends the
+// whole request through a bounce buffer. Both deliver the same bytes.
+TEST(Device, DirectIoAlignedVectoredReadSkipsBounce) {
+  TempDir dir;
+  const std::vector<std::uint8_t> expected = Pattern(5 * kDirectIoAlignment);
+  auto writer = MakePosixDevice();
+  {
+    DeviceFile f = ValueOrDie(writer->Open(dir.Sub("v"), OpenMode::kWrite));
+    ASSERT_OK(f.WriteAt(0, expected));
+  }
+  auto device = ValueOrDie(MakeDeviceForKind("real:ssd"));
+  DeviceFile f = ValueOrDie(device->Open(dir.Sub("v"), OpenMode::kRead));
+  AlignedBuffer a(kDirectIoAlignment);
+  AlignedBuffer b(2 * kDirectIoAlignment);
+  const std::span<std::uint8_t> aligned[] = {a.span(), b.span()};
+  ASSERT_OK(f.ReadVAt(kDirectIoAlignment, aligned));
+  IoStatsSnapshot s = device->stats().Snapshot();
+  EXPECT_EQ(s.vectored_reads, 1u);
+  EXPECT_EQ(s.bounce_reads, 0u);
+  EXPECT_EQ(s.TotalReadBytes(), 3 * kDirectIoAlignment);
+
+  std::vector<std::uint8_t> c(kDirectIoAlignment);
+  std::vector<std::uint8_t> d(2 * kDirectIoAlignment);
+  const std::span<std::uint8_t> unaligned[] = {c, d};
+  ASSERT_OK(f.ReadVAt(kDirectIoAlignment, unaligned));
+  s = device->stats().Snapshot();
+  EXPECT_EQ(s.vectored_reads, 2u);
+  EXPECT_LE(s.bounce_reads, 1u);  // 0 where the filesystem refused O_DIRECT
+  EXPECT_TRUE(std::equal(a.span().begin(), a.span().end(), c.begin()));
+  EXPECT_TRUE(std::equal(b.span().begin(), b.span().end(), d.begin()));
+  EXPECT_TRUE(std::equal(c.begin(), c.end(),
+                         expected.begin() + kDirectIoAlignment));
+  EXPECT_TRUE(std::equal(d.begin(), d.end(),
+                         expected.begin() + 2 * kDirectIoAlignment));
+}
+
 }  // namespace
 }  // namespace graphsd::io

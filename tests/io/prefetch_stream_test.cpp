@@ -222,6 +222,54 @@ TEST(PrefetchStream, FailureStaysWithItsStreamOnSharedPipeline) {
   EXPECT_EQ(a_after.load(), 0);
 }
 
+// Two readers finish units out of order (each unit sleeps less than the one
+// before it); Take() still hands them over in plan order.
+TEST(PrefetchStream, TwoReadersHandOverInPlanOrder) {
+  PrefetchPipeline pipeline(4, 2);
+  EXPECT_EQ(pipeline.readers(), 2u);
+  std::vector<Stream::Unit> plan;
+  for (int i = 0; i < 8; ++i) {
+    Stream::Unit unit;
+    unit.fetch = [i](int& out) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(8 - i));
+      out = i;
+      return Status::Ok();
+    };
+    plan.push_back(std::move(unit));
+  }
+  Stream stream(&pipeline, std::move(plan));
+  for (int i = 0; i < 8; ++i) {
+    const Stream::Item item = stream.Take();
+    EXPECT_OK(item.status);
+    EXPECT_EQ(item.payload, i);
+  }
+}
+
+// A later unit failing on the other reader does not fail an earlier unit
+// still in flight: the stream surfaces the first failure in plan order.
+TEST(PrefetchStream, EarlierUnitStillRunsWhenALaterOneFailsFirst) {
+  PrefetchPipeline pipeline(4, 2);
+  std::atomic<int> after{0};
+  std::vector<Stream::Unit> plan;
+  Stream::Unit slow;
+  slow.fetch = [](int& out) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    out = 7;
+    return Status::Ok();
+  };
+  plan.push_back(std::move(slow));
+  plan.push_back(FailingUnit());
+  for (int i = 0; i < 4; ++i) plan.push_back(CountingUnit(i, after));
+  Stream stream(&pipeline, std::move(plan));
+  const Stream::Item first = stream.Take();
+  EXPECT_OK(first.status);
+  EXPECT_EQ(first.payload, 7);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(stream.Take().status.code(), StatusCode::kIoError);
+  }
+  EXPECT_EQ(after.load(), 0);
+}
+
 TEST(PrefetchStream, ThrowingFetchRethrowsAtTakeAtEveryDepth) {
   // Each check runs in a child process under an alarm, so a Take() that
   // never returns fails the test instead of stalling the suite.

@@ -181,7 +181,7 @@ TEST_F(GridDatasetTest, IndexAgreesWithEdgeContents) {
     ASSERT_OK(reader.ReadRange(index[local], index[local + 1] - index[local],
                                rebuilt, nullptr));
   }
-  EXPECT_EQ(rebuilt, block.edges);
+  EXPECT_EQ(rebuilt, std::vector<Edge>(block.edges.begin(), block.edges.end()));
 }
 
 TEST_F(GridDatasetTest, FullSubBlockLoadChargesOneSeekThenStreams) {
@@ -194,6 +194,65 @@ TEST_F(GridDatasetTest, FullSubBlockLoadChargesOneSeekThenStreams) {
   const auto stats = sim->stats().Snapshot();
   EXPECT_EQ(stats.rand_read_ops, 1u);  // one positioned read for the block
   EXPECT_EQ(stats.TotalReadBytes(), block.edges.size() * sizeof(Edge));
+}
+
+// real:ssd reads every payload file O_DIRECT straight into its pooled
+// buffer: a file whose size is not a 4 KiB multiple ends in a partial block
+// that lands in the buffer's padding, with no bounce and no byte accounted
+// beyond the file's logical size.
+TEST_F(GridDatasetTest, RealSsdReadsPaddedTailWithoutBounce) {
+  const GridDataset posix =
+      ValueOrDie(GridDataset::Open(*device_, dir_.Sub("ds")));
+  auto ssd = ValueOrDie(io::MakeDeviceForKind("real:ssd"));
+  const GridDataset direct = ValueOrDie(GridDataset::Open(*ssd, dir_.Sub("ds")));
+  EXPECT_EQ(direct.out_degrees(), posix.out_degrees());
+  ssd->ResetAccounting();
+  std::uint64_t bytes = 0;
+  bool partial_tail = false;
+  for (std::uint32_t i = 0; i < manifest_.p; ++i) {
+    for (std::uint32_t j = 0; j < manifest_.p; ++j) {
+      const SubBlock want = ValueOrDie(posix.LoadSubBlock(i, j, true));
+      const SubBlock got = ValueOrDie(direct.LoadSubBlock(i, j, true));
+      EXPECT_EQ(got.edges, want.edges) << i << "," << j;
+      EXPECT_EQ(got.weights, want.weights) << i << "," << j;
+      bytes += got.SizeBytes();
+      partial_tail = partial_tail ||
+                     got.edges.size_bytes() % kDirectIoAlignment != 0;
+    }
+  }
+  EXPECT_TRUE(partial_tail);
+  const io::IoStatsSnapshot s = ssd->stats().Snapshot();
+  EXPECT_EQ(s.TotalReadBytes(), bytes);
+  EXPECT_EQ(s.bounce_reads, 0u);
+}
+
+// A payload file shorter than its manifest size is a short read on every
+// device, even when the missing bytes fall inside the final 4 KiB block
+// that a direct read covers anyway.
+TEST_F(GridDatasetTest, TruncatedSubBlockFileFailsOnEveryDevice) {
+  std::uint32_t bi = 0;
+  std::uint32_t bj = 0;
+  for (std::uint32_t i = 0; i < manifest_.p; ++i) {
+    for (std::uint32_t j = 0; j < manifest_.p; ++j) {
+      if (manifest_.EdgesIn(i, j) > manifest_.EdgesIn(bi, bj)) {
+        bi = i;
+        bj = j;
+      }
+    }
+  }
+  const std::string path = SubBlockEdgesPath(dir_.Sub("ds"), bi, bj);
+  {
+    io::File file = ValueOrDie(io::File::Open(path, io::OpenMode::kReadWrite));
+    ASSERT_OK(file.Truncate(manifest_.EdgeFileBytes(bi, bj) - sizeof(Edge)));
+  }
+  for (const std::string kind : {"posix", "real:ssd"}) {
+    SCOPED_TRACE(kind);
+    auto device = ValueOrDie(io::MakeDeviceForKind(kind));
+    const GridDataset ds = ValueOrDie(GridDataset::Open(*device, dir_.Sub("ds")));
+    const Result<SubBlock> block = ds.LoadSubBlock(bi, bj, false);
+    ASSERT_FALSE(block.ok());
+    EXPECT_EQ(block.status().code(), StatusCode::kIoError);
+  }
 }
 
 }  // namespace

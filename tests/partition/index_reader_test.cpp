@@ -37,7 +37,7 @@ TEST_F(IndexReaderTest, RangedReadsMatchFullIndex) {
   std::vector<std::uint32_t> out;
   // Whole-range read.
   ASSERT_OK(reader.ReadOffsets(0, static_cast<VertexId>(full.size()), out));
-  EXPECT_EQ(out, full);
+  EXPECT_EQ(out, std::vector<std::uint32_t>(full.begin(), full.end()));
   // Various sub-ranges.
   for (const auto& [first, count] :
        {std::pair<VertexId, VertexId>{0, 1},

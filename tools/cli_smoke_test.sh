@@ -66,6 +66,21 @@ cmp "$WORK/pr.txt" "$WORK/pr_t.txt"
     --compute-threads 4 --values-out "$WORK/pr_ct.txt" > "$WORK/run_pr_ct" 2>&1
 cmp "$WORK/pr.txt" "$WORK/pr_ct.txt"
 
+# A malformed or out-of-range numeric flag is a usage error naming the
+# flag: exit 1 before any I/O, never a silent default or an abort.
+expect_usage_error() {
+  FLAG="$1"
+  shift
+  RC=0
+  "$CLI" "$@" > "$WORK/bad_flag" 2>&1 || RC=$?
+  test "$RC" = "1"
+  grep -q "invalid value .* for --$FLAG" "$WORK/bad_flag"
+}
+expect_usage_error prefetch-depth run --dataset "$WORK/ds" --algo pr \
+    --prefetch-depth abc
+expect_usage_error iterations run --dataset "$WORK/ds" --algo pr \
+    --iterations -3
+
 # serve accepts and ignores --engine-threads the same way: the daemon
 # starts, answers, and exits 0 on a shutdown request.
 SOCK="$WORK/et.sock"

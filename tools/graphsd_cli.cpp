@@ -20,6 +20,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -59,6 +60,11 @@
 namespace graphsd {
 namespace {
 
+// Upper bounds of numeric flags read into 32-bit fields, and of sizes given
+// in MiB (their byte counts must fit in 64 bits).
+constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::int64_t kMiBMax = std::numeric_limits<std::int64_t>::max() >> 20;
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -78,16 +84,16 @@ int CmdGenerate(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("type", "rmat", "rmat | er | web | grid");
   flags.Define("out", "graph.bin", "output binary edge file");
-  flags.Define("scale", "14", "rmat: log2 vertex count");
-  flags.Define("edge-factor", "16", "rmat: edges per vertex");
-  flags.Define("vertices", "16384", "er/web: vertex count");
-  flags.Define("edges", "262144", "er: edge count");
-  flags.Define("rows", "128", "grid: rows");
-  flags.Define("cols", "128", "grid: cols");
-  flags.Define("avg-degree", "16", "web: average out-degree");
-  flags.Define("max-weight", "0", "attach uniform weights in [1,W] when > 0");
-  flags.Define("whiskers", "0", "append this fraction of whisker vertices");
-  flags.Define("seed", "1", "generator seed");
+  flags.DefineInt("scale", "14", "rmat: log2 vertex count", kU32Max);
+  flags.DefineInt("edge-factor", "16", "rmat: edges per vertex", kU32Max);
+  flags.DefineInt("vertices", "16384", "er/web: vertex count", kU32Max);
+  flags.DefineInt("edges", "262144", "er: edge count");
+  flags.DefineInt("rows", "128", "grid: rows", kU32Max);
+  flags.DefineInt("cols", "128", "grid: cols", kU32Max);
+  flags.DefineInt("avg-degree", "16", "web: average out-degree", kU32Max);
+  flags.DefineDouble("max-weight", "0", "attach uniform weights in [1,W] when > 0");
+  flags.DefineDouble("whiskers", "0", "append this fraction of whisker vertices");
+  flags.DefineInt("seed", "1", "generator seed");
   if (Status s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
 
   const std::string type = flags.GetString("type");
@@ -170,8 +176,8 @@ int CmdPreprocess(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("input", "graph.bin", "binary edge file (see generate/convert)");
   flags.Define("out", "dataset", "output dataset directory");
-  flags.Define("p", "0", "interval count (0 = derive from memory budget)");
-  flags.Define("memory-budget", "0", "bytes; 0 = 5% of the raw edge bytes");
+  flags.DefineInt("p", "0", "interval count (0 = derive from memory budget)", kU32Max);
+  flags.DefineInt("memory-budget", "0", "bytes; 0 = 5% of the raw edge bytes");
   flags.Define("system", "graphsd", "pipeline: graphsd | hus | lumos");
   flags.Define("external", "false",
                "stream out of core (bounded memory; graphsd layout only)");
@@ -279,9 +285,9 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("dataset", "dataset", "dataset directory");
   flags.Define("algo", "pr", "pr | prd | cc | sssp | bfs | widest | ppr");
   flags.Define("engine", "graphsd", "graphsd | hus | lumos");
-  flags.Define("iterations", "10", "pr: iteration count");
-  flags.Define("epsilon", "1e-9", "prd: residual activation threshold");
-  flags.Define("root", "0", "sssp/bfs: source vertex");
+  flags.DefineInt("iterations", "10", "pr: iteration count", kU32Max);
+  flags.DefineDouble("epsilon", "1e-9", "prd: residual activation threshold");
+  flags.DefineInt("root", "0", "sssp/bfs: source vertex", kU32Max);
   flags.Define("threads", "0",
                "ignored: a run is one consumer thread plus one loader "
                "thread; still accepted because perfbench/run.py passes it");
@@ -294,7 +300,7 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("mode", "auto",
                "auto | semi: semi keeps vertex state RAM-resident and adds "
                "skip-summary selective streaming as a third scheduler choice");
-  flags.Define("prefetch-depth", "1",
+  flags.DefineInt("prefetch-depth", "4",
                "async read look-ahead in fetch units (0 = synchronous I/O)");
   flags.Define("no-overlap-io", "false",
                "charge compute + io serially instead of max(compute, io)");
@@ -307,11 +313,11 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("checkpoint-dir", "",
                "write crash-safe GSCK checkpoints into this directory "
                "(graphsd engine only)");
-  flags.Define("checkpoint-every", "1",
-               "checkpoint every N committed iterations");
+  flags.DefineInt("checkpoint-every", "1",
+               "checkpoint every N committed iterations", kU32Max);
   flags.Define("resume", "false",
                "resume from the latest valid checkpoint in --checkpoint-dir");
-  flags.Define("deadline-seconds", "0",
+  flags.DefineDouble("deadline-seconds", "0",
                "cancel the run after this many wall-clock seconds (0 = none)");
   DefineDeviceFlag(flags);
   if (Status s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
@@ -463,7 +469,7 @@ int CmdRun(int argc, const char* const* argv) {
 int CmdProfile(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("dir", "/tmp", "directory on the device to profile");
-  flags.Define("file-mb", "64", "scratch file size in MiB");
+  flags.DefineInt("file-mb", "64", "scratch file size in MiB", kMiBMax);
   if (Status s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
   io::ProfilerOptions options;
   options.file_bytes =
@@ -488,8 +494,8 @@ int CmdProfile(int argc, const char* const* argv) {
 int CmdDifftest(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("replay", "", "re-execute a repro artifact instead of sweeping");
-  flags.Define("seeds", "8", "sweep: number of random seeds");
-  flags.Define("seed0", "1", "sweep: first seed");
+  flags.DefineInt("seeds", "8", "sweep: number of random seeds", kU32Max);
+  flags.DefineInt("seed0", "1", "sweep: first seed");
   flags.Define("artifact-dir", "",
                "sweep: where minimized repro artifacts are written");
   flags.Define("inject-fault", "none",
@@ -584,26 +590,26 @@ int CmdDifftest(int argc, const char* const* argv) {
 int CmdServe(int argc, const char* const* argv) {
   CliFlags flags;
   flags.Define("socket", "/tmp/graphsd.sock", "unix socket path to listen on");
-  flags.Define("workers", "2", "concurrent engine runs");
+  flags.DefineInt("workers", "2", "concurrent engine runs");
   flags.Define("engine-threads", "0",
                "ignored: each engine run applies on its worker thread; "
                "still accepted because perfbench/run.py passes it");
-  flags.Define("buffer-mb", "0",
-               "shared sub-block buffer per dataset in MiB (0 = 5% of edges)");
-  flags.Define("prefetch-depth", "1",
+  flags.DefineInt("buffer-mb", "0",
+               "shared sub-block buffer per dataset in MiB (0 = 5% of edges)", kMiBMax);
+  flags.DefineInt("prefetch-depth", "4",
                "async read look-ahead in fetch units (0 = synchronous I/O)");
   flags.Define("no-share-buffer", "false",
                "give every run a private buffer + prefetch tier instead of "
                "the dataset-shared one");
   flags.Define("no-batching", "false",
                "disable multi-source coalescing of compatible queries");
-  flags.Define("max-batch", "8", "max value lanes per batched run");
-  flags.Define("batch-linger-ms", "2",
+  flags.DefineInt("max-batch", "8", "max value lanes per batched run", kU32Max);
+  flags.DefineDouble("batch-linger-ms", "2",
                "how long a worker waits for extra batch members");
-  flags.Define("max-queue", "64", "admission: max in-flight run requests");
-  flags.Define("max-iterations", "10000",
-               "admission: iteration cap per query");
-  flags.Define("max-deadline-seconds", "300",
+  flags.DefineInt("max-queue", "64", "admission: max in-flight run requests");
+  flags.DefineInt("max-iterations", "10000",
+               "admission: iteration cap per query", kU32Max);
+  flags.DefineDouble("max-deadline-seconds", "300",
                "admission: per-query deadline cap (also the default)");
   flags.Define("no-verify-on-open", "false",
                "skip dataset checksum verification at first open");
@@ -669,16 +675,16 @@ int CmdQuery(int argc, const char* const* argv) {
   flags.Define("dataset", "", "dataset directory (a server-side path)");
   flags.Define("algo", "bfs",
                "pr | prd | cc | bfs | sssp | widest_path | ppr");
-  flags.Define("root", "0", "source vertex for single-source algorithms");
-  flags.Define("iterations", "0", "iteration cap (0 = service default)");
-  flags.Define("epsilon", "1e-10", "residual threshold (prd/ppr)");
-  flags.Define("deadline-seconds", "0",
+  flags.DefineInt("root", "0", "source vertex for single-source algorithms", kU32Max);
+  flags.DefineInt("iterations", "0", "iteration cap (0 = service default)", kU32Max);
+  flags.DefineDouble("epsilon", "1e-10", "residual threshold (prd/ppr)");
+  flags.DefineDouble("deadline-seconds", "0",
                "per-query deadline (0 = the service cap)");
   flags.Define("values", "false", "request per-vertex values (hex doubles)");
   flags.Define("vertices", "",
                "comma-separated vertex ids for --values (empty = all)");
-  flags.Define("id", "1", "request id echoed back in the response");
-  flags.Define("timeout-seconds", "300", "client receive timeout");
+  flags.DefineInt("id", "1", "request id echoed back in the response");
+  flags.DefineDouble("timeout-seconds", "300", "client receive timeout");
   flags.Define("line", "", "send this raw JSON line instead of building one");
   if (Status s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
 
