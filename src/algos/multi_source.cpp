@@ -111,7 +111,7 @@ void MultiPpr::MakeContribution(core::VertexState& state, VertexId v,
                                 core::ContribSlot slot) const {
   const std::uint32_t k_lanes = lanes();
   auto contrib = state.contrib(slot);
-  const std::uint32_t degree = (*out_degrees_)[v];
+  const std::uint32_t degree = out_degrees_[v];
   for (std::uint32_t k = 0; k < k_lanes; ++k) {
     auto rank = state.array(k);
     auto residual = state.array(k_lanes + k);

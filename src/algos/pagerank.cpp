@@ -15,7 +15,7 @@ void PageRank::Init(core::VertexState& state, core::Frontier& initial) {
 void PageRank::MakeContribution(core::VertexState& state, VertexId v,
                                 core::ContribSlot slot) const {
   const double rank = SlotToDouble(state.array(0)[v]);
-  const std::uint32_t degree = (*out_degrees_)[v];
+  const std::uint32_t degree = out_degrees_[v];
   state.contrib(slot)[v] =
       SlotFromDouble(degree == 0 ? 0.0 : damping_ * rank / degree);
 }

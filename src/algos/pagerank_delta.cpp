@@ -26,7 +26,7 @@ void PageRankDelta::MakeContribution(core::VertexState& state, VertexId v,
   // Consume: the residual moves into the rank and is split across edges.
   residual[v] = SlotFromDouble(0.0);
   rank[v] = SlotFromDouble(SlotToDouble(rank[v]) + res);
-  const std::uint32_t degree = (*out_degrees_)[v];
+  const std::uint32_t degree = out_degrees_[v];
   state.contrib(slot)[v] =
       SlotFromDouble(degree == 0 ? 0.0 : damping_ * res / degree);
 }

@@ -27,7 +27,7 @@ void PersonalizedPageRank::MakeContribution(core::VertexState& state,
   residual[v] = SlotFromDouble(0.0);
   // The restart probability's share settles into the rank; the rest walks.
   rank[v] = SlotFromDouble(SlotToDouble(rank[v]) + (1.0 - damping_) * res);
-  const std::uint32_t degree = (*out_degrees_)[v];
+  const std::uint32_t degree = out_degrees_[v];
   state.contrib(slot)[v] =
       SlotFromDouble(degree == 0 ? 0.0 : damping_ * res / degree);
 }

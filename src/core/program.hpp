@@ -144,10 +144,11 @@ class Program {
   /// out lane-major as contrib[v * width + lane].
   virtual std::uint32_t contrib_width() const { return 1; }
 
-  /// Supplies dataset context before Init. Default keeps the degree vector
-  /// (PageRank-family needs out-degrees to split contributions).
-  virtual void Bind(const std::vector<std::uint32_t>& out_degrees) {
-    out_degrees_ = &out_degrees;
+  /// Supplies dataset context before Init. Default keeps a view of the
+  /// degree array, which must outlive the run (PageRank-family needs
+  /// out-degrees to split contributions).
+  virtual void Bind(std::span<const std::uint32_t> out_degrees) {
+    out_degrees_ = out_degrees;
   }
 
   /// Initializes vertex values and the initial frontier.
@@ -162,7 +163,7 @@ class Program {
   virtual double ValueOf(const VertexState& state, VertexId v) const = 0;
 
  protected:
-  const std::vector<std::uint32_t>* out_degrees_ = nullptr;
+  std::span<const std::uint32_t> out_degrees_;
 };
 
 class PushProgram : public Program {

@@ -204,15 +204,13 @@ Result<GridDataset> GridDataset::Open(io::Device& device,
     }
   }
 
-  // Read through a pooled buffer so the direct read needs no bounce.
-  PooledArray<std::uint32_t> degrees(device.pool(),
-                                     dataset.manifest_.num_vertices);
+  dataset.degrees_ = PooledArray<std::uint32_t>(
+      device.pool(), dataset.manifest_.num_vertices);
   GRAPHSD_RETURN_IF_ERROR(ReadVerified(
-      device, DegreesPath(dir), degrees,
+      device, DegreesPath(dir), dataset.degrees_,
       dataset.manifest_.has_checksums
           ? std::optional(dataset.manifest_.degrees_crc)
           : std::nullopt));
-  dataset.degrees_.assign(degrees.begin(), degrees.end());
   return dataset;
 }
 

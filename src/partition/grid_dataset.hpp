@@ -130,7 +130,7 @@ class GridDataset {
   std::uint32_t p() const noexcept { return manifest_.p; }
 
   /// Out-degree of every vertex (loaded once at Open).
-  const std::vector<std::uint32_t>& out_degrees() const noexcept {
+  std::span<const std::uint32_t> out_degrees() const noexcept {
     return degrees_;
   }
 
@@ -209,7 +209,7 @@ class GridDataset {
   io::Device* device_ = nullptr;
   std::string dir_;
   GridManifest manifest_;
-  std::vector<std::uint32_t> degrees_;
+  PooledArray<std::uint32_t> degrees_;
   const compress::Codec* codec_ = nullptr;  // null = raw "none" layout
   std::shared_ptr<AtomicDecodeStats> decode_stats_;
 };

@@ -56,7 +56,7 @@ class DropEdgePushProgram final : public PushProgram {
   std::uint32_t num_value_arrays() const override {
     return inner_->num_value_arrays();
   }
-  void Bind(const std::vector<std::uint32_t>& out_degrees) override {
+  void Bind(std::span<const std::uint32_t> out_degrees) override {
     inner_->Bind(out_degrees);
   }
   void Init(VertexState& state, Frontier& initial) override {
@@ -463,7 +463,7 @@ class TripPushProgram final : public PushProgram {
   std::uint32_t num_value_arrays() const override {
     return inner_->num_value_arrays();
   }
-  void Bind(const std::vector<std::uint32_t>& out_degrees) override {
+  void Bind(std::span<const std::uint32_t> out_degrees) override {
     inner_->Bind(out_degrees);
   }
   void Init(VertexState& state, Frontier& initial) override {
@@ -508,7 +508,7 @@ class TripGatherProgram final : public GatherProgram {
   std::uint32_t num_value_arrays() const override {
     return inner_->num_value_arrays();
   }
-  void Bind(const std::vector<std::uint32_t>& out_degrees) override {
+  void Bind(std::span<const std::uint32_t> out_degrees) override {
     inner_->Bind(out_degrees);
   }
   void Init(VertexState& state, Frontier& initial) override {

@@ -7,9 +7,6 @@
 namespace graphsd {
 
 struct BufferPool::State {
-  explicit State(std::size_t max_free) : max_free_bytes(max_free) {}
-
-  const std::size_t max_free_bytes;
   mutable std::mutex mutex;
   // Free buffers by capacity, for best-fit reuse.
   std::multimap<std::size_t, AlignedBuffer> free;
@@ -27,8 +24,7 @@ constexpr std::size_t kReuseSlack = 8;
 
 }  // namespace
 
-BufferPool::BufferPool(std::size_t max_free_bytes)
-    : state_(std::make_shared<State>(max_free_bytes)) {}
+BufferPool::BufferPool() : state_(std::make_shared<State>()) {}
 
 BufferPool::Lease BufferPool::Acquire(std::size_t bytes) {
   return AcquireFrom(state_, bytes);
@@ -79,7 +75,7 @@ void BufferPool::Lease::Release() noexcept {
   std::shared_ptr<State> state = std::move(state_);
   const std::size_t capacity = returned.capacity();
   std::lock_guard<std::mutex> lock(state->mutex);
-  if (state->free_bytes + capacity > state->max_free_bytes) {
+  if (state->free_bytes + capacity > kMaxFreeBytes) {
     state->resident_bytes -= capacity;
     return;
   }

@@ -7,7 +7,7 @@
 // final block included (DESIGN.md §15). A lease goes back to the pool when
 // its owner is destroyed: a consumed block, an evicted buffer entry, a frame
 // after decode. The pool keeps returned buffers for reuse up to
-// `max_free_bytes`; past that, returned buffers are freed.
+// kMaxFreeBytes; past that, returned buffers are freed.
 //
 // Thread safety: Acquire and the return of a lease may run on any thread.
 // One mutex guards the free list and both byte counters. A lease keeps the
@@ -29,14 +29,14 @@ namespace graphsd {
 
 class BufferPool {
  public:
-  /// Returned buffers kept for reuse by default: room for the few
-  /// sub-blocks a fetch window and its consumer cycle through, while the
-  /// idle pool stays small next to the vertex state and the buffer.
-  static constexpr std::size_t kDefaultMaxFreeBytes = std::size_t{16} << 20;
+  /// Returned buffers kept for reuse: room for the few sub-blocks a fetch
+  /// window and its consumer cycle through, while the idle pool stays small
+  /// next to the vertex state and the buffer.
+  static constexpr std::size_t kMaxFreeBytes = std::size_t{16} << 20;
 
   class Lease;
 
-  explicit BufferPool(std::size_t max_free_bytes = kDefaultMaxFreeBytes);
+  BufferPool();
 
   /// A buffer of at least `bytes` bytes, rounded up to a 4 KiB multiple
   /// (one 4 KiB block for 0). Contents are unspecified: a reused buffer

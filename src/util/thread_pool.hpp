@@ -1,7 +1,8 @@
 // A small fixed-size thread pool: Submit tasks, Wait for all of them.
 //
 // Its one engine caller is the prefetch pipeline (io/prefetch.hpp), whose
-// loader is a single-worker pool. An engine run is that loader plus the one
+// readers are a pool of K workers: one on a device that charges virtual
+// time, two on a real one. An engine run is those readers plus the one
 // consumer thread that applies every pass (core/program.hpp).
 //
 // A task that throws does not kill the worker: the first exception is

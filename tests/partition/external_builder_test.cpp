@@ -18,6 +18,7 @@
 namespace graphsd::partition {
 namespace {
 
+using graphsd::testing::Degrees;
 using graphsd::testing::TempDir;
 using graphsd::testing::ValueOrDie;
 
@@ -63,7 +64,7 @@ TEST_P(ExternalBuilderTest, MatchesInMemoryBuilderExactly) {
       ValueOrDie(GridDataset::Open(*device_, dir_.Sub("ext")));
 
   EXPECT_EQ(ext_ds.manifest().Serialize(), mem_ds.manifest().Serialize());
-  EXPECT_EQ(ext_ds.out_degrees(), mem_ds.out_degrees());
+  EXPECT_EQ(Degrees(ext_ds), Degrees(mem_ds));
   for (std::uint32_t i = 0; i < manifest.p; ++i) {
     for (std::uint32_t j = 0; j < manifest.p; ++j) {
       const SubBlock a = ValueOrDie(ext_ds.LoadSubBlock(i, j, true));

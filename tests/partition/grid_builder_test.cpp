@@ -12,6 +12,7 @@ namespace graphsd::partition {
 namespace {
 
 using graphsd::testing::BuildTestGrid;
+using graphsd::testing::Degrees;
 using graphsd::testing::TempDir;
 using graphsd::testing::ValueOrDie;
 
@@ -217,7 +218,7 @@ TEST(GridBuilder, DegreeFileMatchesGraph) {
   BuildTestGrid(g, *device, dir.Sub("ds"), 2);
   const GridDataset dataset =
       ValueOrDie(GridDataset::Open(*device, dir.Sub("ds")));
-  EXPECT_EQ(dataset.out_degrees(), g.OutDegrees());
+  EXPECT_EQ(Degrees(dataset), g.OutDegrees());
 }
 
 }  // namespace

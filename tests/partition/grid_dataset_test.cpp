@@ -9,6 +9,7 @@ namespace graphsd::partition {
 namespace {
 
 using graphsd::testing::BuildTestGrid;
+using graphsd::testing::Degrees;
 using graphsd::testing::TempDir;
 using graphsd::testing::ValueOrDie;
 
@@ -36,7 +37,7 @@ TEST_F(GridDatasetTest, OpenExposesMetadata) {
   EXPECT_EQ(ds.num_edges(), graph_.num_edges());
   EXPECT_EQ(ds.p(), 4u);
   EXPECT_TRUE(ds.weighted());
-  EXPECT_EQ(ds.out_degrees(), graph_.OutDegrees());
+  EXPECT_EQ(Degrees(ds), graph_.OutDegrees());
 }
 
 TEST_F(GridDatasetTest, OpenMissingDirectoryFails) {
@@ -205,7 +206,7 @@ TEST_F(GridDatasetTest, RealSsdReadsPaddedTailWithoutBounce) {
       ValueOrDie(GridDataset::Open(*device_, dir_.Sub("ds")));
   auto ssd = ValueOrDie(io::MakeDeviceForKind("real:ssd"));
   const GridDataset direct = ValueOrDie(GridDataset::Open(*ssd, dir_.Sub("ds")));
-  EXPECT_EQ(direct.out_degrees(), posix.out_degrees());
+  EXPECT_EQ(Degrees(direct), Degrees(posix));
   ssd->ResetAccounting();
   std::uint64_t bytes = 0;
   bool partial_tail = false;

@@ -13,6 +13,7 @@
 namespace graphsd::partition {
 namespace {
 
+using graphsd::testing::Degrees;
 using graphsd::testing::TempDir;
 using graphsd::testing::ValueOrDie;
 
@@ -78,7 +79,7 @@ TEST_P(PartitionProperty, AllInvariantsHold) {
   EXPECT_EQ(manifest.weighted, weighted);
 
   // Invariant 2: degrees file is the graph's out-degrees.
-  EXPECT_EQ(dataset.out_degrees(), graph.OutDegrees());
+  EXPECT_EQ(Degrees(dataset), graph.OutDegrees());
 
   // Invariant 3: every edge lands in exactly the sub-block its endpoint
   // intervals dictate; nothing lost, nothing duplicated, weights attached.

@@ -1,8 +1,10 @@
 // Shared test fixtures and helpers.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,11 @@ class TempDir {
     const ::graphsd::Status status_ = (expr);                        \
     EXPECT_TRUE(status_.ok()) << status_.ToString();                 \
   } while (0)
+
+/// A dataset's out-degrees as a vector, for comparisons with diagnostics.
+inline std::vector<std::uint32_t> Degrees(const partition::GridDataset& ds) {
+  return {ds.out_degrees().begin(), ds.out_degrees().end()};
+}
 
 /// Unwraps a Result<T> or fails the test.
 template <typename T>

@@ -50,14 +50,19 @@ TEST(BufferPool, SmallRequestDoesNotTakeAFarLargerBuffer) {
 }
 
 TEST(BufferPool, FreeBytesStayWithinTheBound) {
-  BufferPool pool(3 * kDirectIoAlignment);
+  constexpr std::size_t kLeaseBytes = std::size_t{4} << 20;
+  static_assert(5 * kLeaseBytes > BufferPool::kMaxFreeBytes);
+  BufferPool pool;
   std::vector<BufferPool::Lease> leases;
-  for (int i = 0; i < 5; ++i) leases.push_back(pool.Acquire(1));
-  EXPECT_EQ(pool.resident_bytes(), 5 * kDirectIoAlignment);
+  for (int i = 0; i < 5; ++i) leases.push_back(pool.Acquire(kLeaseBytes));
+  EXPECT_EQ(pool.resident_bytes(), 5 * kLeaseBytes);
   leases.clear();
-  // Three kept for reuse; the other two freed on return.
-  EXPECT_EQ(pool.free_bytes(), 3 * kDirectIoAlignment);
-  EXPECT_EQ(pool.resident_bytes(), 3 * kDirectIoAlignment);
+  // As many kept for reuse as fit under the bound; the rest freed on return.
+  const std::size_t kept =
+      BufferPool::kMaxFreeBytes / kLeaseBytes * kLeaseBytes;
+  EXPECT_EQ(pool.free_bytes(), kept);
+  EXPECT_LE(pool.free_bytes(), BufferPool::kMaxFreeBytes);
+  EXPECT_EQ(pool.resident_bytes(), kept);
 }
 
 TEST(BufferPool, LeaseOutlivesThePoolHandle) {
@@ -97,7 +102,7 @@ TEST(PooledArray, EmptyArrayHoldsNoLeaseAndMoveEmptiesTheSource) {
 }
 
 TEST(BufferPool, ConcurrentAcquireAndReleaseKeepTheCountersExact) {
-  BufferPool pool(std::size_t{1} << 20);
+  BufferPool pool;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&pool, t] {
@@ -112,7 +117,7 @@ TEST(BufferPool, ConcurrentAcquireAndReleaseKeepTheCountersExact) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(pool.free_bytes(), pool.resident_bytes());
-  EXPECT_LE(pool.free_bytes(), std::size_t{1} << 20);
+  EXPECT_LE(pool.free_bytes(), BufferPool::kMaxFreeBytes);
 }
 
 }  // namespace

@@ -289,8 +289,9 @@ int CmdRun(int argc, const char* const* argv) {
   flags.DefineDouble("epsilon", "1e-9", "prd: residual activation threshold");
   flags.DefineInt("root", "0", "sssp/bfs: source vertex", kU32Max);
   flags.Define("threads", "0",
-               "ignored: a run is one consumer thread plus one loader "
-               "thread; still accepted because perfbench/run.py passes it");
+               "ignored: a run is one consumer thread plus the prefetch "
+               "readers (one on sim:*, two on real devices); still accepted "
+               "because perfbench/run.py passes it");
   flags.Define("compute-threads", "0",
                "ignored: edge application is serial on one consumer thread; "
                "still accepted because perfbench/run.py passes it");
