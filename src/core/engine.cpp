@@ -489,6 +489,10 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
   // checksum mismatch); the full-streaming model needs neither the index
   // nor ranged reads, so the run degrades instead of failing.
   bool selective_healthy = true;
+  // The semi rollback snapshot: one buffer per program array for the whole
+  // run, refilled in place each round.
+  std::vector<std::vector<Slot>> state_snapshot(
+      semi_mode ? state.num_program_arrays() : 0);
 
   while (iterations < max_iterations) {
     if (scope.StopRequested()) break;
@@ -570,7 +574,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     // Instead the program arrays are snapshotted in memory so the rollback
     // paths below (mid-round cancel, on-demand degradation) can restore the
     // committed boundary without touching the stale values file.
-    std::vector<std::vector<Slot>> state_snapshot;
     auto restore_state = [&]() -> Status {
       if (!semi_mode) return scope.LoadState(iterations);
       for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
@@ -581,7 +584,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
       return Status::Ok();
     };
     if (semi_mode) {
-      state_snapshot.resize(state.num_program_arrays());
       for (std::uint32_t a = 0; a < state.num_program_arrays(); ++a) {
         const auto src = state.array(a);
         state_snapshot[a].assign(src.begin(), src.end());

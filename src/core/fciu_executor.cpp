@@ -98,7 +98,7 @@ Status SweepColumns(const ExecContext& ctx, BlockSource& source,
   BlockSource::Stream stream = source.Open(plan);
   std::size_t next = 0;
   for (std::uint32_t j = 0; j < ctx.dataset->manifest().p; ++j) {
-    partition::SubBlock diagonal;
+    BlockSource::Block diagonal;
     bool have_diagonal = false;
     for (; next < plan.size() && plan[next].second == j; ++next) {
       const std::uint32_t i = plan[next].first;
@@ -107,14 +107,15 @@ Status SweepColumns(const ExecContext& ctx, BlockSource& source,
                                source.Acquire(stream, i, j));
       const std::uint64_t priority = apply(i, j, *block);
       if (two_iterations && i == j) {
-        // Copy a buffered diagonal; the buffer retains its entry.
-        diagonal = block.from_buffer() ? *block : std::move(block.local);
+        // Held as acquired until the seal: a buffer hit keeps its pin, a
+        // fetched block its own payload. Never copied.
+        diagonal = std::move(block);
         have_diagonal = true;
       } else if (offer) {
         source.Offer(i, j, std::move(block), priority);
       }
     }
-    seal(j, have_diagonal ? &diagonal : nullptr);
+    seal(j, have_diagonal ? &*diagonal : nullptr);
   }
   return Status::Ok();
 }

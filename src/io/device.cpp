@@ -244,6 +244,8 @@ void Device::PublishMetrics(obs::MetricsRegistry& metrics) const {
   set("device.bounce_reads", s.bounce_reads);
   set("pool.resident_bytes", pool_.resident_bytes());
   set("pool.free_bytes", pool_.free_bytes());
+  set("pool.misses", pool_.misses());
+  set("pool.dropped", pool_.dropped());
   metrics.GetGauge("device.clock_seconds").Set(clock_.Seconds());
 }
 

@@ -26,6 +26,7 @@ namespace graphsd::partition {
 
 /// An in-memory copy of one sub-block's payload, in buffers leased from the
 /// device's pool (util/buffer_pool.hpp). Destroying the block returns them.
+/// Move-only, like its arrays: a payload is never copied.
 struct SubBlock {
   PooledArray<Edge> edges;
   PooledArray<Weight> weights;  // empty when unweighted or not requested

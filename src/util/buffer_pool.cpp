@@ -12,6 +12,8 @@ struct BufferPool::State {
   std::multimap<std::size_t, AlignedBuffer> free;
   std::uint64_t free_bytes = 0;
   std::uint64_t resident_bytes = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t dropped = 0;
 };
 
 namespace {
@@ -27,27 +29,23 @@ constexpr std::size_t kReuseSlack = 8;
 BufferPool::BufferPool() : state_(std::make_shared<State>()) {}
 
 BufferPool::Lease BufferPool::Acquire(std::size_t bytes) {
-  return AcquireFrom(state_, bytes);
-}
-
-BufferPool::Lease BufferPool::AcquireFrom(const std::shared_ptr<State>& state,
-                                          std::size_t bytes) {
   const std::size_t need = AlignUp(bytes == 0 ? 1 : bytes, kDirectIoAlignment);
   {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    const auto it = state->free.lower_bound(need);
-    if (it != state->free.end() && it->first <= need + need / kReuseSlack) {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    const auto it = state_->free.lower_bound(need);
+    if (it != state_->free.end() && it->first <= need + need / kReuseSlack) {
       AlignedBuffer buffer = std::move(it->second);
-      state->free.erase(it);
-      state->free_bytes -= buffer.capacity();
-      return Lease(state, std::move(buffer));
+      state_->free.erase(it);
+      state_->free_bytes -= buffer.capacity();
+      return Lease(state_, std::move(buffer));
     }
   }
   // Allocated outside the lock: a fresh mapping can take a while.
   AlignedBuffer fresh(need);
-  std::lock_guard<std::mutex> lock(state->mutex);
-  state->resident_bytes += fresh.capacity();
-  return Lease(state, std::move(fresh));
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  state_->resident_bytes += fresh.capacity();
+  ++state_->misses;
+  return Lease(state_, std::move(fresh));
 }
 
 std::uint64_t BufferPool::resident_bytes() const {
@@ -60,11 +58,14 @@ std::uint64_t BufferPool::free_bytes() const {
   return state_->free_bytes;
 }
 
-BufferPool::Lease BufferPool::Lease::Copy(std::size_t bytes) const {
-  if (state_ == nullptr) return Lease();
-  Lease copy = AcquireFrom(state_, bytes);
-  std::copy_n(buffer_.data(), bytes, copy.data());
-  return copy;
+std::uint64_t BufferPool::misses() const {
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  return state_->misses;
+}
+
+std::uint64_t BufferPool::dropped() const {
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  return state_->dropped;
 }
 
 void BufferPool::Lease::Release() noexcept {
@@ -77,6 +78,7 @@ void BufferPool::Lease::Release() noexcept {
   std::lock_guard<std::mutex> lock(state->mutex);
   if (state->free_bytes + capacity > kMaxFreeBytes) {
     state->resident_bytes -= capacity;
+    ++state->dropped;
     return;
   }
   state->free_bytes += capacity;

@@ -29,10 +29,10 @@ namespace graphsd {
 
 class BufferPool {
  public:
-  /// Returned buffers kept for reuse: room for the few sub-blocks a fetch
-  /// window and its consumer cycle through, while the idle pool stays small
-  /// next to the vertex state and the buffer.
-  static constexpr std::size_t kMaxFreeBytes = std::size_t{16} << 20;
+  /// Returned buffers kept for reuse: room for the semi working set — the
+  /// fetch window, the held FCIU diagonal and the skip indexes — so steady
+  /// rounds reuse buffers instead of mapping fresh ones (DESIGN.md §15).
+  static constexpr std::size_t kMaxFreeBytes = std::size_t{32} << 20;
 
   class Lease;
 
@@ -48,11 +48,13 @@ class BufferPool {
   std::uint64_t resident_bytes() const;
   /// Capacity of the buffers waiting for reuse.
   std::uint64_t free_bytes() const;
+  /// Acquire calls no free buffer served: each mapped a fresh one.
+  std::uint64_t misses() const;
+  /// Returned buffers freed because keeping them would pass kMaxFreeBytes.
+  std::uint64_t dropped() const;
 
  private:
   struct State;
-  static Lease AcquireFrom(const std::shared_ptr<State>& state,
-                           std::size_t bytes);
   std::shared_ptr<State> state_;
 };
 
@@ -79,10 +81,6 @@ class BufferPool::Lease {
   /// Usable bytes: a multiple of kDirectIoAlignment (0 for an empty lease).
   std::size_t capacity() const noexcept { return buffer_.capacity(); }
 
-  /// A lease of at least `bytes` from the same pool holding a copy of this
-  /// lease's first `bytes` bytes. An empty lease copies to an empty lease.
-  Lease Copy(std::size_t bytes) const;
-
   /// Returns the buffer to its pool now; the lease is empty afterwards.
   void Release() noexcept;
 
@@ -97,8 +95,8 @@ class BufferPool::Lease {
 
 /// A fixed-length array of trivially copyable `T` in a pooled buffer: the
 /// storage of sub-block payloads. Elements start uninitialized (decode and
-/// direct reads overwrite every one). Copying leases a new buffer from the
-/// same pool.
+/// direct reads overwrite every one). Move-only, like its lease: a payload
+/// is never copied, so an accidental copy of a sub-block fails to compile.
 template <typename T>
 class PooledArray {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -121,12 +119,8 @@ class PooledArray {
     size_ = std::exchange(other.size_, 0);
     return *this;
   }
-  PooledArray(const PooledArray& other)
-      : lease_(other.lease_.Copy(other.size_bytes())), size_(other.size_) {}
-  PooledArray& operator=(const PooledArray& other) {
-    if (this != &other) *this = PooledArray(other);
-    return *this;
-  }
+  PooledArray(const PooledArray&) = delete;
+  PooledArray& operator=(const PooledArray&) = delete;
 
   T* data() noexcept { return reinterpret_cast<T*>(lease_.data()); }
   const T* data() const noexcept {

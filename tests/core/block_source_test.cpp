@@ -70,7 +70,9 @@ TEST(BlockSource, EvictedBetweenIssueAndConsumeReloadsOnce) {
   ASSERT_TRUE(fx.dataset->manifest().weighted);
   const partition::SubBlock expect =
       ValueOrDie(fx.dataset->LoadSubBlock(i, j, /*load_weights=*/true));
-  ASSERT_TRUE(fx.buffer.Put(i, j, expect, /*priority=*/1));
+  ASSERT_TRUE(fx.buffer.Put(
+      i, j, ValueOrDie(fx.dataset->LoadSubBlock(i, j, /*load_weights=*/true)),
+      /*priority=*/1));
 
   BlockSource source(fx.ctx, /*need_weights=*/true, /*trace_iteration=*/0);
   const std::uint64_t before = fx.ReadBytes();
@@ -102,7 +104,9 @@ TEST(BlockSource, CompressedHitIsPinnedAndNeverOfferedBack) {
   const auto [i, j] = fx.Secondary();
   const partition::SubBlock expect =
       ValueOrDie(fx.dataset->LoadSubBlock(i, j, /*load_weights=*/false));
-  ASSERT_TRUE(fx.buffer.Put(i, j, expect, /*priority=*/1));
+  ASSERT_TRUE(fx.buffer.Put(
+      i, j, ValueOrDie(fx.dataset->LoadSubBlock(i, j, /*load_weights=*/false)),
+      /*priority=*/1));
   const std::uint64_t stored = fx.buffer.size_bytes();
 
   BlockSource source(fx.ctx, /*need_weights=*/false, /*trace_iteration=*/0);

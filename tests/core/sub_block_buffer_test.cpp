@@ -226,11 +226,11 @@ TEST(SubBlockBuffer, DisabledBufferDoesNotCountRejections) {
 }
 
 TEST(SubBlockBuffer, WeightsCountTowardCapacity) {
-  const partition::SubBlock block = MakeWeightedBlock(8);
+  partition::SubBlock block = MakeWeightedBlock(8);
   const std::uint64_t bytes = block.SizeBytes();
   EXPECT_EQ(bytes, 8 * sizeof(Edge) + 8 * sizeof(Weight));
   SubBlockBuffer tight(bytes - 1);
-  EXPECT_FALSE(tight.Put(0, 0, block, 1));
+  EXPECT_FALSE(tight.Put(0, 0, std::move(block), 1));
 }
 
 // --- pinning (shared buffer tier, DESIGN.md §13) ---------------------------

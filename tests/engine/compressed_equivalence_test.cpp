@@ -22,6 +22,7 @@
 namespace graphsd {
 namespace {
 
+using testing::ExpectValuesBitIdentical;
 using testing::kGraphCases;
 using testing::MakeDataset;
 using testing::TempDir;
@@ -70,14 +71,6 @@ RunObservation Observe(const TestDataset& t, const core::EngineOptions& options,
   obs.iterations = obs.report.iterations;
   obs.rounds = obs.report.rounds;
   return obs;
-}
-
-void ExpectValuesBitIdentical(const std::vector<double>& got,
-                              const std::vector<double>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t v = 0; v < got.size(); ++v) {
-    EXPECT_EQ(got[v], want[v]) << "vertex " << v;
-  }
 }
 
 void ExpectSameIo(const io::IoStatsSnapshot& got,

@@ -49,6 +49,15 @@ inline std::vector<double> Values(const core::Program& program,
   return out;
 }
 
+/// Requires two value vectors to be bit-identical.
+inline void ExpectValuesBitIdentical(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < got.size(); ++v) {
+    EXPECT_EQ(got[v], want[v]) << "vertex " << v;
+  }
+}
+
 /// Compares two value vectors; infinities compare equal to each other.
 inline void ExpectValuesNear(const std::vector<double>& got,
                              const std::vector<double>& want,

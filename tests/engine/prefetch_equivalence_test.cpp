@@ -26,6 +26,7 @@
 namespace graphsd {
 namespace {
 
+using testing::ExpectValuesBitIdentical;
 using testing::kGraphCases;
 using testing::MakeDataset;
 using testing::TempDir;
@@ -95,14 +96,6 @@ void ExpectSameIo(const io::IoStatsSnapshot& got,
   EXPECT_EQ(got.rand_write_ops, want.rand_write_ops);
   EXPECT_EQ(got.retries, want.retries);
   EXPECT_EQ(got.checksum_failures, want.checksum_failures);
-}
-
-void ExpectValuesBitIdentical(const std::vector<double>& got,
-                              const std::vector<double>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t v = 0; v < got.size(); ++v) {
-    EXPECT_EQ(got[v], want[v]) << "vertex " << v;
-  }
 }
 
 void ExpectSameObservation(const RunObservation& got,

@@ -51,11 +51,14 @@ TEST(BufferPool, SmallRequestDoesNotTakeAFarLargerBuffer) {
 
 TEST(BufferPool, FreeBytesStayWithinTheBound) {
   constexpr std::size_t kLeaseBytes = std::size_t{4} << 20;
-  static_assert(5 * kLeaseBytes > BufferPool::kMaxFreeBytes);
+  constexpr std::size_t kLeases = BufferPool::kMaxFreeBytes / kLeaseBytes + 1;
+  static_assert(kLeases * kLeaseBytes > BufferPool::kMaxFreeBytes);
   BufferPool pool;
   std::vector<BufferPool::Lease> leases;
-  for (int i = 0; i < 5; ++i) leases.push_back(pool.Acquire(kLeaseBytes));
-  EXPECT_EQ(pool.resident_bytes(), 5 * kLeaseBytes);
+  for (std::size_t i = 0; i < kLeases; ++i) {
+    leases.push_back(pool.Acquire(kLeaseBytes));
+  }
+  EXPECT_EQ(pool.resident_bytes(), kLeases * kLeaseBytes);
   leases.clear();
   // As many kept for reuse as fit under the bound; the rest freed on return.
   const std::size_t kept =
@@ -75,16 +78,30 @@ TEST(BufferPool, LeaseOutlivesThePoolHandle) {
   EXPECT_EQ(lease.data()[99], 7);
 }
 
-TEST(PooledArray, CopyLeasesItsOwnBufferFromTheSamePool) {
+TEST(BufferPool, CountsFreshMappingsAndDroppedReturns) {
+  constexpr std::size_t kLeaseBytes = std::size_t{4} << 20;
+  constexpr std::size_t kLeases = BufferPool::kMaxFreeBytes / kLeaseBytes + 2;
   BufferPool pool;
-  PooledArray<std::uint32_t> a(pool, 1000);
-  for (std::uint32_t k = 0; k < a.size(); ++k) a[k] = k * 3;
-  const PooledArray<std::uint32_t> b = a;
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_EQ(pool.resident_bytes(), 2 * AlignUp(4000, kDirectIoAlignment));
-  a[5] = 0;
-  EXPECT_FALSE(a == b);
+  std::vector<BufferPool::Lease> leases;
+  for (std::size_t i = 0; i < kLeases; ++i) {
+    leases.push_back(pool.Acquire(kLeaseBytes));
+  }
+  EXPECT_EQ(pool.misses(), kLeases);
+  EXPECT_EQ(pool.dropped(), 0u);
+  // The bound keeps kLeases - 2 buffers; the last two returns are freed.
+  leases.clear();
+  EXPECT_EQ(pool.dropped(), 2u);
+  // Each kept buffer serves a lease again; only the two freed ones are
+  // mapped anew.
+  for (std::size_t i = 0; i < kLeases; ++i) {
+    leases.push_back(pool.Acquire(kLeaseBytes));
+  }
+  EXPECT_EQ(pool.misses(), kLeases + 2);
+  EXPECT_EQ(pool.dropped(), 2u);
+  // A request the slack rule refuses a free buffer for is a miss too.
+  leases.pop_back();
+  BufferPool::Lease small = pool.Acquire(1);
+  EXPECT_EQ(pool.misses(), kLeases + 3);
 }
 
 TEST(PooledArray, EmptyArrayHoldsNoLeaseAndMoveEmptiesTheSource) {
