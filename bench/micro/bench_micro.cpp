@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the engineering substrate:
-// bitset frontiers, CRC32C checksums, varint-delta decode, grid
-// partitioning, sub-block loading, and the scheduler's evaluation pass.
+// bitset frontiers, the filtered apply loop, CRC32C checksums,
+// varint-delta decode, grid partitioning, sub-block loading, and the
+// scheduler's evaluation pass.
 // Not paper figures — these quantify the building blocks the figures are
 // made of.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "compress/codec.hpp"
 #include "compress/frame.hpp"
+#include "core/program.hpp"
 #include "core/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "partition/grid_builder.hpp"
@@ -46,6 +49,61 @@ void BM_BitsetIterate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitsetIterate);
+
+// One filtered push pass (an SSSP-style min combine) over a sorted block
+// of an `sssp-web`-shaped grid: 24576-vertex intervals, sources in the
+// first, a frontier with `permille`/1000 of all vertices active at random.
+// range(0): 0 = a diagonal block (about 530 k edges, 21.6 per source),
+// 1 = an off-diagonal one (about 33 k edges from 90 % of the sources, 1.5
+// each). range(2): 0 = the linear per-edge test, 1 = the active-source
+// walk. Items/s counts the block's edges, applied or not.
+void BM_FilteredApply(benchmark::State& state) {
+  constexpr VertexId kInterval = 24576;
+  const bool off_diagonal = state.range(0) != 0;
+  const double density = static_cast<double>(state.range(1)) / 1000.0;
+  Xoshiro256 rng(27);
+  std::vector<Edge> edges;
+  std::vector<Weight> weights;
+  const VertexId dst_first = off_diagonal ? kInterval : 0;
+  for (VertexId src = 0; src < kInterval; ++src) {
+    const double u = rng.NextDouble();
+    std::uint64_t degree = 0;
+    if (off_diagonal) {
+      degree = u < 0.9 ? 1 + rng.NextBounded(2) : 0;
+    } else {
+      degree = 1 + rng.NextBounded(42);
+    }
+    for (std::uint64_t d = 0; d < degree; ++d) {
+      edges.push_back(Edge{src, dst_first + static_cast<VertexId>(
+                                                rng.NextBounded(kInterval))});
+      weights.push_back(rng.NextFloat(1.0f, 100.0f));
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  core::Frontier active(2 * kInterval);
+  for (VertexId v = 0; v < 2 * kInterval; ++v) {
+    if (rng.NextDouble() < density) active.Activate(v);
+  }
+  std::vector<double> dist(2 * kInterval, 1e300);
+  core::ApplyPass pass = core::EdgePass(edges, weights, /*need_weights=*/true,
+                                        dst_first, dst_first + kInterval);
+  pass.sources = &active;
+  pass.sorted_by_src = state.range(2) != 0;
+  benchmark::DoNotOptimize(dist.data());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::ForEachPassEdge(
+        pass, [&](VertexId src, VertexId dst, Weight w) {
+          const double candidate = static_cast<double>(src) + w;
+          if (candidate < dist[dst]) dist[dst] = candidate;
+        }));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_FilteredApply)
+    ->ArgNames({"offdiag", "permille", "walk"})
+    ->ArgsProduct({{0, 1}, {1, 10, 100, 500, 1000}, {0, 1}});
 
 // CRC32C over a 1 MiB buffer: the portable slice-by-8 routine against the
 // dispatched one (SSE4.2 where the CPU has it). Bytes/s is the checksum

@@ -155,12 +155,20 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
                                ContribSlot::kPrimary);
     });
   }
-  // Iteration-t+1 pushes from sealed sources (`out`) into `out_ni`.
-  const auto push_secondary = [&](std::uint32_t j,
-                                  const partition::SubBlock& block) {
+  // The pass over sub-block (i, j) of column j, walking only its active
+  // sources' edges when the dataset is sorted.
+  const auto block_pass = [&](std::uint32_t j,
+                              const partition::SubBlock& block) {
     ApplyPass pass = EdgePass(block.edges, block.weights, need_weights,
                               manifest.boundaries[j],
                               manifest.boundaries[j + 1]);
+    pass.sorted_by_src = manifest.sorted;
+    return pass;
+  };
+  // Iteration-t+1 pushes from sealed sources (`out`) into `out_ni`.
+  const auto push_secondary = [&](std::uint32_t j,
+                                  const partition::SubBlock& block) {
+    ApplyPass pass = block_pass(j, block);
     pass.contrib = ContribSlot::kSecondary;
     pass.sources = &out;
     pass.activate = &out_ni;
@@ -183,9 +191,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
         {
           obs::TraceSpan span(ctx_.trace, "compute", iteration);
           ScopedWallAccumulator acc(update_seconds);
-          ApplyPass pass = EdgePass(block.edges, block.weights, need_weights,
-                                    manifest.boundaries[j],
-                                    manifest.boundaries[j + 1]);
+          ApplyPass pass = block_pass(j, block);
           pass.sources = &active;
           pass.activate = &out;
           provisional_priority = program.ApplySpan(state, pass);
@@ -224,11 +230,7 @@ Status FciuExecutor::RunPushRound(const PushProgram& program,
   // will serve in the second half. One atomic sweep under the buffer lock.
   ctx_.buffer->Rescore([&](std::uint32_t, std::uint32_t,
                            const partition::SubBlock& block) {
-    std::uint64_t priority = 0;
-    for (const Edge& edge : block.edges) {
-      if (out.IsActive(edge.src)) ++priority;
-    }
-    return priority;
+    return CountActiveSourceEdges(block.edges, out, manifest.sorted);
   });
 
   // --- second half: iteration t+1 over the secondary sub-blocks (i > j) ---

@@ -26,6 +26,11 @@ class Frontier {
 
   bool IsActive(VertexId v) const noexcept { return bits_.Test(v); }
 
+  /// The first active vertex in [begin, end), or `end` when there is none.
+  VertexId NextActive(VertexId begin, VertexId end) const noexcept {
+    return static_cast<VertexId>(bits_.FindNextSet(begin, end));
+  }
+
   /// Number of active vertices. Sequence with writers at BSP boundaries.
   std::uint64_t Count() const noexcept { return bits_.Count(); }
   std::uint64_t CountInRange(VertexId begin, VertexId end) const noexcept {

@@ -28,9 +28,11 @@
 // cancellation token has tripped, the stream's fetches later in the plan
 // are skipped and resolve to that status without touching the device —
 // exactly as a synchronous loop would never have issued reads past its
-// first failure. A fetch earlier in the plan still runs and reports its own
-// status, so Take() surfaces the first failure in plan order at any reader
-// count. Other streams on the same pipeline, concurrent or later (a
+// first failure. A later fetch another reader had already started resolves
+// to that status too, at Take(), so the failed units always form one
+// suffix of the plan. A fetch earlier in the plan still runs and reports
+// its own status, so Take() surfaces the first failure in plan order at any
+// reader count. Other streams on the same pipeline, concurrent or later (a
 // full-streaming redo), are unaffected. A fetch that throws rethrows at
 // Take(), at any depth.
 #pragma once
@@ -155,11 +157,21 @@ class PrefetchStream {
     }
     Pending pending = std::move(window_.front());
     window_.pop_front();
-    ++consumed_;
+    const std::size_t index = consumed_++;
     FillWindow();
     if (!pending.done.valid()) return item;
     item.fetched = true;
     item.status = pending.done.get();
+    if (item.status.ok()) {
+      // This unit's fetch may have passed its check before an earlier unit
+      // failed. Every earlier unit's fetch has finished by now, so any
+      // earlier failure is already recorded.
+      std::lock_guard<std::mutex> lock(failure_mutex_);
+      if (failed_at_ < index) {
+        item.status = failed_;
+        return item;
+      }
+    }
     item.payload = std::move(*pending.payload);
     return item;
   }

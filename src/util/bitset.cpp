@@ -20,17 +20,6 @@ void ConcurrentBitset::Clear(std::size_t i) noexcept {
   words_[i / 64].fetch_and(~(1ULL << (i % 64)), std::memory_order_relaxed);
 }
 
-bool ConcurrentBitset::TestAndSet(std::size_t i) noexcept {
-  const std::uint64_t mask = 1ULL << (i % 64);
-  const std::uint64_t old =
-      words_[i / 64].fetch_or(mask, std::memory_order_relaxed);
-  return (old & mask) == 0;
-}
-
-bool ConcurrentBitset::Test(std::size_t i) const noexcept {
-  return (words_[i / 64].load(std::memory_order_relaxed) >> (i % 64)) & 1ULL;
-}
-
 void ConcurrentBitset::ClearAll() noexcept {
   for (auto& w : words_) w.store(0, std::memory_order_relaxed);
 }

@@ -34,11 +34,37 @@ class ConcurrentBitset {
   void Clear(std::size_t i) noexcept;
 
   /// Atomically sets bit `i`; returns true iff the bit was previously clear.
-  /// The workhorse of frontier deduplication.
-  bool TestAndSet(std::size_t i) noexcept;
+  /// The workhorse of frontier deduplication. Inline, like Test: the apply
+  /// loop calls both once per edge.
+  bool TestAndSet(std::size_t i) noexcept {
+    const std::uint64_t mask = 1ULL << (i % 64);
+    const std::uint64_t old =
+        words_[i / 64].fetch_or(mask, std::memory_order_relaxed);
+    return (old & mask) == 0;
+  }
 
   /// Reads bit `i`.
-  bool Test(std::size_t i) const noexcept;
+  bool Test(std::size_t i) const noexcept {
+    return (words_[i / 64].load(std::memory_order_relaxed) >> (i % 64)) & 1ULL;
+  }
+
+  /// The first set bit in [begin, end), or `end` when there is none. `end`
+  /// may exceed size(); bits at or past size() are never set.
+  std::size_t FindNextSet(std::size_t begin, std::size_t end) const noexcept {
+    const std::size_t limit = end < size_ ? end : size_;
+    if (begin >= limit) return end;
+    std::size_t w = begin / 64;
+    const std::size_t last_word = (limit - 1) / 64;
+    std::uint64_t word =
+        words_[w].load(std::memory_order_relaxed) & (~0ULL << (begin % 64));
+    while (word == 0) {
+      if (++w > last_word) return end;
+      word = words_[w].load(std::memory_order_relaxed);
+    }
+    const std::size_t index =
+        w * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
+    return index < limit ? index : end;
+  }
 
   /// Clears all bits. Not thread safe with concurrent writers.
   void ClearAll() noexcept;

@@ -6,6 +6,7 @@
 // stream failure records, the pool and the buffer for races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@ using Stream = io::PrefetchStream<partition::SubBlock>;
 
 enum class Fate { kComplete, kFail, kCancel };
 
+constexpr std::size_t kDepth = 4;
 constexpr std::uint32_t kStreams = 6;
 constexpr std::uint32_t kUnits = 24;
 constexpr std::uint32_t kTrigger = kUnits / 2;
@@ -32,7 +34,9 @@ std::size_t EdgeCount(std::uint32_t s, std::uint32_t u) {
 // One consumer: plans kUnits fetches that each fill a pooled edge array,
 // takes them in order, and either drops each payload (its lease returns on
 // this thread) or donates it to `buffer` (where a later Put's eviction
-// returns it, on whichever consumer evicts).
+// returns it, on whichever consumer evicts). A kFail stream's unit kTrigger
+// fails inside its fetch; a kCancel stream's consumer trips the token right
+// after it takes unit kTrigger.
 void Consume(io::PrefetchPipeline& pipeline, BufferPool& pool,
              SubBlockBuffer& buffer, std::uint32_t s) {
   const Fate fate = static_cast<Fate>(s % 3);
@@ -40,9 +44,8 @@ void Consume(io::PrefetchPipeline& pipeline, BufferPool& pool,
   std::vector<Stream::Unit> plan;
   for (std::uint32_t u = 0; u < kUnits; ++u) {
     Stream::Unit unit;
-    unit.fetch = [&pool, &token, fate, s, u](partition::SubBlock& out) {
+    unit.fetch = [&pool, fate, s, u](partition::SubBlock& out) {
       if (fate == Fate::kFail && u == kTrigger) return IoError("injected");
-      if (fate == Fate::kCancel && u == kTrigger) token.Cancel("test stop");
       out.edges = PooledArray<Edge>(pool, EdgeCount(s, u));
       for (std::size_t k = 0; k < out.edges.size(); ++k) {
         out.edges[k] = Edge{u, static_cast<VertexId>(k)};
@@ -52,36 +55,47 @@ void Consume(io::PrefetchPipeline& pipeline, BufferPool& pool,
     plan.push_back(std::move(unit));
   }
   Stream stream(&pipeline, std::move(plan), &token);
-  std::uint32_t failures = 0;
-  bool skipping = false;
+  // The first unit of the stream's failed suffix; kUnits while none failed.
+  std::uint32_t first_failure = kUnits;
   for (std::uint32_t u = 0; u < kUnits; ++u) {
     Stream::Item item = stream.Take();
     ASSERT_TRUE(item.fetched);
+    if (fate == Fate::kCancel && u == kTrigger) token.Cancel("test stop");
     if (!item.status.ok()) {
-      EXPECT_NE(fate, Fate::kComplete);
-      EXPECT_GE(u, kTrigger);
       EXPECT_EQ(item.status.code(), fate == Fate::kFail
                                         ? StatusCode::kIoError
                                         : StatusCode::kCancelled);
-      ++failures;
-      skipping = skipping || u > kTrigger;
+      first_failure = std::min(first_failure, u);
       continue;
     }
-    // A unit after the trigger runs only if a reader started it before
-    // the failure; readers start units in plan order, so once one is
-    // skipped every later one is too.
-    EXPECT_FALSE(skipping) << "unit " << u << " ran after a skipped unit";
-    EXPECT_FALSE(fate == Fate::kFail && u == kTrigger);
+    // The failed units form one suffix of the plan: no unit succeeds
+    // after one has failed.
+    EXPECT_EQ(first_failure, kUnits) << "unit " << u << " ran after unit "
+                                     << first_failure << " failed";
     ASSERT_EQ(item.payload.edges.size(), EdgeCount(s, u));
     EXPECT_EQ(item.payload.edges.back().src, u);
     if (u % 2 == 0) buffer.Put(s, u, std::move(item.payload), u);
   }
-  EXPECT_EQ(failures > 0, fate != Fate::kComplete);
+  switch (fate) {
+    case Fate::kComplete:
+      EXPECT_EQ(first_failure, kUnits);
+      break;
+    case Fate::kFail:
+      EXPECT_EQ(first_failure, kTrigger);
+      break;
+    case Fate::kCancel:
+      // Every unit up to the trigger was taken before the trip, so the
+      // suffix starts strictly after it, and no later than the first unit
+      // the stream issued after the trip: its kDepth-unit window was full.
+      EXPECT_GT(first_failure, kTrigger);
+      EXPECT_LE(first_failure, kTrigger + kDepth + 1);
+      break;
+  }
 }
 
 TEST(PooledPrefetch, ConcurrentStreamsOnTwoReadersReturnEveryLease) {
   BufferPool pool;
-  io::PrefetchPipeline pipeline(/*depth=*/4, /*readers=*/2);
+  io::PrefetchPipeline pipeline(kDepth, /*readers=*/2);
   ASSERT_EQ(pipeline.readers(), 2u);
   // Room for a few blocks only, so donations evict each other.
   SubBlockBuffer buffer(3 * 1000 * sizeof(Edge));

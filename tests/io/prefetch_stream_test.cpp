@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -268,6 +269,43 @@ TEST(PrefetchStream, EarlierUnitStillRunsWhenALaterOneFailsFirst) {
     EXPECT_EQ(stream.Take().status.code(), StatusCode::kIoError);
   }
   EXPECT_EQ(after.load(), 0);
+}
+
+// A later unit that already ran on the other reader when an earlier unit
+// failed resolves to that failure at Take(): the failed units form one
+// suffix of the plan, and the later unit's payload is dropped.
+TEST(PrefetchStream, LaterUnitAlreadyRunResolvesToAnEarlierFailure) {
+  PrefetchPipeline pipeline(4, 2);
+  std::atomic<int> later{0};
+  std::promise<void> later_ran;
+  std::future<void> later_done = later_ran.get_future();
+  std::vector<Stream::Unit> plan;
+  Stream::Unit failing;
+  failing.fetch = [&later_done](int&) {
+    // Fail only once unit 1 has run to completion on the other reader.
+    later_done.wait_for(std::chrono::seconds(10));
+    return IoError("injected");
+  };
+  plan.push_back(std::move(failing));
+  Stream::Unit running;
+  running.fetch = [&later, &later_ran](int& out) {
+    ++later;
+    out = 1;
+    later_ran.set_value();
+    return Status::Ok();
+  };
+  plan.push_back(std::move(running));
+  plan.push_back(CountingUnit(2, later));
+  Stream stream(&pipeline, std::move(plan));
+  for (int i = 0; i < 3; ++i) {
+    const Stream::Item item = stream.Take();
+    EXPECT_TRUE(item.fetched);
+    EXPECT_EQ(item.status.code(), StatusCode::kIoError);
+    EXPECT_EQ(item.payload, 0);
+  }
+  // Unit 1 ran before the failure; unit 2 may have run too, if the other
+  // reader started it before unit 0 recorded its failure.
+  EXPECT_GE(later.load(), 1);
 }
 
 TEST(PrefetchStream, ThrowingFetchRethrowsAtTakeAtEveryDepth) {

@@ -1,5 +1,6 @@
 #include "util/bitset.hpp"
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -150,6 +151,75 @@ TEST(ConcurrentBitsetProperty, CountMatchesReferenceSet) {
     std::vector<std::size_t> seen;
     bits.ForEachSet([&](std::size_t i) { seen.push_back(i); });
     EXPECT_EQ(seen, std::vector<std::size_t>(reference.begin(), reference.end()));
+  }
+}
+
+TEST(ConcurrentBitset, FindNextSetAcrossWordBoundaries) {
+  ConcurrentBitset bits(200);  // four words, the last one partial
+  bits.Set(0);
+  bits.Set(63);
+  bits.Set(64);
+  bits.Set(130);
+  bits.Set(199);
+  EXPECT_EQ(bits.FindNextSet(0, 200), 0u);
+  EXPECT_EQ(bits.FindNextSet(1, 200), 63u);
+  EXPECT_EQ(bits.FindNextSet(63, 200), 63u);
+  EXPECT_EQ(bits.FindNextSet(64, 200), 64u);
+  EXPECT_EQ(bits.FindNextSet(65, 200), 130u);  // skips a whole clear word
+  EXPECT_EQ(bits.FindNextSet(131, 200), 199u);
+  EXPECT_EQ(bits.FindNextSet(199, 200), 199u);
+}
+
+TEST(ConcurrentBitset, FindNextSetClipsAtEnd) {
+  ConcurrentBitset bits(200);
+  bits.Set(70);
+  bits.Set(150);
+  // A set bit at or past `end` is not found: the result is `end`.
+  EXPECT_EQ(bits.FindNextSet(0, 70), 70u);
+  EXPECT_EQ(bits.FindNextSet(0, 71), 70u);
+  EXPECT_EQ(bits.FindNextSet(71, 150), 150u);
+  EXPECT_EQ(bits.FindNextSet(71, 100), 100u);
+  EXPECT_EQ(bits.FindNextSet(71, 128), 128u);  // end on a word boundary
+  // `end` past size(): the bits past size() are clear.
+  EXPECT_EQ(bits.FindNextSet(151, 1000), 1000u);
+  EXPECT_EQ(bits.FindNextSet(100, 1000), 150u);
+}
+
+TEST(ConcurrentBitset, FindNextSetOnEmptyRanges) {
+  ConcurrentBitset bits(130);
+  bits.SetAll();
+  EXPECT_EQ(bits.FindNextSet(5, 5), 5u);
+  EXPECT_EQ(bits.FindNextSet(9, 5), 5u);
+  EXPECT_EQ(bits.FindNextSet(130, 140), 140u);
+  EXPECT_EQ(bits.FindNextSet(129, 140), 129u);
+  ConcurrentBitset none;
+  EXPECT_EQ(none.FindNextSet(0, 10), 10u);
+  ConcurrentBitset clear(130);
+  EXPECT_EQ(clear.FindNextSet(0, 130), 130u);
+}
+
+TEST(ConcurrentBitsetProperty, FindNextSetMatchesLinearScan) {
+  Xoshiro256 rng(27);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t size = 1 + rng.NextBounded(500);  // rarely a multiple of 64
+    ConcurrentBitset bits(size);
+    const std::uint64_t density = 1 + rng.NextBounded(64);
+    for (std::size_t i = 0; i < size; ++i) {
+      if (rng.NextBounded(density) == 0) bits.Set(i);
+    }
+    for (int query = 0; query < 100; ++query) {
+      const std::size_t begin = rng.NextBounded(size + 70);
+      const std::size_t end = rng.NextBounded(size + 70);
+      std::size_t want = end;
+      for (std::size_t i = begin; i < std::min(end, size); ++i) {
+        if (bits.Test(i)) {
+          want = i;
+          break;
+        }
+      }
+      EXPECT_EQ(bits.FindNextSet(begin, end), want)
+          << "size " << size << " [" << begin << ", " << end << ")";
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 # One-shot CI entry point.
 #
 #   1. Tier-1: regular build + the full test suite (the gate every change
-#      must keep green, see ROADMAP.md), CLI smokes, the perfbench and
+#      must keep green, see ROADMAP.md), 200 repeats of the pooled-prefetch
+#      stress test, CLI smokes, the perfbench and
 #      bench gate unit tests, and the byte/round regression gate: a fresh
 #      bench_trajectory snapshot must reproduce the newest BENCH_*.json's
 #      deterministic fields exactly (tools/bench_gate.py).
@@ -20,6 +21,10 @@ echo "== tier 1: build + full test suite =="
 cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$(nproc)"
 (cd "$ROOT/build" && ctest --output-on-failure -j "$(nproc)")
+# Concurrent prefetch streams on two readers, repeated: a stream-contract
+# race shows up here long before it shows up once in a plain ctest run.
+"$ROOT/build/tests/core_test" --gtest_filter='PooledPrefetch.*' \
+    --gtest_repeat=200 > /dev/null
 
 echo "== tier 1: JSON export smoke (--trace-out / --report-json) =="
 OBS_DIR="$(mktemp -d /tmp/graphsd_obs_smoke_XXXXXX)"
