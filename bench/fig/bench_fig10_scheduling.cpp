@@ -107,34 +107,5 @@ int main() {
               "%.2fs\n",
               correct, scored, r_adaptive.TotalSeconds(), r_b3.TotalSeconds(),
               r_b4.TotalSeconds());
-
-  // Overlap series: the same three engines with the prefetch pipeline's
-  // overlap-aware charging on (default) vs off. I/O bytes must be identical
-  // — overlap is an accounting view, never an I/O change — so the delta
-  // between Serial(s) and Charged(s) is pure pipelining gain.
-  std::printf("\noverlap_io series (same runs, CC on UKUnion):\n");
-  TablePrinter overlap_table(
-      {"Engine", "overlap_io", "IO(MB)", "Serial(s)", "Charged(s)", "Saved"});
-  struct Series {
-    const char* name;
-    graphsd::core::EngineOptions options;
-  };
-  const Series series[] = {{"adaptive", adaptive}, {"full b3", b3},
-                           {"on-demand b4", b4}};
-  for (const Series& s : series) {
-    for (const bool overlap : {false, true}) {
-      graphsd::core::EngineOptions options = s.options;
-      options.overlap_io = overlap;
-      const auto report = RunGraphSD(*device, dataset, Algo::kCc, options);
-      const double serial = report.SerialSeconds();
-      const double charged = report.TotalSeconds();
-      overlap_table.AddRow(
-          {s.name, overlap ? "on" : "off",
-           Fmt(static_cast<double>(report.io.TotalBytes()) / (1 << 20), 1),
-           Fmt(serial, 3), Fmt(charged, 3),
-           overlap ? Fmt(100.0 * (serial - charged) / serial, 1) + "%" : "-"});
-    }
-  }
-  overlap_table.Print();
   return 0;
 }

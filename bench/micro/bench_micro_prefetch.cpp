@@ -1,8 +1,8 @@
 // Prefetch-pipeline micro-benchmarks: the PrefetchStream window machinery
 // (the loader's per-unit cost) and end-to-end engine runs across prefetch
 // depths. Depth 0 is the synchronous baseline; the depth>0 series shows
-// what the background loader costs (tiny graphs, page-cache-resident) or
-// saves (modeled time, via the overlapped charge counter).
+// what the background loader costs on tiny, page-cache-resident graphs.
+// Modeled device time is identical at every depth.
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -13,10 +13,8 @@ core::EngineOptions ToEngineOptions(const HusGraphEngine::Options& options) {
   out.enable_selective = true;
   out.enable_cross_iteration = false;
   out.enable_buffering = false;
-  // The modeled system issues its I/O serially: no prefetch pipeline and
-  // no overlap-aware charging.
+  // The modeled system issues its I/O serially: no prefetch pipeline.
   out.prefetch_depth = 0;
-  out.overlap_io = false;
   return out;
 }
 

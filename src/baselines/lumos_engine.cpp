@@ -16,10 +16,8 @@ core::EngineOptions ToEngineOptions(const LumosEngine::Options& options) {
   out.enable_buffering = false;
   // Lumos materializes its proactively-computed values to disk per round.
   out.model_lumos_propagation = true;
-  // The modeled system issues its I/O serially: no prefetch pipeline and
-  // no overlap-aware charging.
+  // The modeled system issues its I/O serially: no prefetch pipeline.
   out.prefetch_depth = 0;
-  out.overlap_io = false;
   return out;
 }
 

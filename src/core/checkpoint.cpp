@@ -229,16 +229,19 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
   GRAPHSD_RETURN_IF_ERROR(
       ReadIdList(reader, checkpoint.num_vertices, checkpoint.preact));
 
-  // A v1 payload ends after its kCheckpointV1Fields totals; the fields v2
-  // appended keep their zero defaults. A v2 payload holds the 8-byte fields
-  // v3 dropped: buffer_frame_hits and buffer_frame_puts just before
+  // Fields later versions dropped are read and discarded in place. Versions
+  // 1-3 hold overlapped_seconds after the first kV3OverlappedAt fields. A v1
+  // payload ends after its kCheckpointV1Fields totals; the fields v2
+  // appended keep their zero defaults. A v2 payload holds the fields v3
+  // dropped: buffer_frame_hits and buffer_frame_puts just before
   // io.vectored_reads, and apply_serialization_seconds after the last field.
   const std::size_t num_fields =
       version == 1 ? kCheckpointV1Fields : SIZE_MAX;
+  constexpr std::size_t kV3OverlappedAt = 6;  // after scheduler_seconds
   constexpr std::size_t kV2FrameCountersAt = kCheckpointV1Fields + 3;
   std::size_t fields_read = 0;
   Status status;
-  const auto discard_v2_fields = [&](int count) {
+  const auto discard_fields = [&](int count) {
     for (int k = 0; k < count && status.ok(); ++k) {
       std::uint64_t dropped = 0;
       status = reader.Read(dropped);
@@ -246,15 +249,16 @@ Result<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> frame) {
   };
   RunTotals::ForEachField(
       [&](auto& field) {
+        if (version <= 3 && fields_read == kV3OverlappedAt) discard_fields(1);
         if (version == 2 && fields_read == kV2FrameCountersAt) {
-          discard_v2_fields(2);
+          discard_fields(2);
         }
         if (status.ok() && fields_read++ < num_fields) {
           status = reader.Read(field);
         }
       },
       checkpoint.totals);
-  if (version == 2) discard_v2_fields(1);
+  if (version == 2) discard_fields(1);
   GRAPHSD_RETURN_IF_ERROR(status);
 
   if (reader.remaining() != 0) {

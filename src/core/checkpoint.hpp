@@ -11,7 +11,7 @@
 //
 //   offset  size  field
 //        0     4  magic "GSCK"
-//        4     4  format version (u32, currently 3)
+//        4     4  format version (u32, currently 4)
 //        8     8  payload bytes (u64)
 //       16     4  CRC32C over the payload (u32)
 //       20    12  reserved (zero)
@@ -21,10 +21,12 @@
 // order. Version 2 appended eight fields to version 1 after
 // `checkpoint_seconds`; version 3 drops three of them, 8 bytes each:
 // buffer_frame_hits and buffer_frame_puts (the deleted compressed-frame
-// cache) and apply_serialization_seconds (always 0). A v1 payload is the v3
-// prefix of kCheckpointV1Fields fields and decodes with the rest zero; a v2
-// payload decodes with the dropped fields read and discarded. Other
-// versions fail with kUnimplemented.
+// cache) and apply_serialization_seconds (always 0). Version 4 drops
+// overlapped_seconds (8 bytes, between scheduler_seconds and
+// decode_seconds), the deleted pipelined time charge. Every dropped field
+// of an older frame is read and discarded in place. A v1 payload is the
+// prefix of kCheckpointV1Fields fields (plus overlapped_seconds) and
+// decodes with the rest zero. Other versions fail with kUnimplemented.
 //
 // The header mirrors the GSDF compressed-frame format (compress/frame.hpp):
 // magic + CRC + declared size make every checkpoint independently
@@ -57,11 +59,11 @@
 namespace graphsd::core {
 
 /// Checkpoint format version this build writes; it also reads versions 1
-/// and 2.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+/// to 3.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// RunTotals fields a version 1 payload carries (a ForEachField prefix).
-inline constexpr std::size_t kCheckpointV1Fields = 29;
+inline constexpr std::size_t kCheckpointV1Fields = 28;
 
 /// Checkpoint header size in bytes.
 inline constexpr std::size_t kCheckpointHeaderBytes = 32;

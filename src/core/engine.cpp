@@ -94,8 +94,6 @@ class GraphSDEngine::RunScope {
     report_.engine = options_.engine_name;
     report_.algorithm = program.name();
     report_.dataset = manifest.name;
-    // Overlap charging is only honest when the pipeline actually overlaps.
-    report_.overlap_io = options_.overlap_io && prefetch_->enabled();
     external_before_ = ExternalCounters();
   }
 
@@ -133,25 +131,17 @@ class GraphSDEngine::RunScope {
     round_wall_.Restart();
   }
 
-  /// Closes the window, folding its deltas into `stat` and the report. The
-  /// pipelined charge max(compute, io) applies under overlap, otherwise the
-  /// serial sum (baselines, ablations).
+  /// Closes the window, folding its deltas into `stat` and the report.
   void CommitRound(RoundStat& stat) {
     const io::Device& device = dataset_.device();
     const auto io_delta = device.stats().Snapshot() - round_io_;
     stat.io_seconds = device.clock().Seconds() - round_clock_;
     stat.compute_seconds = round_wall_.Seconds();
-    stat.overlapped_seconds =
-        report_.overlap_io
-            ? io::IoCostModel::OverlapSeconds(stat.io_seconds,
-                                              stat.compute_seconds)
-            : stat.io_seconds + stat.compute_seconds;
     stat.read_bytes = io_delta.TotalReadBytes();
     stat.write_bytes = io_delta.TotalWriteBytes();
     report_.io += io_delta;
     report_.io_seconds += stat.io_seconds;
     report_.compute_seconds += stat.compute_seconds;
-    report_.overlapped_seconds += stat.overlapped_seconds;
     report_.scheduler_seconds += stat.scheduler_seconds;
     report_.blocks_skipped += stat.blocks_skipped;
     report_.blocks_skipped_bytes += stat.blocks_skipped_bytes;
@@ -472,7 +462,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
 
   RunScope scope(*this, program, &active, &preact);
   ExecutionReport& report = scope.report();
-  const bool overlap = report.overlap_io;
   SciuExecutor sciu(scope.ctx());
   FciuExecutor fciu(scope.ctx());
   StateAwareScheduler scheduler(*dataset_, device.options().cost_model);
@@ -529,13 +518,6 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
     } else if ((selective_healthy &&
                 (options_.force_on_demand || options_.enable_selective)) ||
                semi_mode) {
-      // Under overlap charging the scheduler floors both model costs at the
-      // run's observed per-round compute (0 before the first round commits,
-      // i.e. the first evaluation is effectively serial).
-      const double overlap_compute =
-          overlap && report.rounds > 0
-              ? report.compute_seconds / report.rounds
-              : (overlap ? 0.0 : -1.0);
       obs::TraceSpan span(options_.trace, "schedule-decision", iterations);
       // Semi mode keeps the state RAM-resident, so the per-round |V|·N
       // values terms drop out of every model's formula (record bytes = 0).
@@ -544,14 +526,11 @@ Result<ExecutionReport> GraphSDEngine::RunPush(PushProgram& program) {
           program.needs_weights() && manifest.weighted,
           /*fciu_round=*/options_.enable_cross_iteration &&
               iterations + 2 <= max_iterations,
-          overlap_compute, semi_mode ? &semi_inputs : nullptr);
+          semi_mode ? &semi_inputs : nullptr);
       stat.scheduler_seconds = decision.eval_seconds;
-      // Record the raw model estimates: the charged (compute-floored)
-      // values only break ties for the decision and would obscure the
-      // cost-model shapes Figure 10 plots.
-      stat.cost_on_demand = decision.serial_cost_on_demand;
-      stat.cost_full = decision.serial_cost_full;
-      stat.cost_semi = decision.serial_cost_semi;
+      stat.cost_on_demand = decision.cost_on_demand;
+      stat.cost_full = decision.cost_full;
+      stat.cost_semi = decision.cost_semi;
       stat.active_vertices = decision.active_vertices;
       stat.active_edges = decision.active_edges;
       stat.seq_bytes = decision.seq_bytes;

@@ -72,13 +72,6 @@ struct EngineOptions {
   /// units ahead of the applies. 0 = fully synchronous I/O. Results, I/O
   /// byte counts and buffer hit/miss accounting are identical at any depth.
   std::size_t prefetch_depth = 4;
-  /// Overlap-aware accounting: charge each loading round max(compute, io)
-  /// instead of compute + io, reflecting the pipeline's hiding of disk
-  /// time behind compute. Takes effect only when the pipeline can actually
-  /// overlap (prefetch_depth > 0). Scheduler decisions are provably
-  /// unaffected (see StateAwareScheduler::Evaluate); disable for serial
-  /// baselines and ablations.
-  bool overlap_io = true;
   /// Hard iteration cap on top of the program's own budget.
   std::uint32_t max_iterations = UINT32_MAX;
   /// Record the per-round series (Figure 10).

@@ -17,11 +17,6 @@ std::string ExecutionReport::Summary() const {
              graphsd::FormatSeconds(io_seconds).c_str(),
              graphsd::FormatSeconds(compute_seconds).c_str(),
              graphsd::FormatSeconds(scheduler_seconds).c_str());
-  if (overlap_io) {
-    StrAppendf(&out, "  overlap: pipelined charge %s (serial would be %s)\n",
-               graphsd::FormatSeconds(overlapped_seconds).c_str(),
-               graphsd::FormatSeconds(SerialSeconds()).c_str());
-  }
   StrAppendf(&out, "  traffic: %s\n", io.ToString().c_str());
   if (buffer_hits + buffer_misses > 0) {
     StrAppendf(&out, "  buffer: %llu hits / %llu misses, %s saved\n",

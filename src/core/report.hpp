@@ -28,9 +28,6 @@ struct RoundStat {
   std::uint64_t active_edges = 0;      // scheduler estimate
   double io_seconds = 0;               // modeled
   double compute_seconds = 0;          // measured wall
-  // Pipelined charge of the round: max(compute, io) when the prefetch
-  // pipeline overlapped the two, compute + io otherwise.
-  double overlapped_seconds = 0;
   double scheduler_seconds = 0;        // benefit-evaluation overhead
   double cost_on_demand = 0;           // scheduler estimate C_r
   double cost_full = 0;                // scheduler estimate C_s
@@ -63,7 +60,6 @@ struct RunTotals {
   double update_seconds = 0;     // measured wall inside edge/vertex updates
   double io_seconds = 0;         // modeled I/O time
   double scheduler_seconds = 0;  // total benefit-evaluation overhead (Fig 11)
-  double overlapped_seconds = 0;  // sum of per-round pipelined charges
 
   io::IoStatsSnapshot io;        // traffic (Fig 7)
 
@@ -99,8 +95,9 @@ struct RunTotals {
   bool operator==(const RunTotals&) const = default;
 
   /// The one list of the fields: calls `f(t.field...)` per field, with the
-  /// same field of every argument, in GSCK v3 payload order. The first
-  /// kCheckpointV1Fields are the v1 payload; new fields go at the end.
+  /// same field of every argument, in GSCK v4 payload order. The first
+  /// kCheckpointV1Fields are the v1 payload, less the one field v4 dropped
+  /// (core/checkpoint.hpp); new fields go at the end.
   template <typename F, typename... Totals>
   static void ForEachField(F&& f, Totals&... t) {
     f(t.rounds...);
@@ -109,7 +106,6 @@ struct RunTotals {
     f(t.update_seconds...);
     f(t.io_seconds...);
     f(t.scheduler_seconds...);
-    f(t.overlapped_seconds...);
     f(t.decode_seconds...);
     f(t.io.seq_read_bytes...);
     f(t.io.seq_write_bytes...);
@@ -154,12 +150,6 @@ struct ExecutionReport : RunTotals {
   // ("none" = raw layout).
   std::string codec = "none";
 
-  // Overlap-aware accounting: true when the run executed with the prefetch
-  // pipeline and charges each round max(compute, io) instead of the sum.
-  // Byte counts and results are identical either way — only the time
-  // charging differs.
-  bool overlap_io = false;
-
   // --- Run lifecycle (DESIGN.md §12) -------------------------------------
   // A cancelled run (Ctrl-C, deadline, external token) still returns a
   // report: partial results up to the last committed iteration boundary.
@@ -177,14 +167,8 @@ struct ExecutionReport : RunTotals {
 
   std::vector<RoundStat> per_round;
 
-  /// The serial charge: modeled I/O + measured compute, each paid in full.
-  double SerialSeconds() const noexcept { return compute_seconds + io_seconds; }
-
-  /// The headline number: per-round max(compute, io) under overlap-aware
-  /// accounting, the serial sum otherwise.
-  double TotalSeconds() const noexcept {
-    return overlap_io ? overlapped_seconds : SerialSeconds();
-  }
+  /// The headline number: measured compute plus modeled I/O.
+  double TotalSeconds() const noexcept { return compute_seconds + io_seconds; }
 
   /// "Other" time of the Figure 6 breakdown.
   double OtherSeconds() const noexcept {

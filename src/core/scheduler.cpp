@@ -26,8 +26,7 @@ double InterpolateExpectedColumns(std::span<const std::uint64_t> anchors,
 
 SchedulerDecision StateAwareScheduler::Evaluate(
     const Frontier& active, std::uint64_t vertex_record_bytes,
-    bool with_weights, bool fciu_round, double overlap_compute_seconds,
-    const SemiCostInputs* semi) const {
+    bool with_weights, bool fciu_round, const SemiCostInputs* semi) const {
   WallTimer timer;
   SchedulerDecision d;
 
@@ -268,11 +267,8 @@ SchedulerDecision StateAwareScheduler::Evaluate(
   // sub-block that survives the skip tests, plus the index-probe bytes of
   // unknown summaries (the executor pays that probe to learn them). No
   // vertex-values terms at all — semi mode keeps the state RAM-resident.
-  // Buffer-resident sub-blocks charge decode only (compressed datasets).
-  // That is an over-charge: the buffer holds only decoded blocks, so a hit
-  // decodes nothing. It stays because pricing it at zero would move round
-  // decisions (ROADMAP item 4 re-prices the scheduler from measurements).
-  double cost_semi_io = 0;
+  // Buffer-resident sub-blocks cost nothing: the buffer holds decoded
+  // blocks, so a hit neither reads nor decodes.
   if (semi != nullptr) {
     std::uint64_t semi_read_bytes = 0;
     std::uint64_t semi_probe_bytes = 0;
@@ -296,58 +292,27 @@ SchedulerDecision StateAwareScheduler::Evaluate(
               (static_cast<std::uint64_t>(manifest.IntervalSize(i)) + 1) *
               sizeof(std::uint32_t);
         }
-        if (semi->buffer != nullptr && semi->buffer->Contains(i, j)) {
-          if (compressed) semi_decoded_bytes += edges * kEdgeBytes;
-          continue;
-        }
+        if (semi->buffer != nullptr && semi->buffer->Contains(i, j)) continue;
         semi_read_bytes +=
             manifest.EdgeFileBytes(i, j) + edges * weight_bytes_per_edge;
         if (compressed) semi_decoded_bytes += edges * kEdgeBytes;
       }
     }
-    cost_semi_io = model_.SeqReadSeconds(semi_read_bytes + semi_probe_bytes);
     d.decode_seconds_semi = model_.DecodeSeconds(semi_decoded_bytes);
+    d.cost_semi = model_.SeqReadSeconds(semi_read_bytes + semi_probe_bytes) +
+                  d.decode_seconds_semi;
   }
 
-  // Decode runs on the compute side: serially it adds to the model's cost,
-  // pipelined it raises the model's compute floor.
-  d.serial_cost_on_demand = d.cost_on_demand + d.decode_seconds_on_demand;
-  d.serial_cost_full = d.cost_full + d.decode_seconds_full;
-  d.serial_cost_semi = cost_semi_io + d.decode_seconds_semi;
-  d.cost_on_demand = d.serial_cost_on_demand;
-  d.cost_full = d.serial_cost_full;
-  d.cost_semi = d.serial_cost_semi;
-  if (overlap_compute_seconds >= 0) {
-    // Overlap-aware charging: the pipeline hides disk time behind the
-    // round's compute, so each model costs its critical path. The compute
-    // floor is common to both models; ties are broken on the raw costs so
-    // for raw datasets the decision matches serial charging exactly (see
-    // the header).
-    d.overlapped = true;
-    d.cost_on_demand = io::IoCostModel::OverlapSeconds(
-        d.serial_cost_on_demand - d.decode_seconds_on_demand,
-        overlap_compute_seconds + d.decode_seconds_on_demand);
-    d.cost_full = io::IoCostModel::OverlapSeconds(
-        d.serial_cost_full - d.decode_seconds_full,
-        overlap_compute_seconds + d.decode_seconds_full);
-    if (semi != nullptr) {
-      d.cost_semi = io::IoCostModel::OverlapSeconds(
-          cost_semi_io, overlap_compute_seconds + d.decode_seconds_semi);
-    }
-  }
-  d.on_demand = d.cost_on_demand != d.cost_full
-                    ? d.cost_on_demand < d.cost_full
-                    : d.serial_cost_on_demand <= d.serial_cost_full;
+  // Decode runs on the consumer's side of the pipeline but is paid in
+  // full: each model costs its serial formula plus its decode.
+  d.cost_on_demand += d.decode_seconds_on_demand;
+  d.cost_full += d.decode_seconds_full;
+  d.on_demand = d.cost_on_demand <= d.cost_full;
   if (semi != nullptr) {
-    // Three-way: the semi model must beat the incumbent STRICTLY (charged
-    // first, serial tie-break) — on a tie the two-way winner stands, so the
-    // paper's SCIU/FCIU schedule is never perturbed by an equal-cost third
-    // option.
-    const double winner_cost = d.on_demand ? d.cost_on_demand : d.cost_full;
-    const double winner_serial =
-        d.on_demand ? d.serial_cost_on_demand : d.serial_cost_full;
-    d.semi = d.cost_semi != winner_cost ? d.cost_semi < winner_cost
-                                        : d.serial_cost_semi < winner_serial;
+    // Three-way: the semi model must beat the incumbent STRICTLY — on a tie
+    // the two-way winner stands, so the paper's SCIU/FCIU schedule is never
+    // perturbed by an equal-cost third option.
+    d.semi = d.cost_semi < (d.on_demand ? d.cost_on_demand : d.cost_full);
   }
   d.eval_seconds = timer.Seconds();
   return d;

@@ -18,9 +18,8 @@
 // frame files (plus raw weights), and the on-demand model fetches the whole
 // frames of rows containing active runs (the CSR index addresses decoded
 // offsets, so edge bytes can only arrive frame-at-a-time) while weights
-// remain per-run ranged reads. Frame decode runs on the compute side of the
-// pipeline, so each model's decode estimate is folded into its compute
-// floor rather than its disk time.
+// remain per-run ranged reads. Each model's cost adds its frame-decode
+// estimate to its disk time.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,9 @@ double InterpolateExpectedColumns(std::span<const std::uint64_t> anchors,
 /// Optional inputs that make the semi-external model (DESIGN.md §14) a
 /// third costed choice in Evaluate. `summaries` drives the skip estimate
 /// (an unknown summary is conservatively costed as a full fetch plus its
-/// index probe); `buffer` credits resident sub-blocks with a decode-only
-/// charge. Either pointer may be null — the corresponding credit is then
-/// simply not taken.
+/// index probe); `buffer` prices resident sub-blocks at zero, since the
+/// buffer holds them decoded. Either pointer may be null — the
+/// corresponding credit is then simply not taken.
 struct SemiCostInputs {
   const SkipSummaryStore* summaries = nullptr;
   const SubBlockBuffer* buffer = nullptr;
@@ -62,19 +61,14 @@ struct SchedulerDecision {
   /// two-way decision that still stands). When set, `on_demand` still
   /// records the two-way winner the semi model beat.
   bool semi = false;
-  double cost_on_demand = 0;  // C_r, seconds (pipelined charge when overlapped)
-  double cost_full = 0;       // C_s, seconds (pipelined charge when overlapped)
-  double cost_semi = 0;       // C_m, seconds (0 = semi not costed)
-  // The raw serial formulas, before any overlap charging. Equal to the
-  // charged costs when the evaluation was not overlapped.
-  double serial_cost_on_demand = 0;
-  double serial_cost_full = 0;
-  double serial_cost_semi = 0;
+  // Each model's serial formula plus its decode estimate, in seconds.
+  double cost_on_demand = 0;  // C_r
+  double cost_full = 0;       // C_s
+  double cost_semi = 0;       // C_m (0 = semi not costed)
   // Semi-model estimate detail: sub-blocks its skip summaries elide and the
   // on-disk bytes those elisions avoid reading.
   std::uint64_t semi_skipped_blocks = 0;
   std::uint64_t semi_skipped_bytes = 0;
-  bool overlapped = false;  // costs were charged max(C_x, compute estimate)
   std::uint64_t active_vertices = 0;
   std::uint64_t active_edges = 0;
   // Byte terms as they hit the disk: for compressed datasets these are
@@ -90,8 +84,8 @@ struct SchedulerDecision {
   // edges in.
   std::uint64_t seeks = 0;
   std::uint64_t index_bytes = 0;
-  // Estimated frame-decode seconds folded into each model's compute floor
-  // (zero for raw datasets).
+  // Estimated frame-decode seconds included in each model's cost (zero for
+  // raw datasets).
   double decode_seconds_on_demand = 0;
   double decode_seconds_full = 0;
   double decode_seconds_semi = 0;
@@ -110,27 +104,21 @@ class StateAwareScheduler {
   /// is set, the full-model cost C_s is the per-iteration cost of an FCIU
   /// round — one full sweep plus the secondary sub-blocks, amortized over
   /// the two BSP iterations the round executes — instead of the plain
-  /// single-iteration formula.
+  /// single-iteration formula. On-demand wins when C_r <= C_s.
   ///
-  /// `overlap_compute_seconds >= 0` enables overlap-aware charging: with
-  /// the prefetch pipeline active, each model's disk time hides behind the
-  /// iteration's compute, so both costs are charged max(C_x, compute).
-  /// Because the compute floor is common to both models and max(c, ·) is
-  /// monotone, the comparison can at most collapse into a tie — which is
-  /// broken by the raw costs, so the decision (and with it the I/O byte
-  /// stream) is provably identical to serial charging, preserving the
-  /// paper's cost-model shapes.
+  /// The decision reads no timing: it depends only on the frontier, the
+  /// dataset and the cost model, so identical inputs always schedule
+  /// identically.
   ///
   /// Passing `semi` makes the semi-external model a third choice: C_m sums
   /// the on-disk bytes of the non-skippable sub-blocks (plus index-probe
   /// bytes for unknown summaries) with NO vertex-values terms — the state
   /// is RAM-resident in semi mode. Semi wins only when strictly cheaper
-  /// than the two-way winner (charged, then serial tie-break), so a null
-  /// `semi` — and every existing call site — behaves exactly as before.
+  /// than the two-way winner, so a null `semi` — and every existing call
+  /// site — behaves exactly as before.
   SchedulerDecision Evaluate(const Frontier& active,
                              std::uint64_t vertex_record_bytes,
                              bool with_weights, bool fciu_round = false,
-                             double overlap_compute_seconds = -1.0,
                              const SemiCostInputs* semi = nullptr) const;
 
   const io::IoCostModel& model() const noexcept { return model_; }

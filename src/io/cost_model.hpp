@@ -23,9 +23,8 @@ struct IoCostModel {
   double seek_seconds = 8.0e-3;
   /// Request size at which the paper-style B_rr / B_rw constants are quoted.
   std::uint64_t random_request_bytes = 64 * 1024;
-  /// Edge-frame decode throughput (raw bytes produced per second). Decode
-  /// runs on the compute side of the overlap, so the scheduler folds
-  /// DecodeSeconds into the compute floor — not the disk time. ~1 GB/s
+  /// Edge-frame decode throughput (raw bytes produced per second). The
+  /// scheduler adds DecodeSeconds to each model's disk time. ~1 GB/s
   /// matches the software varint decoder. Ignored (zero cost) for raw
   /// datasets; 0 is the "free" sentinel like the bandwidths above.
   double decode_bw = 1024.0 * 1024 * 1024;
@@ -114,14 +113,6 @@ struct IoCostModel {
   /// Modeled seconds to decode frames producing `raw_bytes` of edges.
   double DecodeSeconds(std::uint64_t raw_bytes) const noexcept {
     return decode_bw <= 0 ? 0.0 : static_cast<double>(raw_bytes) / decode_bw;
-  }
-
-  /// Pipelined charge for a stage whose `io_seconds` of modeled disk time
-  /// run on the prefetch loader while `compute_seconds` of measured compute
-  /// run on the workers: the stage costs its critical path, not the sum.
-  static double OverlapSeconds(double io_seconds,
-                               double compute_seconds) noexcept {
-    return io_seconds > compute_seconds ? io_seconds : compute_seconds;
   }
 
   /// One-line description for bench headers.

@@ -60,11 +60,8 @@ std::string ToRunReportJson(const core::ExecutionReport& report,
   json.Field("update", report.update_seconds);
   json.Field("io", report.io_seconds);
   json.Field("scheduler", report.scheduler_seconds);
-  json.Field("serial", report.SerialSeconds());
   json.Field("total", report.TotalSeconds());
-  json.Field("overlapped", report.overlapped_seconds);
   json.EndObject();
-  json.Field("overlap_io", report.overlap_io);
   // Always 0 since one consumer applies every pass; kept only because
   // perfbench/run.py --trace 1 reads it. The benchmark change that drops
   // core.apply_serialization_s from perfbench removes this key.
@@ -142,7 +139,6 @@ std::string ToRunReportJson(const core::ExecutionReport& report,
     json.Field("random_requests", stat.random_requests);
     json.Field("io_seconds", stat.io_seconds);
     json.Field("compute_seconds", stat.compute_seconds);
-    json.Field("overlapped_seconds", stat.overlapped_seconds);
     json.Field("scheduler_seconds", stat.scheduler_seconds);
     json.Field("read_bytes", stat.read_bytes);
     json.Field("write_bytes", stat.write_bytes);

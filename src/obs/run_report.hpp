@@ -5,8 +5,7 @@
 // Schema (versioned; additive changes bump schema_version):
 //   schema_version, engine, algorithm, dataset
 //   iterations, rounds, degraded_rounds
-//   seconds{compute, update, io, scheduler, serial, total, overlapped},
-//     overlap_io
+//   seconds{compute, update, io, scheduler, total}
 //   cost_model{seq_read_bw, seq_write_bw, seek_seconds,
 //              random_request_bytes, random_read_bw}   — the C_r/C_s inputs
 //   io{*_bytes, *_ops by direction and pattern, retries, checksum_failures}
@@ -14,8 +13,7 @@
 //   per_round[]: first_iteration, iterations_covered, model (S|F|P|-),
 //     active_vertices, active_edges, cost_on_demand (C_r), cost_full (C_s),
 //     seq_bytes (S_seq), rand_bytes (S_ran), random_requests, io_seconds,
-//     compute_seconds, overlapped_seconds, scheduler_seconds, read_bytes,
-//     write_bytes
+//     compute_seconds, scheduler_seconds, read_bytes, write_bytes
 //   metrics (when a registry is given): counters/gauges/histograms by name
 #pragma once
 

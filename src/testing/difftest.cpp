@@ -596,9 +596,9 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
   const std::string checkpoint_dir = scratch_dir + "/ck";
   (void)io::RemoveTree(checkpoint_dir);  // stale slots from a prior trial
 
-  // Overlap off: the scheduler sees only modeled (deterministic) costs, so
-  // the killed and resumed segments replay the uninterrupted run exactly and
-  // every algorithm class is bitwise-comparable.
+  // The scheduler reads no timing, so the killed and resumed segments
+  // replay the uninterrupted run exactly and every algorithm class is
+  // bitwise-comparable.
   const auto make_options = [&config]() {
     const bool semi = config.model == "semi";
     EngineOptions options;
@@ -608,7 +608,6 @@ Result<std::optional<Divergence>> RunKillResumeTrial(
     options.enable_cross_iteration = config.cross_iteration && !semi;
     options.prefetch_depth = config.prefetch_depth;
     options.record_per_round = false;
-    options.overlap_io = false;
     options.max_iterations = 1000;
     options.semi_external = semi;
     if (config.model != "auto") {

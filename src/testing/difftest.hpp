@@ -124,16 +124,14 @@ Result<SweepSummary> RunSweep(const SweepOptions& options);
 // engine against the BSP oracle, a kill-resume trial compares the engine
 // against *itself* — an uninterrupted run vs a run that is cooperatively
 // killed (checkpointing every iteration), optionally has its newest
-// checkpoint slot damaged, and then resumes from disk. All runs execute
-// with overlap-aware accounting off, so both segments are
-// bit-deterministic and the final values must match the uninterrupted run
-// bitwise for every algorithm class.
+// checkpoint slot damaged, and then resumes from disk. The scheduler reads
+// no timing, so both segments are bit-deterministic and the final values
+// must match the uninterrupted run bitwise for every algorithm class.
 
 struct KillResumeConfig {
   std::string algo;
-  /// "on_demand" | "full" | "semi" | "auto". "auto" stays deterministic here
-  /// because overlap accounting is off: the scheduler then sees only modeled
-  /// costs.
+  /// "on_demand" | "full" | "semi" | "auto". "auto" is deterministic: the
+  /// scheduler sees only the frontier, the dataset and modeled costs.
   std::string model = "on_demand";
   bool cross_iteration = false;
   std::uint32_t prefetch_depth = 0;

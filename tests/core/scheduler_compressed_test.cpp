@@ -1,6 +1,6 @@
-// Scheduler cost evaluation on compressed datasets: both models must be
-// charged the on-disk (frame) byte counts with frame decode folded into
-// the compute side, while raw datasets keep the original arithmetic.
+// Scheduler cost evaluation on compressed datasets: every model must be
+// charged the on-disk (frame) byte counts plus its frame decode, while raw
+// datasets keep the original arithmetic.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -48,8 +48,6 @@ TEST_F(SchedulerCompressedTest, RawDatasetChargesNoDecode) {
   const SchedulerDecision d = scheduler.Evaluate(active, 8, true);
   EXPECT_EQ(d.decode_seconds_full, 0.0);
   EXPECT_EQ(d.decode_seconds_on_demand, 0.0);
-  EXPECT_EQ(d.serial_cost_full, d.cost_full);
-  EXPECT_EQ(d.serial_cost_on_demand, d.cost_on_demand);
 }
 
 TEST_F(SchedulerCompressedTest, FullModelChargesFrameBytesPlusDecode) {
@@ -67,11 +65,10 @@ TEST_F(SchedulerCompressedTest, FullModelChargesFrameBytesPlusDecode) {
               model.DecodeSeconds(comp_->num_edges() * kEdgeBytes), 1e-12);
 
   // The disk portion of C_s shrinks by exactly the byte reduction: the
-  // serial compressed cost minus decode must undercut the raw C_s.
+  // compressed cost minus decode must undercut the raw C_s.
   ASSERT_LT(comp_->manifest().TotalEdgeFileBytes(),
             raw_->manifest().TotalEdgeFileBytes());
-  EXPECT_LT(comp_d.serial_cost_full - comp_d.decode_seconds_full,
-            raw_d.serial_cost_full);
+  EXPECT_LT(comp_d.cost_full - comp_d.decode_seconds_full, raw_d.cost_full);
 }
 
 TEST_F(SchedulerCompressedTest, OnDemandChargesWholeFramesOfActiveRows) {
@@ -111,24 +108,34 @@ TEST_F(SchedulerCompressedTest, OnDemandChargesWholeFramesOfActiveRows) {
   EXPECT_LT(d_one.decode_seconds_on_demand, d_all.decode_seconds_on_demand);
 }
 
-TEST_F(SchedulerCompressedTest, OverlapChargingKeepsSerialTieBreak) {
-  StateAwareScheduler scheduler(*comp_, io::IoCostModel::Hdd());
+TEST_F(SchedulerCompressedTest, BufferResidentBlockAddsNoSemiDecode) {
+  const io::IoCostModel model = io::IoCostModel::Hdd();
+  StateAwareScheduler scheduler(*comp_, model);
+  const auto& manifest = comp_->manifest();
   Frontier active(comp_->num_vertices());
   active.ActivateAll();
-  const SchedulerDecision serial = scheduler.Evaluate(active, 8, true);
-  // A compute floor high enough to drown both disk costs: the charged
-  // costs converge to compute + decode, and the tie-break must fall back
-  // to the serial costs instead of flapping on float noise.
-  const double huge = 1e9;
-  const SchedulerDecision overlapped =
-      scheduler.Evaluate(active, 8, true, /*fciu_round=*/false, huge);
-  EXPECT_TRUE(overlapped.overlapped);
-  EXPECT_FALSE(serial.overlapped);
-  EXPECT_EQ(overlapped.serial_cost_full, serial.serial_cost_full);
-  EXPECT_EQ(overlapped.serial_cost_on_demand, serial.serial_cost_on_demand);
-  EXPECT_GE(overlapped.cost_full, huge);
-  EXPECT_GE(overlapped.cost_on_demand, huge);
-  EXPECT_EQ(overlapped.on_demand, serial.on_demand);
+  std::uint32_t j = 0;
+  while (j < manifest.p && manifest.EdgesIn(0, j) == 0) ++j;
+  ASSERT_LT(j, manifest.p);
+
+  SubBlockBuffer buffer(std::uint64_t{1} << 30);
+  ASSERT_TRUE(buffer.Put(
+      0, j, ValueOrDie(comp_->LoadSubBlock(0, j, /*load_weights=*/true)), 1));
+  const SemiCostInputs cold{};
+  const SemiCostInputs warm{nullptr, &buffer};
+  const SchedulerDecision d_cold =
+      scheduler.Evaluate(active, 0, true, /*fciu_round=*/false, &cold);
+  const SchedulerDecision d_warm =
+      scheduler.Evaluate(active, 0, true, /*fciu_round=*/false, &warm);
+
+  // The buffer holds the block decoded: a hit neither reads nor decodes,
+  // so the warm estimate drops exactly that block's decode and bytes.
+  const double block_decode =
+      model.DecodeSeconds(manifest.EdgesIn(0, j) * kEdgeBytes);
+  ASSERT_GT(block_decode, 0.0);
+  EXPECT_NEAR(d_warm.decode_seconds_semi,
+              d_cold.decode_seconds_semi - block_decode, 1e-12);
+  EXPECT_LT(d_warm.cost_semi, d_cold.cost_semi - block_decode);
 }
 
 }  // namespace

@@ -33,15 +33,14 @@ using testing::ValueOrDie;
 struct PrefetchConfig {
   const char* name;
   std::size_t depth;
-  bool overlap;
 };
 
 // At depth > 0 the loader fetches and decodes beside the consumer, while
 // every comparison stays bitwise against the synchronous reference.
 constexpr PrefetchConfig kConfigs[] = {
-    {"sync_serial", 0, false},   {"sync_overlap_flag", 0, true},
-    {"depth1_serial", 1, false}, {"depth1_overlap", 1, true},
-    {"depth4_serial", 4, false}, {"depth4_overlap", 4, true},
+    {"sync", 0},
+    {"depth1", 1},
+    {"depth4", 4},
 };
 
 struct RunObservation {
@@ -55,7 +54,6 @@ struct RunObservation {
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
   options.prefetch_depth = config.depth;
-  options.overlap_io = config.overlap;
   return options;
 }
 
@@ -183,9 +181,8 @@ TEST_P(CompressedEquivalence, PageRankGatherPath) {
 }
 
 TEST_P(CompressedEquivalence, SsspDefaultSchedulerSerialCharging) {
-  // Under serial charging the scheduler's compressed-cost decisions are
-  // deterministic (no measured-compute feedback), so the three serial
-  // depths must agree with each other on everything; values must match
+  // The scheduler's compressed-cost decisions read no timing, so every
+  // prefetch depth must agree with the others on everything; values match
   // the raw reference bitwise even though the round mix — and with it the
   // iteration count, since FCIU rounds cover two BSP iterations — may
   // differ from the raw dataset's (the costs legitimately change with
@@ -195,7 +192,6 @@ TEST_P(CompressedEquivalence, SsspDefaultSchedulerSerialCharging) {
       Observe(raw_, WithConfig({}, kConfigs[0]), algos::Sssp(0));
   std::optional<RunObservation> comp_reference;
   for (const PrefetchConfig& config : kConfigs) {
-    if (config.overlap) continue;
     SCOPED_TRACE(config.name);
     const RunObservation obs =
         Observe(comp_, WithConfig({}, config), algos::Sssp(0));

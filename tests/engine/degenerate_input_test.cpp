@@ -29,16 +29,12 @@ struct EngineConfig {
   bool force_on_demand;
   bool enable_selective;
   std::size_t prefetch_depth;
-  bool overlap;
 };
 
 constexpr EngineConfig kEngineConfigs[] = {
-    {"default_sync", false, true, 0, false},
-    {"sciu_sync", true, true, 0, false},
-    {"fciu_sync", false, false, 0, false},
-    {"default_depth4", false, true, 4, true},
-    {"sciu_depth4", true, true, 4, true},
-    {"fciu_depth4", false, false, 4, true},
+    {"default_sync", false, true, 0},   {"sciu_sync", true, true, 0},
+    {"fciu_sync", false, false, 0},     {"default_depth4", false, true, 4},
+    {"sciu_depth4", true, true, 4},     {"fciu_depth4", false, false, 4},
 };
 
 core::EngineOptions MakeOptions(const EngineConfig& config) {
@@ -46,7 +42,6 @@ core::EngineOptions MakeOptions(const EngineConfig& config) {
   options.force_on_demand = config.force_on_demand;
   options.enable_selective = config.enable_selective;
   options.prefetch_depth = config.prefetch_depth;
-  options.overlap_io = config.overlap;
   return options;
 }
 

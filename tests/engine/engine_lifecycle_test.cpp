@@ -34,13 +34,9 @@ class EngineLifecycleTest : public ::testing::Test {
     t_ = MakeDataset(GenerateRmat(o), dir_.Sub("ds"), 3);
   }
 
-  /// Deterministic lifecycle options: serial accounting, so killed +
-  /// resumed replays the uninterrupted run bit-for-bit.
-  core::EngineOptions Opts() const {
-    core::EngineOptions options;
-    options.overlap_io = false;
-    return options;
-  }
+  /// Default options: the scheduler reads no timing, so killed + resumed
+  /// replays the uninterrupted run bit-for-bit.
+  core::EngineOptions Opts() const { return {}; }
 
   std::string CheckpointDir() const { return dir_.Sub("ck"); }
 

@@ -1,6 +1,6 @@
 // Prefetch-pipeline equivalence: the asynchronous loader must be invisible
-// in everything except wall-clock time. Across prefetch depths and overlap
-// settings every run must produce bit-identical values, move exactly the
+// in everything except wall-clock time. Across prefetch depths every run
+// must produce bit-identical values, move exactly the
 // same virtual-I/O bytes and ops, and handle injected faults exactly like
 // the synchronous path (retries absorbed, degradations taken on the same
 // round).
@@ -10,7 +10,6 @@
 // attached while the reference runs untraced, so any feedback from the
 // observability layer into bytes, scheduler decisions or values fails the
 // comparison.
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,19 +36,15 @@ using testing::ValueOrDie;
 struct PrefetchConfig {
   const char* name;
   std::size_t depth;
-  bool overlap;
 };
 
-// The first entry is the reference: fully synchronous, serial charging,
-// one thread. The others run a loader thread beside the consumer; values
-// stay bit-identical and byte traffic identical at every depth.
+// The first entry is the reference: fully synchronous, one thread. The
+// others run a loader thread beside the consumer; values stay bit-identical
+// and byte traffic identical at every depth.
 constexpr PrefetchConfig kConfigs[] = {
-    {"sync_serial", 0, false},
-    {"sync_overlap_flag", 0, true},  // flag without a pipeline is inert
-    {"depth1_serial", 1, false},
-    {"depth1_overlap", 1, true},
-    {"depth4_serial", 4, false},
-    {"depth4_overlap", 4, true},
+    {"sync", 0},
+    {"depth1", 1},
+    {"depth4", 4},
 };
 
 /// Everything a run exposes that prefetching must not change.
@@ -65,7 +60,6 @@ struct RunObservation {
 core::EngineOptions WithConfig(core::EngineOptions options,
                                const PrefetchConfig& config) {
   options.prefetch_depth = config.depth;
-  options.overlap_io = config.overlap;
   return options;
 }
 
@@ -139,18 +133,6 @@ void SweepConfigs(const TestDataset& t, const core::EngineOptions& base,
     // summation rounding); compute time is wall clock and may not.
     EXPECT_NEAR(obs.report.io_seconds, reference->report.io_seconds,
                 1e-9 * reference->report.io_seconds + 1e-12);
-    // The pipelined charge is an accounting view, never extra I/O: it can
-    // only shrink the modeled time, and only when overlap is active.
-    if (config.depth > 0 && config.overlap) {
-      EXPECT_TRUE(obs.report.overlap_io);
-      EXPECT_LE(obs.report.TotalSeconds(), obs.report.SerialSeconds());
-      EXPECT_GE(obs.report.TotalSeconds(),
-                std::max(obs.report.io_seconds, obs.report.compute_seconds) -
-                    1e-12);
-    } else {
-      EXPECT_FALSE(obs.report.overlap_io);
-      EXPECT_EQ(obs.report.TotalSeconds(), obs.report.SerialSeconds());
-    }
   }
 }
 

@@ -57,6 +57,34 @@ assert comp["decoded_bytes"] > 0, comp
 PYEOF
 echo "compressed smoke: OK"
 
+echo "== tier 1: deterministic scheduling smoke (auto, varint-delta) =="
+# The scheduler reads no timing, so identical default runs must choose the
+# same model every round and read the same bytes, on the modeled and on
+# the real SSD alike.
+for DEV in real:ssd sim:ssd; do
+  for ALGO in bfs cc; do
+    for K in 1 2 3; do
+      "$CLI" run --dataset "$OBS_DIR/ds_vd" --algo "$ALGO" --root 0 \
+          --device "$DEV" \
+          --report-json "$OBS_DIR/det_${ALGO}_$(echo "$DEV" | tr : _)_$K.json" \
+          > /dev/null
+    done
+  done
+done
+python3 - "$OBS_DIR" <<'PYEOF'
+import glob, json, os, sys
+runs = {}
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "det_*.json"))):
+    doc = json.load(open(path))
+    key = os.path.basename(path).rsplit("_", 1)[0]
+    models = "".join(r["model"] for r in doc["per_round"])
+    runs.setdefault(key, set()).add((models, doc["io"]["total_read_bytes"]))
+assert len(runs) == 4, sorted(runs)
+for key, seen in runs.items():
+    assert len(seen) == 1, (key, seen)
+PYEOF
+echo "deterministic scheduling smoke: OK"
+
 echo "== tier 1: differential harness smoke (graphsd difftest) =="
 # A bounded randomized sweep: every registered algorithm against the
 # in-memory oracle, across raw + varint-delta datasets and forced-model /

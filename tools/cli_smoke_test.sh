@@ -114,6 +114,13 @@ if "$CLI" serve --socket "$WORK/cc.sock" --cache-compressed \
 fi
 grep -q "unknown flag --cache-compressed" "$WORK/serve_cc"
 
+# One time charge: a run costs compute + io, and no flag switches it.
+if "$CLI" run --dataset "$WORK/ds" --algo bfs --root 0 --no-overlap-io true \
+    > "$WORK/run_overlap" 2>&1; then
+  exit 1
+fi
+grep -q "unknown flag --no-overlap-io" "$WORK/run_overlap"
+
 # Flipping one payload byte must be detected by verify AND by run —
 # a corrupted dataset may never produce a silent wrong answer.
 SB=""

@@ -303,8 +303,6 @@ int CmdRun(int argc, const char* const* argv) {
                "skip-summary selective streaming as a third scheduler choice");
   flags.DefineInt("prefetch-depth", "4",
                "async read look-ahead in fetch units (0 = synchronous I/O)");
-  flags.Define("no-overlap-io", "false",
-               "charge compute + io serially instead of max(compute, io)");
   flags.Define("values-out", "", "write per-vertex results to this file");
   flags.Define("trace-out", "",
                "write a chrome://tracing JSON of per-iteration phases "
@@ -387,7 +385,6 @@ int CmdRun(int argc, const char* const* argv) {
     }
     options.prefetch_depth =
         CheckedCast<std::size_t>(flags.GetInt("prefetch-depth"));
-    options.overlap_io = !flags.GetBool("no-overlap-io");
     if (!trace_out.empty()) options.trace = &trace;
     if (want_obs) options.metrics = &metrics;
     options.checkpoint_dir = flags.GetString("checkpoint-dir");
